@@ -8,7 +8,7 @@ Table I's models instead of retraining.
 
 Absolute AUCC values will not match the paper (different substrate);
 what the benches check and print is the *shape*: method ordering,
-setting ordering, and the rDRP-vs-DRP deltas.  See EXPERIMENTS.md.
+setting ordering, and the rDRP-vs-DRP deltas.
 
 The harness is itself instrumented: both artifact caches are bounded
 LRU :class:`BenchCache`\\ s counting hits/misses/evictions into

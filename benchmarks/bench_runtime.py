@@ -26,6 +26,7 @@ import numpy as np
 
 from _harness import print_header, record_result
 from repro.ab.platform import Platform
+from repro.obs import HistogramSnapshot
 from repro.runtime import ManualClock, ProcessBackend
 from repro.serving.engine import ScoringEngine
 
@@ -54,9 +55,10 @@ class _CheapROI:
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.w
 
 
-def _stream_latencies(n_events: int, max_latency_ms: float | None) -> np.ndarray:
+def _stream_latencies(n_events: int, max_latency_ms: float | None) -> HistogramSnapshot:
     """Submit ``n_events`` rows at 1ms simulated intervals; return the
-    per-request submit→score latencies in simulated seconds."""
+    engine's sketch of the submit→score latencies in simulated seconds
+    (exact max, quantiles within 1%)."""
     clock = ManualClock()
     engine = ScoringEngine(
         _CheapROI(),
@@ -73,14 +75,14 @@ def _stream_latencies(n_events: int, max_latency_ms: float | None) -> np.ndarray
         engine.poll()
     engine.flush()
     engine.join()
-    return np.asarray(engine.latencies)
+    return engine.latency_hist.snapshot()
 
 
 def test_deadline_flush_latency(benchmark, smoke) -> None:
     """p50/p95 submit→score latency: deadline flush vs batch-full-only."""
     n_events = SMOKE_N_EVENTS if smoke else N_EVENTS
 
-    def run() -> dict[str, np.ndarray]:
+    def run() -> dict[str, HistogramSnapshot]:
         return {
             "batch-full only": _stream_latencies(n_events, None),
             f"deadline {MAX_LATENCY_MS:.0f}ms": _stream_latencies(n_events, MAX_LATENCY_MS),
@@ -90,18 +92,18 @@ def test_deadline_flush_latency(benchmark, smoke) -> None:
     print_header(f"submit→score latency, simulated clock ({n_events} events @ 1ms)")
     print(f"  {'mode':>18s} {'p50':>9s} {'p95':>9s} {'max':>9s}")
     for mode, lat in grid.items():
-        p50, p95, mx = (1000 * np.quantile(lat, q) for q in (0.5, 0.95, 1.0))
+        p50, p95, mx = (1000 * v for v in (lat.quantile(0.5), lat.quantile(0.95), lat.max))
         print(f"  {mode:>18s} {p50:>8.2f}m {p95:>8.2f}m {mx:>8.2f}m")
 
     batch_only = grid["batch-full only"]
     deadline = grid[f"deadline {MAX_LATENCY_MS:.0f}ms"]
     bound_s = MAX_LATENCY_MS / 1000.0
     # the deadline is a hard bound on every request, any size
-    assert deadline.max() <= bound_s + 1e-9
-    ratio = np.quantile(batch_only, 0.95) / max(np.quantile(deadline, 0.95), 1e-9)
+    assert deadline.max <= bound_s + 1e-9
+    ratio = batch_only.quantile(0.95) / max(deadline.quantile(0.95), 1e-9)
     if not smoke:
         # batch-full-only strands requests for most of the fill time
-        assert np.quantile(batch_only, 0.95) > 20 * bound_s
+        assert batch_only.quantile(0.95) > 20 * bound_s
         print(f"  p95 improvement: {ratio:.0f}x (bar: >= 20x)")
         assert ratio >= 20.0
 
@@ -110,14 +112,14 @@ def test_deadline_flush_latency(benchmark, smoke) -> None:
         "runtime",
         {
             "deadline_p95_ms": {
-                "value": 1000 * float(np.quantile(deadline, 0.95)),
+                "value": 1000 * deadline.quantile(0.95),
                 "unit": "ms",
                 "direction": "lower",
                 "gated": True,
                 "tolerance": 0.01,
             },
             "deadline_max_ms": {
-                "value": 1000 * float(deadline.max()),
+                "value": 1000 * deadline.max,
                 "unit": "ms",
                 "direction": "lower",
                 "gated": True,
@@ -131,7 +133,7 @@ def test_deadline_flush_latency(benchmark, smoke) -> None:
                 "tolerance": 0.01,
             },
             "batch_only_p95_ms": {
-                "value": 1000 * float(np.quantile(batch_only, 0.95)),
+                "value": 1000 * batch_only.quantile(0.95),
                 "unit": "ms",
                 "direction": "lower",
             },

@@ -47,7 +47,6 @@ SMOKE_N_BULK = 4096
 # trajectory run (two appends per session would make the diff's
 # latest-run comparison see the first test's gated metrics as dropped)
 _SERVING_METRICS: dict[str, dict] = {}
-_SHARDED_METRICS: dict[str, dict] = {}
 
 
 class BulkLinear:
@@ -267,7 +266,7 @@ def test_metrics_overhead(benchmark, smoke) -> None:
 def test_sharded_fleet_throughput(benchmark, smoke) -> None:
     """1-shard vs 4-shard fleet on a ProcessBackend: the scale-out lever.
 
-    Both fleets pay the same transport tax (pickled dispatch batches on
+    Both fleets pay the same transport tax (shared-memory dispatch on
     a process pool's affinity lanes), so the ratio isolates what
     sharding buys: four DRP forward passes running on four cores.  The
     >= 2.5x bar is asserted only where it is physically possible
@@ -321,7 +320,8 @@ def test_sharded_fleet_throughput(benchmark, smoke) -> None:
     if not smoke and cpus >= n_shards:
         assert speedup >= 2.5
 
-    _SHARDED_METRICS.update(
+    record_result(
+        "serving_sharded",
         {
             # absolute rates and the speedup are machine-bound: a 1-CPU
             # runner records ~1x honestly, so none of them can gate
@@ -337,79 +337,6 @@ def test_sharded_fleet_throughput(benchmark, smoke) -> None:
                 "gated": True,
                 "tolerance": 0.01,
             },
-        }
+        },
+        smoke=smoke,
     )
-
-
-def test_zero_copy_dispatch(benchmark, smoke) -> None:
-    """shm vs pickled transport on the same process fleet.
-
-    Identical fleets, identical keyless ``submit_batch`` stream; the
-    only difference is how dispatches travel — feature blocks staged
-    into shared segments with scores returning through the result ring,
-    versus pickling both ways.  A constant-time linear model keeps
-    model math out of the ratio, so this measures the transport alone.
-    The >= 1.3x bar asserts only where the fleet can actually overlap
-    (>= 4 CPUs, full mode); the ratio is recorded everywhere, ungated —
-    a 1-CPU runner honestly records ~1x.
-    """
-    n_requests = (SMOKE_N_REQUESTS if smoke else N_REQUESTS) * 4
-    n_shards = 4
-    chunk = 512
-
-    def fleet_rps(transport: str, backend, rows) -> float:
-        rng = np.random.default_rng(1)
-        with ShardedScoringEngine(
-            BulkLinear(rng.normal(size=rows.shape[1])),
-            n_shards=n_shards,
-            batch_size=256,
-            cache_size=0,
-            dispatch_size=64,
-            backend=backend,
-            transport=transport,
-        ) as fleet:
-            fleet.score_batch(rows[:8])  # warm the lanes / fork workers
-            start = time.perf_counter()
-            for i in range(0, len(rows), chunk):
-                fleet.submit_batch(rows[i : i + chunk])
-            fleet.flush()
-            n_scored = len(fleet.drain())
-            elapsed = time.perf_counter() - start
-        assert n_scored == len(rows)
-        return len(rows) / elapsed
-
-    def run() -> dict[str, float]:
-        rows = np.random.default_rng(2).normal(size=(n_requests, 32))
-        backend = ProcessBackend(n_workers=n_shards)
-        try:
-            return {
-                "rps_pickle": fleet_rps("pickle", backend, rows),
-                "rps_shm": fleet_rps("shm", backend, rows),
-            }
-        finally:
-            backend.shutdown()
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = out["rps_shm"] / out["rps_pickle"]
-    cpus = os.cpu_count() or 1
-    print_header(
-        f"zero-copy dispatch — {n_requests} keyless rows, {n_shards}-shard fleet"
-    )
-    print(f"  pickled transport: {out['rps_pickle']:>12,.0f} req/s")
-    print(f"  shm transport:     {out['rps_shm']:>12,.0f} req/s")
-    print(f"  speedup: {speedup:.2f}x on a {cpus}-CPU machine "
-          f"(target >= 1.3x on >= {n_shards} CPUs)")
-    if not smoke and cpus >= n_shards:
-        assert speedup >= 1.3
-
-    _SHARDED_METRICS.update(
-        {
-            "zero_copy_dispatch_speedup": {
-                "value": speedup, "unit": "x", "direction": "higher",
-            },
-            "rps_shm_transport": {"value": out["rps_shm"], "unit": "req/s"},
-            "rps_pickle_transport": {"value": out["rps_pickle"], "unit": "req/s"},
-        }
-    )
-    record_result("serving_sharded", dict(_SHARDED_METRICS), smoke=smoke)
-    _SHARDED_METRICS.clear()

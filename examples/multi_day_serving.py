@@ -85,11 +85,11 @@ def main() -> None:
     stats = result.days[-1].engine_stats
     print(f"  flushes: {stats['flush_deadline']} deadline, "
           f"{stats['flush_batch_full']} batch-full, {stats['flush_manual']} manual")
-    all_latencies = np.concatenate([day.latencies for day in result.days])
-    for label, q in (("p50", 0.5), ("p95", 0.95), ("max", 1.0)):
-        print(f"  {label} submit→score latency: {1000 * np.quantile(all_latencies, q):.2f}ms "
+    hist = engine.latency_hist  # every scored request of the campaign
+    for label, seconds in (("p50", hist.quantile(0.5)), ("p95", hist.quantile(0.95)), ("max", hist.max)):
+        print(f"  {label} submit→score latency: {1000 * seconds:.2f}ms "
               f"(bound: {args.latency_ms}ms)")
-    assert all_latencies.max() <= args.latency_ms / 1000.0 + 1e-9
+    assert hist.max <= args.latency_ms / 1000.0 + 1e-9
 
     print("\n-- price of streaming, per day --")
     for d, day in enumerate(result.days, start=1):

@@ -8,7 +8,7 @@ the three things the ``repro.obs`` layer exists for:
 
 * per-day **metric deltas** (what each day did, not lifetime totals);
 * latency **quantiles from the log-bucket sketch** (~1% error, sees
-  every request even after the raw log's size cap evicts entries);
+  every request in memory bounded by the value range);
 * the **Prometheus text rendering** a scrape endpoint would serve.
 
 Run:
@@ -56,7 +56,6 @@ def main() -> None:
         max_latency_ms=20.0,
         clock=clock,
         metrics=metrics,
-        latency_log_size=1_000,
     )
     replay = TrafficReplay(platform, engine, interarrival_s=0.001)
 
@@ -74,8 +73,7 @@ def main() -> None:
         print(
             f"  submit→score latency (sketch): p50={1000*p50:.2f}ms "
             f"p95={1000*p95:.2f}ms p99={1000*p99:.2f}ms "
-            f"(raw log kept {len(result.latencies)}, "
-            f"evicted {result.latencies_dropped})"
+            f"({result.latency_hist.count} requests)"
         )
 
     print("\n== Campaign totals (what a Prometheus scrape would see) ==")

@@ -67,7 +67,7 @@ def main() -> None:
     print(
         "(On the authors' production stack wide intervals predicted larger "
         "errors; with a laptop-scale numpy MLP the MC-dropout std is a much "
-        "weaker error signal — see EXPERIMENTS.md for the discussion.)"
+        "weaker error signal.)"
     )
 
 

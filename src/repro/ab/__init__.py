@@ -24,9 +24,9 @@ seconds without materialising multi-``n`` oversample pools.  Chunked
 generation optionally fans out across an
 :class:`~repro.runtime.ExecutionBackend`: ``backend=`` on
 :class:`Platform`, :class:`ABTest`, and :class:`PolicyReplay` shares
-one lazily-started pool across every day of a run (the legacy
-``parallel=`` / ``n_workers=`` spelling gets a run-scoped pool), with
-bit-identical output either way.
+one caller-owned, lazily-started pool across every day of a run, with
+bit-identical output either way (``backend=SerialBackend()`` on the
+experiment forces in-process generation).
 
 Cross-policy comparison: :class:`PolicyReplay` scores several policy
 sets against *identical* traffic — one cohort, one arm partition, and

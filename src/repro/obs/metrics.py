@@ -390,8 +390,8 @@ class Histogram:
     geometric bucket midpoint makes every quantile exact to within
     ``relative_error`` (default 1%), with O(1) record cost and memory
     proportional to the value *range* (occupied buckets), not the
-    value *count* — this is what replaces the engine's unbounded
-    ``latencies`` list as the quantile source.
+    value *count* — which is why it is the engine's only latency
+    record.
 
     Values at or below ``min_trackable`` (default 1ns for
     seconds-denominated metrics) land in a dedicated zero bucket and
@@ -456,6 +456,16 @@ class Histogram:
     @property
     def sum(self) -> float:
         return self._sum
+
+    @property
+    def min(self) -> float:
+        """Smallest recorded value, exact (``inf`` while empty)."""
+        return self._min
+
+    @property
+    def max(self) -> float:
+        """Largest recorded value, exact (``-inf`` while empty)."""
+        return self._max
 
     def quantile(self, q: float) -> float:
         """Approximate q-quantile, exact to within ``relative_error``."""

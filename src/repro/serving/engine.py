@@ -36,10 +36,10 @@ model version, skipping the model entirely.
 The request lifecycle is ``submit → (auto)flush → take``; ``score``
 wraps it for synchronous single-request use.  When a clock is present
 the engine also records every *scored* request's submit→score latency
-in ``latencies`` (asynchronous batches stamp the moment scoring
+in ``latency_hist`` (asynchronous batches stamp the moment scoring
 *completed*, not when the caller reaped the result), which is what the
 latency benchmarks and the deadline acceptance tests read.  Cache hits
-never enter the latency log: they are tallied in ``cache_hits``
+never enter the latency record: they are tallied in ``cache_hits``
 instead, so the p95 the deadline-bound claims are measured on reflects
 requests the model actually scored rather than being silently deflated
 by zero-cost replays.
@@ -90,12 +90,12 @@ def _score_rows(policy: DecisionPolicy, model: object, rows: np.ndarray) -> np.n
 class _PendingBlock:
     """One version's buffered requests, stored columnar.
 
-    A preallocated ``(cap, d)`` feature block plus an aligned request-id
-    vector, grown geometrically — the flush slices **one contiguous
-    array** instead of stacking a deque of per-row copies.  The block
-    object travels whole into the in-flight queue when dispatched (a
-    fresh block starts the next batch), so the view handed to the
-    backend can never alias rows appended later.
+    A preallocated ``(cap, d)`` feature block plus aligned request-id
+    and submit-stamp vectors, grown geometrically — the flush slices
+    **one contiguous array** instead of stacking a deque of per-row
+    copies.  The block object travels whole into the in-flight queue
+    when dispatched (a fresh block starts the next batch), so the view
+    handed to the backend can never alias rows appended later.
 
     ``record`` / ``mixed`` are the fast-path bookkeeping: a block fed
     only by ``submit_batch`` slices carries one :class:`_RidRange`
@@ -104,12 +104,13 @@ class _PendingBlock:
     ``mixed`` and the reap degrades to exact per-rid accounting.
     """
 
-    __slots__ = ("rows", "rids", "n", "record", "mixed")
+    __slots__ = ("rows", "rids", "stamps", "n", "record", "mixed")
 
     def __init__(self, d: int, cap: int) -> None:
         cap = max(1, cap)
         self.rows = np.empty((cap, d), dtype=float)
         self.rids = np.empty(cap, dtype=np.int64)
+        self.stamps = np.empty(cap, dtype=float)
         self.n = 0
         self.record: _RidRange | None = None
         self.mixed = False
@@ -120,22 +121,26 @@ class _PendingBlock:
             return
         while cap < need:
             cap *= 2
-        self.rows = np.concatenate([self.rows, np.empty((cap - self.rows.shape[0], self.rows.shape[1]))])
-        self.rids = np.concatenate([self.rids, np.empty(cap - self.rids.shape[0], dtype=np.int64)])
+        extra = cap - self.rows.shape[0]
+        self.rows = np.concatenate([self.rows, np.empty((extra, self.rows.shape[1]))])
+        self.rids = np.concatenate([self.rids, np.empty(extra, dtype=np.int64)])
+        self.stamps = np.concatenate([self.stamps, np.empty(extra)])
 
-    def append(self, rid: int, row: np.ndarray) -> None:
+    def append(self, rid: int, row: np.ndarray, stamp: float) -> None:
         if self.record is not None:
             self.mixed = True
         self._grow_to(self.n + 1)
         self.rows[self.n] = row
         self.rids[self.n] = rid
+        self.stamps[self.n] = stamp
         self.n += 1
 
-    def append_block(self, rids: np.ndarray, block: np.ndarray) -> None:
+    def append_block(self, rids: np.ndarray, block: np.ndarray, stamp: float) -> None:
         take = block.shape[0]
         self._grow_to(self.n + take)
         self.rows[self.n : self.n + take] = block
         self.rids[self.n : self.n + take] = rids
+        self.stamps[self.n : self.n + take] = stamp
         self.n += take
 
     def view(self) -> np.ndarray:
@@ -148,21 +153,20 @@ class _RidRange:
 
     ``submit_batch``'s vectorised path never touches the per-rid dicts
     on submit *or* on reap: the block's ids are ``[start, stop)``, the
-    version is single, the submit stamp is single, and once scored the
-    whole result array hangs off :attr:`scores`.  ``take_block`` then
-    pops an entire record in O(1); only callers probing individual ids
-    (``take``/``version_of``) force a lazy materialisation into the
-    dicts — pay-per-use, never on the block path.
+    version is single, and once scored the whole result array hangs
+    off :attr:`scores`.  ``take_block`` then pops an entire record in
+    O(1); only callers probing individual ids (``take``/``version_of``)
+    force a lazy materialisation into the dicts — pay-per-use, never on
+    the block path.
     """
 
-    __slots__ = ("start", "stop", "version_id", "scores", "submitted_at")
+    __slots__ = ("start", "stop", "version_id", "scores")
 
-    def __init__(self, start: int, stop: int, version_id: int, submitted_at: float | None) -> None:
+    def __init__(self, start: int, stop: int, version_id: int) -> None:
         self.start = start
         self.stop = stop
         self.version_id = version_id
         self.scores: np.ndarray | None = None
-        self.submitted_at = submitted_at
 
 
 @dataclass
@@ -184,7 +188,6 @@ class EngineCore:
     policy: DecisionPolicy
     batch_size: int
     cache_size: int
-    latency_log_size: int | None
 
     def build(
         self,
@@ -204,7 +207,6 @@ class EngineCore:
             max_latency_ms=max_latency_ms,
             clock=clock,
             backend=backend,
-            latency_log_size=self.latency_log_size,
             metrics=metrics,
             score_cache=score_cache,
         )
@@ -237,21 +239,13 @@ class ScoringEngine:
         :class:`~repro.runtime.SystemClock` when ``max_latency_ms`` is
         set; pass a :class:`~repro.runtime.ManualClock` to drive time
         explicitly (simulation/tests).  When present, submit→score
-        latencies are appended to :attr:`latencies`.
+        latencies are recorded in :attr:`latency_hist`.
     backend:
         Execution backend for the flush's policy call.  The default
         :class:`~repro.runtime.SerialBackend` is bit-identical to the
         pre-runtime engine; :class:`~repro.runtime.ThreadBackend`
         makes flushes truly asynchronous (reap results with
         :meth:`poll`, :meth:`join`, or blocking :meth:`score`).
-    latency_log_size:
-        Keep at most this many recent entries in :attr:`latencies`
-        (oldest dropped in blocks; :attr:`latencies_dropped` counts
-        them) so a long-lived clocked engine doesn't grow without
-        bound.  ``None`` disables the cap.  Quantiles are *not*
-        affected by the cap: :meth:`latency_quantile` reads
-        :attr:`latency_hist`, a bounded-memory log-bucket sketch that
-        sees every recorded latency.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to export this engine's
         metrics into (counters ``engine.<stat>``, gauge
@@ -286,7 +280,6 @@ class ScoringEngine:
         max_latency_ms: float | None = None,
         clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
-        latency_log_size: int | None = 1_000_000,
         metrics: MetricsRegistry | None = None,
         score_cache: object | None = None,
     ) -> None:
@@ -302,8 +295,6 @@ class ScoringEngine:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if max_latency_ms is not None and not max_latency_ms > 0:
             raise ValueError(f"max_latency_ms must be > 0, got {max_latency_ms}")
-        if latency_log_size is not None and latency_log_size < 1:
-            raise ValueError(f"latency_log_size must be >= 1, got {latency_log_size}")
         self.batch_size = int(batch_size)
         self.cache_size = int(cache_size)
         self.max_latency_ms = None if max_latency_ms is None else float(max_latency_ms)
@@ -330,17 +321,10 @@ class ScoringEngine:
         # first; scan is linear but the list holds one entry per
         # undrained submit_batch block, not per request
         self._ranges: list[_RidRange] = []
-        self._submitted_at: dict[int, float] = {}
         # rid -> registry version whose score serves the request
         # (cache hits included); alive from submit until take
         self._version_by_rid: dict[int, int] = {}
         self._next_id = 0
-        self.latency_log_size = latency_log_size
-        #: submit→score latency (seconds) per request, when a clock is
-        #: set (most recent ``latency_log_size`` entries)
-        self.latencies: list[float] = []
-        #: entries evicted from :attr:`latencies` by the size cap
-        self.latencies_dropped = 0
         # the engine's metrics are real whether or not a registry
         # collects them — ``stats`` renders the counters, so the hot
         # path costs the same with observability on or off
@@ -360,8 +344,8 @@ class ScoringEngine:
         }
         self._g_queue = self.metrics.adopt(Gauge("engine.queue_depth"))
         #: bounded-memory latency sketch over **every** recorded
-        #: submit→score latency (the quantile source; never evicted,
-        #: unlike the capped :attr:`latencies` list)
+        #: submit→score latency: the engine's only latency record
+        #: (``count``, ``min`` and ``max`` exact, quantiles within 1%)
         self.latency_hist: Histogram = self.metrics.adopt(
             Histogram("engine.latency_seconds")
         )
@@ -391,18 +375,16 @@ class ScoringEngine:
                 self._c_cache_hits.inc()
                 version.cache_hits += 1
                 self._ready[rid] = hit
-                # deliberately NOT logged into ``latencies``: a cache
+                # deliberately NOT recorded in ``latency_hist``: a cache
                 # replay costs nothing and would deflate the scored p95
                 return rid
         self._c_cache_misses.inc()
-        if self.clock is not None:
-            self._submitted_at[rid] = self.clock.now()
         block = self._pending.get(version.version)
         if block is None:
             block = self._pending[version.version] = _PendingBlock(
                 row.shape[0], min(self.batch_size, 64)
             )
-        block.append(rid, row)
+        block.append(rid, row, self.clock.now() if self.clock is not None else 0.0)
         self._n_pending += 1
         self._g_queue.set(self._n_pending)
         if self._n_pending == 1 and self._deadlines is not None:
@@ -432,7 +414,8 @@ class ScoringEngine:
         vectorised fast path — one route call, one clock stamp,
         C-level id bookkeeping, and rows landing in the columnar
         buffer as slab copies — which is what the ≥2M scores/s batched
-        target is measured on.  With a cache or an active challenger
+        target is measured on.  Keys only steer routing, so static
+        routing ignores them.  With a cache or an active challenger
         the rows fall back to the per-row loop (each row must probe /
         draw exactly as ``submit`` would).
 
@@ -463,7 +446,7 @@ class ScoringEngine:
         self._next_id += n
         self._c_requests.inc(n)
         self._c_cache_misses.inc(n)
-        now = self.clock.now() if self.clock is not None else None
+        now = self.clock.now() if self.clock is not None else 0.0
         start = 0
         while start < n:
             # stop at every batch_size boundary exactly as the scalar
@@ -479,7 +462,7 @@ class ScoringEngine:
             if rec is not None and not block.mixed and rec.stop == slice_rid0:
                 rec.stop += take  # same block, contiguous ids: extend
             elif rec is None and not block.mixed and block.n == 0:
-                rec = block.record = _RidRange(slice_rid0, slice_rid0 + take, vid, now)
+                rec = block.record = _RidRange(slice_rid0, slice_rid0 + take, vid)
                 self._ranges.append(rec)
             else:
                 # the block already holds scalar rows (or ids that are
@@ -487,13 +470,12 @@ class ScoringEngine:
                 # so the reap's exact path covers everything
                 slice_ids = range(slice_rid0, slice_rid0 + take)
                 self._version_by_rid.update(zip(slice_ids, repeat(vid)))
-                if now is not None:
-                    self._submitted_at.update(zip(slice_ids, repeat(now)))
                 block.mixed = True
             was_empty = self._n_pending == 0
             block.append_block(
                 np.arange(slice_rid0, slice_rid0 + take, dtype=np.int64),
                 x[start : start + take],
+                now,
             )
             self._n_pending += take
             start += take
@@ -596,18 +578,13 @@ class ScoringEngine:
                         f"policy returned {scores.shape[0]} scores for {nb} rows"
                     )
             except BaseException:
-                # the failed batch is dropped whole — forget its stamps,
-                # its version attribution, and its id run (those ids
-                # never resolve)
+                # the failed batch is dropped whole — forget its version
+                # attribution and its id run (those ids never resolve;
+                # an unscored run is still listed, since only scored
+                # runs ever leave ``_ranges`` early)
                 if batch.record is not None:
-                    try:
-                        self._ranges.remove(batch.record)
-                    # idempotent cleanup: the range may have been reaped
-                    # concurrently; nothing was lost, so nothing to record
-                    except ValueError:  # pragma: no cover - already gone  # repro: allow[RPR007]
-                        pass
+                    self._ranges.remove(batch.record)
                 for rid in batch.rids[:nb].tolist():
-                    self._submitted_at.pop(rid, None)
                     self._version_by_rid.pop(rid, None)
                 raise
             self._c_model_calls.inc()
@@ -638,7 +615,6 @@ class ScoringEngine:
                     )
                 self._ready.update(zip(batch.rids[:nb].tolist(), scores.tolist()))
             else:
-                fallback = rec.submitted_at if rec is not None else None
                 if rec is not None:
                     # degrade to exact per-rid accounting (clock and/or
                     # cache writes need every row anyway)
@@ -647,38 +623,22 @@ class ScoringEngine:
                         zip(batch.rids[:nb].tolist(), repeat(version_id))
                     )
                 rows = batch.rows
+                waits = (now - batch.stamps[:nb]).tolist() if now is not None else None
                 for i, rid in enumerate(batch.rids[:nb].tolist()):
                     score = float(scores[i])
                     self._ready[rid] = score
-                    if now is not None:
-                        sub = self._submitted_at.pop(
-                            rid, fallback if fallback is not None else now
-                        )
-                        self._log_latency(now - sub)
+                    if waits is not None:
+                        self.latency_hist.record(max(0.0, waits[i]))
                     if self.cache_size > 0:
                         self._remember(version_id, rows[i].tobytes(), score)
-
-    def _log_latency(self, seconds: float) -> None:
-        # the sketch sees everything (bounded memory, no eviction) —
-        # quantiles stay unbiased however long the engine lives
-        self.latency_hist.record(max(0.0, seconds))
-        self.latencies.append(seconds)
-        cap = self.latency_log_size
-        if cap is not None and len(self.latencies) > 2 * cap:
-            # drop the oldest half-block; amortised O(1) per append
-            drop = len(self.latencies) - cap
-            del self.latencies[:drop]
-            self.latencies_dropped += drop
 
     def latency_quantile(self, q: float) -> float:
         """Submit→score latency quantile (clock seconds) over **every**
         latency this engine ever recorded.
 
-        Reads :attr:`latency_hist`, so unlike ``np.quantile(engine.
-        latencies, q)`` the answer is not silently biased toward recent
-        traffic once the ``latency_log_size`` cap starts evicting; the
-        sketch's relative error is ~1%.  Raises :class:`ValueError`
-        when nothing was recorded (no clock, or cache-only traffic).
+        Reads :attr:`latency_hist`, a bounded-memory sketch with ~1%
+        relative error.  Raises :class:`ValueError` when nothing was
+        recorded (no clock, or cache-only traffic).
         """
         if self.latency_hist.count == 0:
             raise ValueError("no latencies recorded — run with a clocked engine")
@@ -844,7 +804,6 @@ class ScoringEngine:
             policy=self.policy,
             batch_size=self.batch_size,
             cache_size=self.cache_size,
-            latency_log_size=self.latency_log_size,
         )
 
     def score(self, x_row: np.ndarray, key: str | int | None = None) -> float:

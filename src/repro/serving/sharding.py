@@ -164,8 +164,9 @@ def _shard_install(
 
 
 def _resolve_rows(fleet: int, shard: int, rows) -> np.ndarray:
-    """Turn a feed payload into rows: either the array itself (pickle /
-    inline transports) or a staged-segment descriptor to view."""
+    """Turn a feed payload into rows: either the array itself (in-process
+    lanes, or the pickled fallback) or a staged-segment descriptor to
+    view."""
     if not isinstance(rows, tuple):
         return rows
     _tag, name, cap, d, pos, n = rows
@@ -176,9 +177,7 @@ def _resolve_rows(fleet: int, shard: int, rows) -> np.ndarray:
     return seg.array[pos : pos + n]
 
 
-def _shard_feed(
-    fleet: int, shard: int, rows, keys: list, ring_consumed: int = 0
-):
+def _shard_feed(fleet: int, shard: int, rows, keys: list, ring_consumed: int):
     """Submit a dispatch of rows and return everything now ready.
 
     Zero-copy fleets ship ``rows`` as a ``("seg", name, cap, d, pos,
@@ -186,20 +185,13 @@ def _shard_feed(
     back through the shard's shared result ring when it has room
     (``("ring", start, k)``) — the parent ships its consumed cursor
     with every feed, so the worker never overwrites unread slots.  A
-    full ring (or a non-transport fleet) returns results inline.
+    full ring returns results inline; in-process fleets always do.
     """
     engine = _SHARD_ENGINES[(fleet, shard)]
-    resolved = _resolve_rows(fleet, shard, rows)
-    if any(key is not None for key in keys):
-        for row, key in zip(resolved, keys):
-            # rids are deliberately dropped: the shard worker consumes
-            # results positionally via the drain() below, and submit-time
-            # failures surface through drain's error propagation
-            engine.submit(row, key=key)  # repro: allow[RPR006]
-    else:
-        # keyless dispatch: one vectorised submit (falls back to the
-        # per-row path internally whenever caching/routing demand it)
-        engine.submit_batch(np.asarray(resolved))  # repro: allow[RPR006]
+    # one vectorised submit, keyed or not (it falls back to the per-row
+    # path whenever caching/routing demand it); rids are deliberately
+    # dropped: results are consumed positionally via the drain() below
+    engine.submit_batch(_resolve_rows(fleet, shard, rows), keys=keys)  # repro: allow[RPR006]
     results = engine.drain()
     transport = _SHARD_TRANSPORTS.get((fleet, shard))
     if transport is None:
@@ -364,7 +356,7 @@ class ShardedScoringEngine:
         public model classes).
     n_shards:
         Fleet width; defaults to ``backend.n_workers``.
-    policy / batch_size / cache_size / latency_log_size:
+    policy / batch_size / cache_size:
         Per-shard engine construction, as for :class:`ScoringEngine`.
     max_latency_ms:
         Per-shard deadline flushing.  Forces ``dispatch_size=1`` so
@@ -381,32 +373,25 @@ class ShardedScoringEngine:
         Where shards live: one :meth:`submit_to` lane per shard.
         Defaults to a private :class:`SerialBackend` (shut down by
         :meth:`close`); a caller-provided backend is borrowed and left
-        running.
+        running.  The backend also fixes how bytes cross the shard
+        boundary.  On a :class:`ProcessBackend` the fleet is zero-copy:
+        feature blocks land in per-shard shared staging rings and
+        feeds ship only a ``(segment, offset, shape)`` descriptor;
+        scores return through a per-shard shared result ring; and when
+        ``cache_size > 0`` the score cache becomes one fleet-wide
+        :class:`~repro.runtime.SharedScoreCache` segment, so a score
+        cached by any shard is a hit on all of them.  A full ring (or
+        a row-width change) falls back to pickling that one dispatch.
+        In-process backends hand arrays over the lane as they are, and
+        each shard keeps its own LRU.  Scores and stats are identical
+        either way; the shared fixed-capacity table can only change
+        *hit rates*, never scores.
     dispatch_size:
         Rows the parent buffers per shard before shipping one
         ``_shard_feed``.  Transport granularity **only**: flush
         boundaries are governed by the shard engine's own
         ``batch_size``, so scores and stats are identical for any
         value.  Defaults to ``batch_size`` (one feed per micro-batch).
-    transport:
-        How bytes cross the shard boundary.  ``"auto"`` (default)
-        picks ``"shm"`` on a :class:`ProcessBackend` and ``"inline"``
-        elsewhere.  ``"shm"`` is the zero-copy path: feature blocks
-        land in per-shard shared staging rings and feeds ship only a
-        ``(segment, offset, shape)`` descriptor; scores return through
-        a per-shard shared result ring (with an automatic inline
-        fallback when a ring is full); and when ``cache_size > 0`` the
-        score cache becomes one fleet-wide
-        :class:`~repro.runtime.SharedScoreCache` segment, so a score
-        cached by any shard is a hit on all of them without a byte of
-        pickling.  ``"pickle"`` forces the old whole-array-through-
-        the-lane dispatch (the measured baseline the zero-copy bench
-        compares against); ``"inline"`` is the same mechanism on an
-        in-process backend, where the lane hands the array over
-        without serialising anyway.  Results and stats are identical
-        across transports — only the copies differ; note ``"shm"``
-        trades the per-shard LRU for the shared fixed-capacity table,
-        which can only change *hit rates*, never scores.
     """
 
     def __init__(
@@ -421,8 +406,6 @@ class ShardedScoringEngine:
         clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
         dispatch_size: int | None = None,
-        latency_log_size: int | None = 1_000_000,
-        transport: str = "auto",
     ) -> None:
         if isinstance(models, ModelRegistry):
             self.registry = models
@@ -470,7 +453,6 @@ class ShardedScoringEngine:
             policy=policy if policy is not None else GreedyROIPolicy(),
             batch_size=int(batch_size),
             cache_size=int(cache_size),
-            latency_log_size=latency_log_size,
         )
         self.policy = core.policy
         self.batch_size = core.batch_size
@@ -492,25 +474,18 @@ class ShardedScoringEngine:
         self.metrics: MetricsRegistry = _FleetMetrics(self)
         self.latency_hist = _MergedSketch(self)
 
-        # zero-copy transport: the parent creates every segment (and
-        # therefore releases every segment — close() sweeps the pool
-        # even when workers died mid-flight)
-        if transport == "auto":
-            transport = "shm" if isinstance(self.backend, ProcessBackend) else "inline"
-        if transport not in ("shm", "pickle", "inline"):
-            raise ValueError(
-                f"transport must be 'auto', 'shm', 'pickle' or 'inline', got {transport!r}"
-            )
-        self.transport = transport
+        # zero-copy transport on process lanes: the parent creates every
+        # segment (and therefore releases every segment — close() sweeps
+        # the pool even when workers died mid-flight)
         self._shm_pool: SharedTensorPool | None = None
+        self._ring_consumed = [0] * self.n_shards
         transport_desc = None
-        if transport == "shm":
+        if isinstance(self.backend, ProcessBackend):
             self._shm_pool = SharedTensorPool(metrics=self.metrics, prefix="repro-fleet")
             self._ring_slots = max(16 * self.dispatch_size, 1024)
             self._rings = [
                 self._shm_pool.create((self._ring_slots, 3)) for _ in range(self.n_shards)
             ]
-            self._ring_consumed = [0] * self.n_shards
             # staging rings materialise lazily (row width unknown yet)
             self._stage_cap = max(8 * self.dispatch_size, 512)
             self._staging: list[SharedTensor | None] = [None] * self.n_shards
@@ -529,7 +504,7 @@ class ShardedScoringEngine:
         self._known_versions = {mv.version for mv in self.registry.versions()}
         self._synced_revision = self.registry.revision
         for shard in range(self.n_shards):
-            if transport == "shm":
+            if self._shm_pool is not None:
                 transport_desc = {
                     "ring": (self._rings[shard].name, self._ring_slots),
                     "cache": (
@@ -720,7 +695,7 @@ class ShardedScoringEngine:
                 shard, _shard_score_batch, self._fleet_id, shard, x, key
             )
             return np.asarray(future.result(), dtype=float).ravel()
-        if self.transport == "shm" and x.shape[0] >= self.n_shards:
+        if self._shm_pool is not None and x.shape[0] >= self.n_shards:
             return self._score_batch_shm(x)
         parts = np.array_split(x, self.n_shards)
         futures = [
@@ -823,30 +798,6 @@ class ShardedScoringEngine:
         return merged.quantile(q)
 
     @property
-    def latencies(self) -> list[float]:
-        """Raw per-request latencies, concatenated shard-by-shard.
-
-        Only in-process shards (serial/thread backends) are readable;
-        process shards contribute nothing here — use
-        :meth:`latency_quantile` (merged sketches) for fleet
-        quantiles on any backend.
-        """
-        out: list[float] = []
-        for shard in range(self.n_shards):
-            engine = _SHARD_ENGINES.get((self._fleet_id, shard))
-            if engine is not None:
-                out.extend(engine.latencies)
-        return out
-
-    @property
-    def latencies_dropped(self) -> int:
-        return sum(
-            engine.latencies_dropped
-            for shard in range(self.n_shards)
-            if (engine := _SHARD_ENGINES.get((self._fleet_id, shard))) is not None
-        )
-
-    @property
     def n_pending(self) -> int:
         """Requests buffered parent-side, not yet shipped to a shard."""
         return sum(len(rows) for rows in self._buf_rows)
@@ -943,15 +894,12 @@ class ShardedScoringEngine:
         self._buf_rows[shard] = []
         self._buf_keys[shard] = []
         self._buf_rids[shard] = []
-        if self.transport == "shm":
-            staged = self._stage_rows(shard, rows)
-            payload, meta = staged if staged is not None else (rows, None)
-            self._enqueue(
-                shard, "feed", _shard_feed, self._fleet_id, shard,
-                payload, keys, self._ring_consumed[shard], meta=meta,
-            )
-        else:
-            self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys)
+        staged = self._stage_rows(shard, rows) if self._shm_pool is not None else None
+        payload, meta = staged if staged is not None else (rows, None)
+        self._enqueue(
+            shard, "feed", _shard_feed, self._fleet_id, shard,
+            payload, keys, self._ring_consumed[shard], meta=meta,
+        )
         return n
 
     def _absorb(self, shard: int, drained: Sequence[tuple[int, int, float]]) -> None:

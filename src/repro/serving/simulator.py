@@ -18,8 +18,8 @@ Two runtime-layer features thread through the replay:
   :class:`~repro.runtime.ManualClock` and ``interarrival_s`` is set,
   the replay advances the clock by that gap before each arrival, so
   deadline-driven flushing (``max_latency_ms``) runs under exact,
-  deterministic time and the engine's ``latencies`` record the true
-  submit→score waits.
+  deterministic time and the engine's ``latency_hist`` records the
+  true submit→score waits.
 * **Multi-day campaigns** — :meth:`TrafficReplay.replay_days` chains
   days through a :class:`~repro.serving.pacing.MultiDayPacer`, so day
   *d*'s under-spend tilts day *d+1*'s pacing, and returns the
@@ -65,16 +65,12 @@ class ReplayResult:
     tightly the pacer tracked its target.  ``oracle_*`` fields hold the
     offline greedy solution on identical scores; ``revenue_ratio`` is
     online / oracle incremental revenue (1.0 = no price of streaming).
-    ``engine_stats``, ``latencies``, ``latency_hist`` and
-    ``metrics_delta`` cover *this replay only* (an engine reused across
-    days reports per-day deltas, not cumulative counters).
-
-    ``latencies`` is the raw per-request log, which the engine caps at
-    ``latency_log_size`` entries: once eviction starts, the array holds
-    only the newest requests and ``latencies_dropped`` counts this
-    replay's evicted entries.  Quantiles therefore come from
-    ``latency_hist`` — the engine's log-bucket sketch delta, which saw
-    every request of the replay — whenever it is available.
+    ``engine_stats``, ``latency_hist`` and ``metrics_delta`` cover
+    *this replay only* (an engine reused across days reports per-day
+    deltas, not cumulative counters).  ``latency_hist`` is the delta of
+    the engine's latency sketch: its count and quantiles cover every
+    request of the replay, while ``min``/``max`` are the engine's
+    lifetime extremes (see :meth:`HistogramSnapshot.delta`).
     """
 
     n_events: int
@@ -91,8 +87,6 @@ class ReplayResult:
     treated: np.ndarray
     engine_stats: dict = field(default_factory=dict)
     pacing_history: list = field(default_factory=list)
-    latencies: np.ndarray | None = None
-    latencies_dropped: int = 0
     latency_hist: HistogramSnapshot | None = None
     metrics_delta: dict | None = None
 
@@ -106,14 +100,11 @@ class ReplayResult:
         clocked engine; see :class:`~repro.serving.engine.ScoringEngine`).
 
         Served from :attr:`latency_hist` (~1% relative error, sees every
-        request) so the answer stays unbiased even when the engine's
-        ``latency_log_size`` cap evicted part of :attr:`latencies`.
+        request of the replay).
         """
-        if self.latency_hist is not None and self.latency_hist.count > 0:
-            return self.latency_hist.quantile(q)
-        if self.latencies is None or self.latencies.size == 0:
+        if self.latency_hist is None or self.latency_hist.count == 0:
             raise ValueError("no latencies recorded — run with a clocked engine")
-        return float(np.quantile(self.latencies, q))
+        return self.latency_hist.quantile(q)
 
     def summary(self) -> dict:
         """Headline numbers for logs and examples."""
@@ -126,7 +117,6 @@ class ReplayResult:
             "oracle_revenue": round(self.oracle_revenue, 2),
             "revenue_ratio": round(self.revenue_ratio, 4),
             "events_per_second": round(self.events_per_second, 1),
-            "latencies_dropped": self.latencies_dropped,
         }
 
 
@@ -388,8 +378,6 @@ class TrafficReplay:
         treated = np.zeros(cohort.n, dtype=bool)
         trajectory = np.zeros(cohort.n)
         n_decided = 0
-        # absolute index into the engine's (possibly size-capped) log
-        latency_start = self.engine.latencies_dropped + len(self.engine.latencies)
         stats_before = dict(self.engine.stats)  # engines may serve many days
         hist_before = self.engine.latency_hist.snapshot()
         instrumented = self.engine.metrics is not NULL_REGISTRY
@@ -474,18 +462,6 @@ class TrafficReplay:
         oracle = greedy_allocation(
             scores, cohort.tau_c, budget, rewards=cohort.tau_r
         )
-        latencies = (
-            np.asarray(
-                self.engine.latencies[
-                    max(0, latency_start - self.engine.latencies_dropped):
-                ],
-                dtype=float,
-            )
-            if self.engine.clock is not None
-            else None
-        )
-        # entries this replay recorded that the size cap already evicted
-        dropped = max(0, self.engine.latencies_dropped - latency_start)
         latency_hist = (
             self.engine.latency_hist.snapshot().delta(hist_before)
             if self.engine.clock is not None
@@ -513,8 +489,6 @@ class TrafficReplay:
                 k: v - stats_before.get(k, 0) for k, v in self.engine.stats.items()
             },
             pacing_history=list(pacer.history),
-            latencies=latencies,
-            latencies_dropped=dropped,
             latency_hist=latency_hist,
             metrics_delta=metrics_delta,
         )

@@ -32,9 +32,9 @@ def handed_off(n: int) -> None:
 
 
 def rebound(backend, parallel: bool):
-    # the run_backend(...) rebind pattern: the parameter is replaced by
-    # a (backend, owned) resolution, so the shutdown is on an owned one
-    backend, owned = run_backend(backend, parallel)
+    # the rebind pattern: the parameter is replaced by a
+    # (backend, owned) resolution, so the shutdown is on an owned one
+    backend, owned = resolve_backend(backend, parallel)
     try:
         return backend.submit(len, [1, 2])
     finally:
@@ -46,7 +46,7 @@ def register(backend) -> None:
     pass
 
 
-def run_backend(backend, parallel):
+def resolve_backend(backend, parallel):
     return backend, False
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticRCTConfig, generate_rct
+from repro.runtime import ProcessBackend
 
 
 @pytest.fixture
@@ -44,3 +45,10 @@ def tiny_rct():
     x = gen.normal(size=(n, d))
     config = SyntheticRCTConfig()
     return generate_rct(n, x, config, random_state=gen, name="tiny")
+
+
+@pytest.fixture(scope="module")
+def process_pool():
+    """A 2-worker process pool shared by one test module's tests."""
+    with ProcessBackend(2) as backend:
+        yield backend

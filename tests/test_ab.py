@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.ab.experiment import RANDOM_ARM, ABTest
 from repro.ab.platform import Platform
 from repro.data.rct import RCTDataset
+from repro.runtime import SerialBackend
 
 
 @pytest.fixture
@@ -340,59 +341,54 @@ class TestCRNUniforms:
 
 
 class TestParallelGeneration:
-    """parallel=/n_workers= must change wall time only, never output."""
+    """A worker-pool ``backend=`` must change wall time only, never output."""
 
-    def test_daily_cohort_bit_identical(self):
+    def test_daily_cohort_bit_identical(self, process_pool):
         serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
-        pooled = Platform(
-            dataset="criteo", chunk_size=300, parallel=True, n_workers=2, random_state=9
-        )
+        pooled = Platform(dataset="criteo", chunk_size=300, backend=process_pool, random_state=9)
         a = serial.daily_cohort(1000, day=2)
         b = pooled.daily_cohort(1000, day=2)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.tau_r, b.tau_r)
         np.testing.assert_array_equal(a.tau_c, b.tau_c)
 
-    def test_shifted_daily_cohort_bit_identical(self):
+    def test_shifted_daily_cohort_bit_identical(self, process_pool):
         serial = Platform(dataset="criteo", shifted=True, chunk_size=300, random_state=9)
         pooled = Platform(
-            dataset="criteo", shifted=True, chunk_size=300, parallel=True, n_workers=2,
-            random_state=9,
+            dataset="criteo", shifted=True, chunk_size=300, backend=process_pool, random_state=9
         )
         a = serial.daily_cohort(800, day=1)
         b = pooled.daily_cohort(800, day=1)
         np.testing.assert_array_equal(a.x, b.x)
 
-    def test_per_call_override_wins(self):
-        pooled = Platform(
-            dataset="criteo", chunk_size=300, parallel=True, n_workers=2, random_state=9
-        )
+    def test_per_call_override_wins(self, process_pool):
+        pooled = Platform(dataset="criteo", chunk_size=300, backend=process_pool, random_state=9)
         serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
-        a = pooled.daily_cohort(700, day=1, parallel=False)
+        a = pooled.daily_cohort(700, day=1, backend=SerialBackend())
         b = serial.daily_cohort(700, day=1)
         np.testing.assert_array_equal(a.x, b.x)
 
-    def test_abtest_run_bit_identical(self):
+    def test_abtest_run_bit_identical(self, process_pool):
         """End-to-end: partitions, orders, and realised outcomes match
         because the platform stream advances identically either way."""
-        def run(parallel):
+        def run(backend):
             platform = Platform(dataset="criteo", chunk_size=300, random_state=5)
             test = ABTest(
                 platform,
                 {"m": lambda x: x[:, 0]},
                 budget_fraction=0.3,
                 random_state=5,
-                parallel=parallel,
-                n_workers=2,
+                backend=backend,
             )
             return test.run(n_days=2, cohort_size=700)
 
-        serial, pooled = run(False), run(True)
+        serial, pooled = run(None), run(process_pool)
         for day_s, day_p in zip(serial.days, pooled.days):
             assert day_s == day_p
 
     def test_invalid_n_workers(self):
-        with pytest.raises(ValueError, match="n_workers"):
+        """The pool size belongs to the backend, not the platform."""
+        with pytest.raises(TypeError, match="n_workers"):
             Platform(n_workers=0)
 
 

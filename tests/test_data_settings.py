@@ -52,8 +52,6 @@ class TestIterDatasetChunks:
             list(iter_dataset_chunks("criteo", 100, chunk_size=5))
         with pytest.raises(ValueError, match="Unknown dataset"):
             list(iter_dataset_chunks("nope", 100))
-        with pytest.raises(ValueError, match="n_workers"):
-            list(iter_dataset_chunks("criteo", 100, parallel=True, n_workers=0))
 
     def test_chunks_independent_of_consumption_order(self):
         """Chunk i is a pure function of its substream, not of i-1's rows."""
@@ -78,22 +76,20 @@ class TestParallelChunks:
     """The worker-pool path must be byte-for-byte the serial path."""
 
     @pytest.mark.parametrize("dataset", ["criteo", "meituan"])
-    def test_parallel_bit_identical_to_serial(self, dataset):
+    def test_parallel_bit_identical_to_serial(self, dataset, process_pool):
         # meituan's ~40% yield exercises the adaptive-tail recompute
         # path (the speculated full-size request is wrong at the tail)
         serial = list(
             iter_dataset_chunks(dataset, 1200, chunk_size=300, random_state=7)
         )
         parallel = list(
-            iter_dataset_chunks(
-                dataset, 1200, chunk_size=300, random_state=7, parallel=True, n_workers=2
-            )
+            iter_dataset_chunks(dataset, 1200, chunk_size=300, random_state=7, backend=process_pool)
         )
         assert [c.n for c in serial] == [c.n for c in parallel]
         for a, b in zip(serial, parallel):
             _assert_datasets_equal(a, b)
 
-    def test_parallel_leaves_caller_stream_where_serial_does(self):
+    def test_parallel_leaves_caller_stream_where_serial_does(self, process_pool):
         """Speculative extra substream seeds must not consume extra
         draws from a shared caller generator (exactly one draw total)."""
         g_serial = np.random.default_rng(5)
@@ -101,19 +97,16 @@ class TestParallelChunks:
         g_parallel = np.random.default_rng(5)
         list(
             iter_dataset_chunks(
-                "criteo", 700, chunk_size=300, random_state=g_parallel,
-                parallel=True, n_workers=2,
+                "criteo", 700, chunk_size=300, random_state=g_parallel, backend=process_pool
             )
         )
         assert g_serial.random() == g_parallel.random()
 
-    def test_parallel_single_chunk_falls_back_to_serial(self):
+    def test_parallel_single_chunk_falls_back_to_serial(self, process_pool):
         """n <= chunk_size: nothing to fan out, identical output."""
         serial = list(iter_dataset_chunks("criteo", 200, chunk_size=300, random_state=1))
         parallel = list(
-            iter_dataset_chunks(
-                "criteo", 200, chunk_size=300, random_state=1, parallel=True, n_workers=2
-            )
+            iter_dataset_chunks("criteo", 200, chunk_size=300, random_state=1, backend=process_pool)
         )
         assert len(serial) == len(parallel) == 1
         _assert_datasets_equal(serial[0], parallel[0])

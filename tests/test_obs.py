@@ -623,42 +623,40 @@ class TestEngineInstrumentation:
             max_latency_ms=50.0,
         )
         rng = np.random.default_rng(1)
+        stamps = []
         for row in rng.normal(size=(30, 12)):
             clock.advance(0.001)
+            stamps.append(clock.now())
             engine.submit(row)
             engine.poll()
         engine.flush()
-        assert engine.latency_hist.count == len(engine.latencies)
+        # the exact per-request log: each batch of 8 (and the final 6)
+        # is scored when its last row arrives
+        exact = [
+            batch[-1] - stamp
+            for batch in (stamps[i : i + 8] for i in range(0, 30, 8))
+            for stamp in batch
+        ]
+        hist = engine.latency_hist
+        assert (hist.count, hist.min, hist.max) == (30, min(exact), max(exact))
+        assert hist.sum == pytest.approx(sum(exact))
         # sketch quantile tracks the exact quantile within 1%
-        exact = float(np.quantile(engine.latencies, 0.95, method="inverted_cdf"))
-        assert engine.latency_quantile(0.95) == pytest.approx(exact, rel=0.011, abs=1e-9)
+        q95 = float(np.quantile(exact, 0.95, method="inverted_cdf"))
+        assert engine.latency_quantile(0.95) == pytest.approx(q95, rel=0.011, abs=1e-9)
 
-    def test_latency_quantile_unbiased_under_eviction(self, stub_model):
-        """The satellite bug: with latency_log_size evicting, quantiles
-        from the raw list only see recent entries; the histogram sees
-        every recorded latency."""
+    def test_latency_quantile_sees_every_request(self, stub_model):
+        """Quantiles cover the engine's whole life, not a recent window:
+        after 160 pairs that wait 10ms and 40 newer pairs that wait 1ms,
+        the upper quartile is still 10ms."""
         clock = ManualClock()
-        engine = ScoringEngine(
-            stub_model, batch_size=1, cache_size=0, clock=clock,
-            latency_log_size=20,
-        )
-        rng = np.random.default_rng(2)
-        # first 160 requests wait 10ms, last 40 wait 1ms: a recency-
-        # biased reader sees mostly 1ms and underestimates the median
-        for i, row in enumerate(rng.normal(size=(200, 12))):
-            engine.submit(row)  # batch_size=1: scores immediately
+        engine = ScoringEngine(stub_model, batch_size=2, cache_size=0, clock=clock)
+        rows = np.random.default_rng(2).normal(size=(200, 2, 12))
+        for i, (first, second) in enumerate(rows):
+            engine.submit(first)
             clock.advance(0.010 if i < 160 else 0.001)
-        assert engine.latencies_dropped > 0
-        assert engine.latencies_dropped + len(engine.latencies) == 200
-        assert engine.latency_hist.count == 200
-        # all engine latencies here are ~0 (batch=1 scores at submit);
-        # drive the contrast through the histogram directly instead
-        h = Histogram("check")
-        for _ in range(160):
-            h.record(0.010)
-        for _ in range(40):
-            h.record(0.001)
-        assert h.quantile(0.5) == pytest.approx(0.010, rel=0.02)
+            engine.submit(second)  # fills the batch: waits gap and 0
+        assert engine.latency_hist.count == 400
+        assert engine.latency_quantile(0.75) == pytest.approx(0.010, rel=0.02)
 
     def test_null_registry_bit_identical(self, stub_model):
         """Scores and stats are bit-identical with observability off and
@@ -686,24 +684,21 @@ class TestEngineInstrumentation:
 
 
 class TestReplayInstrumentation:
-    def test_latencies_dropped_accounting(self, stub_model):
+    def test_replay_latency_sketch_accounting(self, stub_model):
+        """Each day's ``latency_hist`` is that day's delta of the
+        engine's sketch: it counts every scored request of the day."""
         platform = Platform(dataset="criteo", random_state=0)
-        clock = ManualClock()
         engine = ScoringEngine(
-            stub_model, batch_size=16, cache_size=0, clock=clock,
-            max_latency_ms=30.0, latency_log_size=25,
+            stub_model, batch_size=16, cache_size=0, clock=ManualClock(),
+            max_latency_ms=30.0,
         )
         replay = TrafficReplay(platform, engine, interarrival_s=0.001)
-        result = replay.replay_day(300, budget_fraction=0.3)
-        # per-day accounting: raw log + evicted == every scored request
-        assert result.latencies_dropped > 0
-        assert len(result.latencies) + result.latencies_dropped == 300
-        assert result.summary()["latencies_dropped"] == result.latencies_dropped
-        # the histogram delta saw all 300, so quantiles stay unbiased
-        assert result.latency_hist is not None
-        assert result.latency_hist.count == 300
-        q = result.latency_quantile(0.95)
-        assert 0.0 <= q <= 0.030 * 1.02
+        r1 = replay.replay_day(300, budget_fraction=0.3)
+        r2 = replay.replay_day(200, day=2, budget_fraction=0.3)
+        assert (r1.latency_hist.count, r2.latency_hist.count) == (300, 200)
+        assert engine.latency_hist.count == 500
+        assert "latencies_dropped" not in r1.summary()
+        assert 0.0 <= r2.latency_quantile(0.95) <= 0.030 * 1.02
 
     def test_metrics_delta_per_day(self, stub_model):
         platform = Platform(dataset="criteo", random_state=0)

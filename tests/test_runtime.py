@@ -245,15 +245,15 @@ class TestSharedBackendChunks:
             assert backend.running  # the iterator borrowed, not owned
             assert backend.submit(_square, 4).result() == 16
 
-    def test_explicit_parallel_false_disables_platform_backend(self):
-        """A per-draw parallel=False must force a fully in-process draw
-        even when the platform carries a configured backend (nested
-        pools inside a worker process are forbidden)."""
+    def test_explicit_serial_backend_disables_platform_backend(self):
+        """A per-draw ``backend=SerialBackend()`` must force a fully
+        in-process draw even when the platform carries a configured
+        backend (nested pools inside a worker process are forbidden)."""
         with ProcessBackend(2) as backend:
             platform = Platform(
                 dataset="criteo", chunk_size=300, random_state=9, backend=backend
             )
-            cohort = platform.daily_cohort(700, day=1, parallel=False)
+            cohort = platform.daily_cohort(700, day=1, backend=SerialBackend())
             assert backend.start_count == 0  # the pool never started
         serial = Platform(dataset="criteo", chunk_size=300, random_state=9)
         np.testing.assert_array_equal(cohort.x, serial.daily_cohort(700, day=1).x)
@@ -306,82 +306,34 @@ class TestExperimentPoolReuse:
         for day_s, day_p in zip(serial.days, shared.days):
             assert self._day_tuple(day_s) == self._day_tuple(day_p)
 
-    def test_abtest_legacy_parallel_uses_one_run_scoped_pool(self, monkeypatch):
-        """parallel=True must no longer churn a pool per daily_cohort."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[ProcessBackend] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
-        test = ABTest(
-            self._make_platform(),
-            {"m": _score_first_feature},
-            random_state=0,
-            parallel=True,
-            n_workers=2,
-        )
-        result = test.run(n_days=3, cohort_size=400)
-        assert len(result.days) == 3
-        assert len(created) == 1  # one backend for the whole run
-        assert created[0].start_count == 1  # which started one pool
-        assert not created[0].running  # and was shut down at run end
-
-    def test_platform_level_parallel_gets_one_run_scoped_pool(self, monkeypatch):
-        """Platform(parallel=True) under ABTest.run must get the same
-        one-pool-per-run treatment as ABTest(parallel=True) — not the
-        legacy pool-per-daily_cohort churn."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[ProcessBackend] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
+    def test_platform_level_backend_serves_every_day(self):
+        """A backend configured on the platform serves every day of an
+        ``ABTest.run`` with one pool startup, and the caller keeps it."""
         serial = ABTest(
             self._make_platform(), {"m": _score_first_feature}, random_state=0
         ).run(n_days=3, cohort_size=400)
-        pooled = ABTest(
-            self._make_platform(parallel=True, n_workers=2),
-            {"m": _score_first_feature},
-            random_state=0,
-        ).run(n_days=3, cohort_size=400)
-        assert len(created) == 1  # one run-scoped backend...
-        assert created[0].start_count == 1  # ...one pool across 3 days
-        assert not created[0].running  # shut down at run end
+        with ProcessBackend(2) as backend:
+            pooled = ABTest(
+                self._make_platform(backend=backend),
+                {"m": _score_first_feature},
+                random_state=0,
+            ).run(n_days=3, cohort_size=400)
+            assert backend.start_count == 1  # one pool across 3 days
+            assert backend.running  # borrowed, not shut down by the run
         for day_s, day_p in zip(serial.days, pooled.days):
             assert self._day_tuple(day_s) == self._day_tuple(day_p)
 
-    def test_experiment_parallel_false_forces_serial(self, monkeypatch):
-        """The tri-state override: ABTest(parallel=False) must run fully
-        in-process even over Platform(parallel=True)."""
-        import repro.ab.experiment as experiment_module
-
-        created: list[object] = []
-        real = experiment_module.ProcessBackend
-
-        def spying(n_workers=None):
-            backend = real(n_workers)
-            created.append(backend)
-            return backend
-
-        monkeypatch.setattr(experiment_module, "ProcessBackend", spying)
-        serial = ABTest(
-            self._make_platform(parallel=True, n_workers=2),
-            {"m": _score_first_feature},
-            random_state=0,
-            parallel=False,
-        ).run(n_days=2, cohort_size=400)
-        assert created == []  # no pool anywhere: experiment forced serial
+    def test_experiment_serial_backend_forces_serial(self):
+        """``ABTest(backend=SerialBackend())`` runs fully in-process
+        even over a platform configured with a process pool."""
+        with ProcessBackend(2) as backend:
+            serial = ABTest(
+                self._make_platform(backend=backend),
+                {"m": _score_first_feature},
+                random_state=0,
+                backend=SerialBackend(),
+            ).run(n_days=2, cohort_size=400)
+            assert backend.start_count == 0  # the platform's pool never started
         plain = ABTest(
             self._make_platform(), {"m": _score_first_feature}, random_state=0
         ).run(n_days=2, cohort_size=400)
@@ -409,51 +361,38 @@ class TestExperimentPoolReuse:
 
 
 class TestLegacyParallelKwargDeprecation:
-    """``parallel=``/``n_workers=`` are deprecated in favour of ``backend=``.
-
-    The legacy spellings must keep working bit-identically (each entry
-    point still honours them), but now raise a DeprecationWarning so
-    callers migrate to passing an ExecutionBackend explicitly.
+    """``parallel=``/``n_workers=`` were deprecated in favour of
+    ``backend=`` and are now gone: ``backend=`` is the only spelling.
     """
-
-    def test_platform_warns_on_legacy_kwargs(self):
-        from repro.ab.platform import Platform
-
-        with pytest.warns(DeprecationWarning, match="backend="):
-            Platform(dataset="criteo", random_state=0, parallel=True, n_workers=2)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            Platform(dataset="criteo", random_state=0, n_workers=2)
 
     @staticmethod
     def _policy():
         # a Policy is any callable x -> scores
         return {"first-feature": lambda x: x[:, 0]}
 
-    def test_abtest_and_policy_replay_warn(self):
-        from repro.ab import ABTest, PolicyReplay
-        from repro.ab.platform import Platform
+    @staticmethod
+    def _assert_rejected(call):
+        for name, value in (("parallel", True), ("n_workers", 2)):
+            with pytest.raises(TypeError, match=name):
+                call(**{name: value})
 
+    def test_platform_rejects_legacy_kwargs(self):
         platform = Platform(dataset="criteo", random_state=0)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            ABTest(platform, self._policy(), parallel=False)
-        with pytest.warns(DeprecationWarning, match="backend="):
-            PolicyReplay(platform, {"set": self._policy()}, n_workers=2)
+        self._assert_rejected(lambda **kw: Platform(dataset="criteo", **kw))
+        self._assert_rejected(lambda **kw: platform.daily_cohort(300, day=1, **kw))
 
-    def test_iter_dataset_chunks_warns(self):
-        from repro.data.settings import iter_dataset_chunks
+    def test_abtest_and_policy_replay_reject_legacy_kwargs(self):
+        platform = Platform(dataset="criteo", random_state=0)
+        self._assert_rejected(lambda **kw: ABTest(platform, self._policy(), **kw))
+        self._assert_rejected(
+            lambda **kw: PolicyReplay(platform, {"set": self._policy()}, **kw)
+        )
 
-        with pytest.warns(DeprecationWarning, match="backend="):
-            chunks = iter_dataset_chunks(
-                "criteo", n=300, chunk_size=100, random_state=0, parallel=True
-            )
-            next(iter(chunks))
+    def test_iter_dataset_chunks_rejects_legacy_kwargs(self):
+        self._assert_rejected(lambda **kw: iter_dataset_chunks("criteo", n=300, **kw))
 
     def test_backend_spelling_stays_silent(self):
         import warnings
-
-        from repro.ab import ABTest, PolicyReplay
-        from repro.ab.platform import Platform
-        from repro.data.settings import iter_dataset_chunks
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -465,17 +404,3 @@ class TestLegacyParallelKwargDeprecation:
                     "criteo", n=300, chunk_size=100, random_state=0, backend=backend
                 ):
                     pass
-
-    def test_legacy_spelling_still_bit_identical(self):
-        import warnings
-
-        from repro.ab.platform import Platform
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = Platform(
-                dataset="criteo", random_state=5, parallel=True, n_workers=2
-            ).daily_cohort(400, day=1)
-        modern = Platform(dataset="criteo", random_state=5).daily_cohort(400, day=1)
-        assert np.array_equal(legacy.x, modern.x)
-        assert np.array_equal(legacy.tau_r, modern.tau_r)

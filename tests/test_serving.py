@@ -384,6 +384,10 @@ class TestScoringEngine:
             ScoringEngine(stub_model, cache_size=-1)
         with pytest.raises(ValueError, match="max_latency_ms"):
             ScoringEngine(stub_model, max_latency_ms=0.0)
+        # the sketch is the only latency record: no raw log to size
+        with pytest.raises(TypeError, match="latency_log_size"):
+            ScoringEngine(stub_model, latency_log_size=10)
+        assert not hasattr(ScoringEngine(stub_model), "latencies")
 
     def test_serial_pinned_behaviour(self, rng):
         """The pre-runtime engine spec, pinned: on the default serial
@@ -445,28 +449,42 @@ class TestScoringEngine:
         assert engine.n_pending == 0
 
     def test_latency_log_is_bounded(self, stub_model, rng):
-        engine = ScoringEngine(
-            stub_model, batch_size=1, cache_size=0,
-            clock=ManualClock(), latency_log_size=50,
-        )
+        """The sketch records every scored request in memory bounded by
+        the value range (occupied buckets), not the request count."""
+        clock = ManualClock()
+        engine = ScoringEngine(stub_model, batch_size=4, cache_size=0, clock=clock)
         for row in rng.normal(size=(200, 12)):
-            engine.submit(row)
-        assert len(engine.latencies) <= 100  # 2x cap before compaction
-        assert engine.latencies_dropped + len(engine.latencies) == 200
-        assert engine._submitted_at == {}  # every stamp consumed
+            engine.submit(row)  # every 4th submit flushes: waits 3, 2, 1, 0 ms
+            clock.advance(0.001)
+        snap = engine.latency_hist.snapshot()
+        assert snap.count == engine.stats["rows_scored"] == 200
+        assert snap.zero_count == 50
+        assert len(snap.buckets) == 3
+        assert (snap.min, snap.max) == (0.0, pytest.approx(0.003))
 
     def test_score_count_mismatch_does_not_leak_stamps(self, rng):
-        class WrongShape:
-            def predict_roi(self, x):
-                return np.zeros(np.atleast_2d(x).shape[0] + 1)
+        class WrongOnce:
+            calls = 0
 
-        engine = ScoringEngine(
-            WrongShape(), batch_size=2, cache_size=0, clock=ManualClock()
-        )
-        engine.submit(rng.normal(size=3))
+            def predict_roi(self, x):
+                self.calls += 1
+                return np.zeros(np.atleast_2d(x).shape[0] + (self.calls == 1))
+
+        clock = ManualClock()
+        engine = ScoringEngine(WrongOnce(), batch_size=2, cache_size=0, clock=clock)
+        dropped = engine.submit(rng.normal(size=3))
+        clock.advance(1.0)
         with pytest.raises(ValueError, match="scores"):
             engine.submit(rng.normal(size=3))  # auto-flush hits the mismatch
-        assert engine._submitted_at == {}  # dropped batch forgot its stamps
+        with pytest.raises(KeyError):
+            engine.version_of(dropped)  # the dropped batch is forgotten...
+        assert engine.latency_hist.count == 0  # ...and logged no waits
+        engine.submit(rng.normal(size=3))
+        clock.advance(0.5)
+        engine.submit(rng.normal(size=3))
+        # the next batch logs its own waits, nothing left over
+        assert engine.latency_hist.count == 2
+        assert (engine.latency_hist.min, engine.latency_hist.max) == (0.0, 0.5)
 
     def test_version_of_attributes_scored_and_cached_requests(self, rng):
         """Outcome attribution needs the version whose score serves each
@@ -596,18 +614,18 @@ class TestDeadlineFlush:
         assert engine.poll() == 0  # nothing pending, nothing to fire
 
     def test_latencies_recorded_and_cache_hits_stay_out(self, stub_model, rng):
-        """Regression: cache hits used to log 0.0 into ``latencies``,
-        silently deflating the scored p95 that the deadline-bound
-        claims are measured on.  A cache hit is counted in
-        ``cache_hits`` (engine stat and per-version) — never in the
-        scored-latency log."""
+        """Regression: cache hits used to log 0.0 latencies, silently
+        deflating the scored p95 that the deadline-bound claims are
+        measured on.  A cache hit is counted in ``cache_hits`` (engine
+        stat and per-version) — never in the scored-latency sketch."""
         engine, clock = self._engine(stub_model, cache_size=32)
         row = rng.normal(size=12)
         engine.submit(row)
         clock.advance(0.006)
         engine.poll()
         engine.submit(row)  # identical row: cache hit — served, not scored
-        assert engine.latencies == pytest.approx([0.006])  # no 0.0 entry
+        assert engine.latency_hist.count == 1  # no 0.0 entry
+        assert engine.latency_hist.min == pytest.approx(0.006)
         assert engine.stats["cache_hits"] == 1
         assert engine.registry.champion.cache_hits == 1
 
@@ -629,8 +647,8 @@ class TestDeadlineFlush:
         )
         replay = TrafficReplay(platform, engine, interarrival_s=interarrival_s)
         result = replay.replay_day(400, budget_fraction=0.3)
-        assert result.latencies is not None and result.latencies.size == 400
-        assert result.latencies.max() <= max_latency_ms / 1000.0 + 1e-9
+        assert result.latency_hist.count == 400
+        assert engine.latency_hist.max <= max_latency_ms / 1000.0 + 1e-9
         # and the deadline path is what served the stream, not batch-full
         assert result.engine_stats["flush_deadline"] > 0
         assert result.engine_stats["flush_batch_full"] == 0
@@ -737,7 +755,7 @@ class TestAsyncFlush:
         assert serial.stats == threaded.stats
 
     def test_async_latency_measured_at_completion_not_reap(self, rng):
-        """On an async backend the latency log must stamp when scoring
+        """On an async backend the latency sketch must stamp when scoring
         *completed*, not whenever the caller got around to reaping —
         else a late join() fabricates huge waits."""
         import time
@@ -753,7 +771,8 @@ class TestAsyncFlush:
             time.sleep(0.2)  # let the worker finish (stamps t=0)
             clock.advance(100.0)  # simulated time passes before the reap
             engine.join()
-        assert engine.latencies == [0.0]  # not 100.0
+        assert engine.latency_hist.count == 1
+        assert engine.latency_hist.max == 0.0  # not 100.0
 
     def test_replay_end_to_end_on_thread_backend(self, platform):
         probe = TestTrafficReplay()._probe_weights()
@@ -774,7 +793,7 @@ class TestSubmitBatch:
     """``submit_batch(X)`` is semantically N ``submit`` calls.
 
     Pinned as *full* equivalence — scores, stats (including flush
-    counters), cache hits, version attribution, and the latency log —
+    counters), cache hits, version attribution, and the latency sketch —
     on both the vectorised fast path (static routing, cache off) and
     the per-row fallback (cache or live challenger).  The scalar
     reference engine batches rows into the same pending blocks at
@@ -861,8 +880,29 @@ class TestSubmitBatch:
             clock.advance(0.004)
         batch.flush()
         scalar.flush()
-        assert batch.latencies == scalar.latencies
         assert batch.latency_hist.snapshot() == scalar.latency_hist.snapshot()
+
+    def test_appended_block_keeps_its_own_submit_stamps(self):
+        """Regression: a block appended to an open fast-path run used to
+        inherit the run's first submit stamp, so two 4-row blocks 1 s
+        apart logged eight 1.5 s waits instead of four 1.5 s and four
+        0.5 s ones."""
+        rows = self._rows(8)
+        clocks = (ManualClock(), ManualClock())
+        batch = self._engine(cache_size=0, clock=clocks[0])
+        scalar = self._engine(cache_size=0, clock=clocks[1])
+        for block, gap in ((rows[:4], 1.0), (rows[4:], 0.5)):
+            batch.submit_batch(block)
+            for row in block:
+                scalar.submit(row)
+            for clock in clocks:
+                clock.advance(gap)
+        batch.flush()
+        scalar.flush()
+        snap = batch.latency_hist.snapshot()
+        assert (snap.count, snap.min, snap.max) == (8, 0.5, 1.5)
+        assert snap.sum == pytest.approx(8.0)
+        assert snap == scalar.latency_hist.snapshot()
 
     def test_mixed_scalar_then_block_bookkeeping(self):
         """Interleaving scalar submits with a block exercises the

@@ -248,15 +248,44 @@ class TestFleetSubmitBatch:
                     fleet.submit(row, key=i)
             clock.advance(0.003)
             fleet.flush()
-            results.append(
-                (sorted(fleet.latencies), fleet.latency_hist.snapshot().count)
-            )
+            results.append(fleet.latency_hist.snapshot())
             fleet.close()
         assert results[0] == results[1]
-        assert results[0][1] == 64
+        assert results[0].count == 64
+
+    def test_keyless_deadline_fleet_stamps_every_arrival(self):
+        """Regression: a 1-shard keyless deadline fleet feeds its shard
+        one-row ``submit_batch`` calls that extend one open run, and
+        every row used to inherit the run's first submit stamp (eight
+        0.8 s waits where a plain engine logs 0.1 to 0.8 s)."""
+        rows = np.random.default_rng(3).normal(size=(8, 4))
+        params = dict(batch_size=64, cache_size=0, max_latency_ms=800.0)
+        snaps = []
+        for fleet in (False, True):
+            clock = ManualClock()
+            engine = (
+                ShardedScoringEngine(make_registry(split=0.0), n_shards=1, clock=clock, **params)
+                if fleet
+                else ScoringEngine(make_registry(split=0.0), clock=clock, **params)
+            )
+            for row in rows:
+                engine.submit(row)
+                clock.advance(0.1)
+            assert engine.poll() == 1  # the 0.8 s deadline fires
+            snaps.append(engine.latency_hist.snapshot())
+        plain, fleet = snaps
+        assert plain.count == 8
+        assert (plain.min, plain.max) == (pytest.approx(0.1), pytest.approx(0.8))
+        assert fleet == plain
 
     def test_validation_and_empty(self):
+        # the backend alone picks the transport; the sketch is the only
+        # latency record
+        for option in ({"transport": "pickle"}, {"latency_log_size": 10}):
+            with pytest.raises(TypeError, match=next(iter(option))):
+                ShardedScoringEngine(make_registry(), n_shards=2, **option)
         fleet = ShardedScoringEngine(make_registry(), n_shards=2)
+        assert not hasattr(fleet, "latencies")
         with pytest.raises(ValueError, match="2-D"):
             fleet.submit_batch(np.zeros(4))
         with pytest.raises(ValueError, match="keys"):
@@ -338,7 +367,7 @@ class TestFleetAccounting:
         assert all(c < 64 for c in shard_counts)  # genuinely distributed
         p95 = fleet.latency_quantile(0.95)
         assert 0.0 <= p95 <= 0.050 * 1.02  # deadline honoured fleet-wide
-        assert len(fleet.latencies) == 64
+        assert merged.max <= 0.050 + 1e-9  # exact: every wait within it
         fleet.close()
 
     def test_latency_quantile_empty_raises(self):

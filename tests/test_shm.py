@@ -36,7 +36,6 @@ from repro.runtime import (
     live_segment_count,
 )
 from repro.serving import ModelRegistry, ScoringEngine, ShardedScoringEngine
-from repro.serving.sharding import _SHARD_TRANSPORTS
 
 
 class LinearROI:
@@ -208,24 +207,24 @@ class TestFleetSharedCache:
         k1 = next(k for k in range(100) if fleet.shard_of(f"k{k}") == 1)
         return f"k{k0}", f"k{k1}"
 
-    def test_shm_cache_hit_crosses_shards(self):
+    def test_shm_cache_hit_crosses_shards(self, process_pool):
         """A row scored on shard 0 is a cache hit on shard 1 (shm only)."""
         row = np.arange(4.0)
         hits = {}
-        for transport in ("shm", "inline"):
+        for name, backend in (("shm", process_pool), ("inline", None)):
             fleet = ShardedScoringEngine(
                 make_registry(),
                 n_shards=2,
                 cache_size=64,
                 dispatch_size=1,
-                transport=transport,
+                backend=backend,
             )
             key_a, key_b = self._two_keys_on_different_shards(fleet)
             fleet.submit(row, key=key_a)
             fleet.flush()
             fleet.submit(row, key=key_b)
             fleet.flush()
-            hits[transport] = fleet.stats["cache_hits"]
+            hits[name] = fleet.stats["cache_hits"]
             fleet.close()
         assert hits["shm"] == 1  # the shared table made it visible
         assert hits["inline"] == 0  # per-shard LRUs cannot
@@ -235,10 +234,10 @@ class TestFleetSharedCache:
 # segment hygiene: shutdown in every failure mode
 # ---------------------------------------------------------------------------
 class TestSegmentHygiene:
-    def test_clean_close_releases_every_segment(self, rows):
+    def test_clean_close_releases_every_segment(self, rows, process_pool):
         before = live_segment_count()
         fleet = ShardedScoringEngine(
-            make_registry(), n_shards=2, cache_size=64, transport="shm"
+            make_registry(), n_shards=2, cache_size=64, backend=process_pool
         )
         assert live_segment_count() > before  # rings (+ cache) are live
         rids = [fleet.submit(row, key=i) for i, row in enumerate(rows)]
@@ -250,11 +249,11 @@ class TestSegmentHygiene:
         assert fleet._shm_pool.live_segments == 0
         assert fleet._shm_pool.leaked_segments == 0
 
-    def test_mid_flight_exception_releases_every_segment(self, rows):
+    def test_mid_flight_exception_releases_every_segment(self, rows, process_pool):
         before = live_segment_count()
         with pytest.raises(RuntimeError, match="mid-flight"):
             with ShardedScoringEngine(
-                make_registry(), n_shards=2, cache_size=32, transport="shm"
+                make_registry(), n_shards=2, cache_size=32, backend=process_pool
             ) as fleet:
                 for i, row in enumerate(rows):
                     fleet.submit(row, key=i)  # in-flight, never flushed
@@ -269,7 +268,7 @@ class TestSegmentHygiene:
             fleet = ShardedScoringEngine(
                 make_registry(), n_shards=2, cache_size=128, backend=backend
             )
-            assert fleet.transport == "shm"  # auto on a process backend
+            assert live_segment_count() > before  # process lanes run on shm
             for i, row in enumerate(rows):
                 fleet.submit(row, key=i)
             fleet.flush()
@@ -308,25 +307,24 @@ class TestSegmentHygiene:
 # result-ring degradation
 # ---------------------------------------------------------------------------
 class TestRingFallback:
-    def test_full_ring_falls_back_to_inline_results(self, rows):
+    def test_full_ring_falls_back_to_inline_results(self, rows, process_pool):
         """With zero free ring slots every dispatch returns results
         inline — scores are still exact and nothing is overwritten."""
-        fleet = ShardedScoringEngine(
-            make_registry(), n_shards=1, batch_size=8, dispatch_size=8,
-            cache_size=0, transport="shm",
+        fleet, reference = (
+            ShardedScoringEngine(
+                make_registry(), n_shards=1, batch_size=8, dispatch_size=8,
+                cache_size=0, backend=process_pool,
+            )
+            for _ in range(2)
         )
-        reference = ShardedScoringEngine(
-            make_registry(), n_shards=1, batch_size=8, dispatch_size=8,
-            cache_size=0, transport="shm",
-        )
-        # white box: pretend the worker already filled the whole ring
-        transport = _SHARD_TRANSPORTS[(fleet._fleet_id, 0)]
-        transport.ring_written += fleet._ring_slots
+        # white box: the worker reads the parent's consumed cursor on
+        # every feed, so pulling it back a ring's worth leaves no room
+        fleet._ring_consumed[0] -= fleet._ring_slots
         ids = fleet.submit_batch(rows)
         ref_ids = reference.submit_batch(rows)
         fleet.flush()
         reference.flush()
-        assert fleet._ring_consumed[0] == 0  # the ring was never used
+        assert fleet._ring_consumed[0] == -fleet._ring_slots  # ring never used
         assert reference._ring_consumed[0] == len(rows)  # ...but is normally
         for rid, ref in zip(ids, ref_ids):
             assert fleet.take(rid) == reference.take(ref)
