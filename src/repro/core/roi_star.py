@@ -23,7 +23,7 @@ import numpy as np
 
 from typing import Callable
 
-from repro.core.drp import drp_pooled_derivative
+from repro.core.drp import _pooled_uplift
 from repro.utils.validation import check_1d, check_binary, check_consistent_length
 
 __all__ = ["bisect_monotone", "binary_search_roi_star", "RoiStarEstimator"]
@@ -88,10 +88,11 @@ def binary_search_roi_star(
     float
         The convergence-point ROI of the pooled sample.
     """
-    roi_star = bisect_monotone(
-        lambda roi: drp_pooled_derivative(roi, t, y_r, y_c), 0.0, 1.0, eps=eps
-    )
-    return float(np.clip(roi_star, clip, 1.0 - clip))
+    # L' is linear in roi: the two pooled means are computed once and
+    # every step evaluates drp_pooled_derivative's own expression on them
+    tau_r, tau_c = _pooled_uplift(t, y_r, y_c)
+    roi_star = bisect_monotone(lambda roi: -tau_r + tau_c * float(roi), 0.0, 1.0, eps=eps)
+    return min(max(roi_star, clip), 1.0 - clip)
 
 
 class RoiStarEstimator:

@@ -33,12 +33,13 @@ its cumulative plan instead of leaking every day's residual.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.core.drp import _pooled_uplift
 from repro.core.roi_star import binary_search_roi_star, bisect_monotone
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
@@ -96,6 +97,57 @@ class DayPlan:
 def _uniform_curve(progress: float) -> float:
     """Default pacing target: spend linearly across the day."""
     return progress
+
+
+class _Window:
+    """The last ``size`` entries of a stream, one float array per field.
+
+    Entries land in a preallocated ``(fields, 2 * size)`` buffer.  When
+    the tail reaches its end the live entries move back to the front,
+    which costs O(1) per entry amortised, so the live window is always
+    one contiguous slice in arrival order: a refresh reads it as views,
+    without converting anything.
+    """
+
+    __slots__ = ("size", "_buf", "_cols", "_start", "_stop")
+
+    def __init__(self, size: int, width: int) -> None:
+        self.size = size
+        self._buf = np.empty((width, 2 * size))
+        self._cols = list(self._buf)
+        self._start = self._stop = 0
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def _make_room(self, m: int) -> None:
+        """Move the entries that survive ``m`` more to the front, if
+        the tail has no room for them."""
+        if self._stop + m > self._buf.shape[1]:
+            keep = min(self._stop - self._start, self.size - m)
+            self._buf[:, :keep] = self._buf[:, self._stop - keep : self._stop]
+            self._start, self._stop = 0, keep
+
+    def append(self, *values: float) -> None:
+        self._make_room(1)
+        for col, value in zip(self._cols, values):
+            col[self._stop] = value
+        self._stop += 1
+        self._start = max(self._start, self._stop - self.size)
+
+    def extend(self, *columns: np.ndarray) -> None:
+        """Append equal-length 1-d arrays, one per field; only the last
+        ``size`` entries of a longer block survive."""
+        m = min(columns[0].shape[0], self.size)
+        self._make_room(m)
+        for col, values in zip(self._cols, columns):
+            col[self._stop : self._stop + m] = values[values.shape[0] - m :]
+        self._stop += m
+        self._start = max(self._start, self._stop - self.size)
+
+    def columns(self) -> list[np.ndarray]:
+        """The live window, one contiguous view per field."""
+        return [col[self._start : self._stop] for col in self._cols]
 
 
 class BudgetPacer:
@@ -184,8 +236,8 @@ class BudgetPacer:
         self.use_roi_floor = bool(use_roi_floor)
         self.min_arm_outcomes = int(min_arm_outcomes)
 
-        self._traffic: deque[tuple[float, float]] = deque(maxlen=self.window)
-        self._outcomes: deque[tuple[int, float, float]] = deque(maxlen=self.window)
+        self._traffic = _Window(self.window, 2)  # score, cost
+        self._outcomes = _Window(self.window, 3)  # t, y_r, y_c
         self.n_seen = 0
         self.n_admitted = 0
         self.spent = 0.0
@@ -218,24 +270,15 @@ class BudgetPacer:
         """Record one arrival and decide treat (True) / skip (False)."""
         score = float(score)
         cost = float(cost)
-        if cost <= 0:
-            raise ValueError(f"cost must be > 0 (Assumption 4), got {cost}")
+        if not (cost > 0 and math.isfinite(cost)):  # NaN fails both tests
+            raise ValueError(f"cost must be finite and > 0 (Assumption 4), got {cost}")
         self.n_seen += 1
         self._c_offers.inc()
         self.offered_cost += cost
-        self._traffic.append((score, cost))
-        if (
-            self.n_seen >= self.warmup
-            and self.n_seen - self._last_refresh >= self.refresh_every
-        ):
+        self._traffic.append(score, cost)
+        if self._refresh_due(self.n_seen):
             self._refresh()
-
-        progress = min(1.0, self.n_seen / self.horizon)
-        curve_cap = self.budget * min(
-            1.0, float(self.target_curve(progress)) + self.curve_slack
-        )
-        cap = min(self.budget, curve_cap)
-        if self.spent + cost > cap:
+        if self.spent + cost > self._cap(self.n_seen):
             return False
         # same boundary as the _refresh trigger above: the arrival that
         # completes warmup fits the first threshold and is already
@@ -248,14 +291,101 @@ class BudgetPacer:
         self._g_spend.set(self.spent)
         return True
 
-    def observe_outcome(self, t: int, y_r: float, y_c: float) -> None:
-        """Feed back one realised outcome (treated flag, revenue, cost).
+    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Decide the leading arrivals of a block that one threshold governs.
+
+        Returns the admit flags of the first ``m >= 1`` arrivals — up
+        to, not including, the next one that refreshes the threshold —
+        decided exactly as ``m`` :meth:`offer` calls would decide them:
+        same admits, same ``spent``, same refresh history.  Feed those
+        arrivals' outcomes (:meth:`observe_outcome`) before offering
+        the rest of the block; the next refresh reads them.
+
+        The prefix is decided in one vectorised step when the spend of
+        every arrival clearing the threshold, summed in order, fits
+        under the curve cap at the prefix's first arrival (the smallest
+        cap of the prefix, because pacing curves are monotone).
+        Otherwise the arrivals past that point run the scalar
+        recurrence.  The whole block is validated before any state
+        changes.
+        """
+        scores = np.asarray(scores, dtype=float)
+        costs = np.asarray(costs, dtype=float)
+        if scores.ndim != 1 or scores.shape != costs.shape:
+            raise ValueError(
+                f"scores and costs must be equal-length 1-d, got {scores.shape} and {costs.shape}"
+            )
+        bad = ~(costs > 0) | ~np.isfinite(costs)
+        if bad.any():
+            raise ValueError(f"cost must be finite and > 0 (Assumption 4), got {costs[bad][0]}")
+        if scores.shape[0] == 0:
+            return np.zeros(0, dtype=bool)
+        first = self.n_seen + 1
+        refresh_now = self._refresh_due(first)
+        # the prefix stops before the next arrival due to re-fit
+        last_refresh = first if refresh_now else self._last_refresh
+        next_refresh = max(self.warmup, last_refresh + self.refresh_every)
+        m = min(scores.shape[0], next_refresh - first)
+        scores, costs = scores[:m], costs[:m]
+        # running sums in arrival order repeat offer()'s `+=` exactly
+        offered = np.cumsum(np.concatenate(([self.offered_cost], costs)))
+        self.n_seen = first
+        self.offered_cost = float(offered[1])
+        self._traffic.append(scores[0], costs[0])
+        if refresh_now:
+            self._refresh()
+        self._traffic.extend(scores[1:], costs[1:])
+        self.n_seen += m - 1
+        self.offered_cost = float(offered[-1])
+        self._c_offers.inc(m)
+
+        # a prefix is all warmup (score-blind) or all threshold-gated
+        if first >= self.warmup:
+            admits = ~(scores < self.threshold_)  # NaN passes, as in offer()
+        else:
+            admits = np.ones(m, dtype=bool)
+        spend = np.cumsum(np.concatenate(([self.spent], np.where(admits, costs, 0.0))))
+        cap = self._cap(first)
+        # arrivals before the first running spend above the smallest
+        # cap are admitted for sure; from there on, decide one by one
+        over = np.flatnonzero(~(spend[1:] <= cap))
+        if over.size:
+            spent = spend[over[0]]
+            for j in range(over[0], m):
+                if admits[j]:
+                    if spent + costs[j] > self._cap(first + j):
+                        admits[j] = False
+                    else:
+                        spent += costs[j]
+        else:
+            spent = spend[-1]
+        n_admitted = int(np.count_nonzero(admits))
+        if n_admitted:
+            self.n_admitted += n_admitted
+            self.spent = float(spent)
+            self._c_admits.inc(n_admitted)
+            self._g_spend.set(self.spent)
+        return admits
+
+    def observe_outcome(self, t, y_r, y_c) -> None:
+        """Feed back realised outcomes (treated flag, revenue, cost):
+        one outcome as scalars, or a block as equal-length arrays.
 
         Outcomes power the ``roi*`` profitability floor; without them
         the pacer paces spend but cannot tell whether spending is
         worthwhile at all.
         """
-        self._outcomes.append((int(t), float(y_r), float(y_c)))
+        if np.ndim(t) == 0:
+            self._outcomes.append(int(t), float(y_r), float(y_c))
+            return
+        t = np.asarray(t, dtype=np.int64)
+        y_r = np.asarray(y_r, dtype=float)
+        y_c = np.asarray(y_c, dtype=float)
+        if t.ndim != 1 or not t.shape == y_r.shape == y_c.shape:
+            raise ValueError(
+                f"t, y_r and y_c must be equal-length 1-d, got {t.shape}, {y_r.shape}, {y_c.shape}"
+            )
+        self._outcomes.extend(t, y_r, y_c)
 
     def rebudget(self, budget: float) -> None:
         """Reset the budget mid-stream (fleet slice rebalancing).
@@ -276,11 +406,23 @@ class BudgetPacer:
     # ------------------------------------------------------------------
     # threshold adaptation
     # ------------------------------------------------------------------
+    def _refresh_due(self, n_seen: int) -> bool:
+        """Whether the arrival that makes ``n_seen`` re-fits the threshold."""
+        return n_seen >= self.warmup and n_seen - self._last_refresh >= self.refresh_every
+
+    def _cap(self, n_seen: int) -> float:
+        """Most the cumulative spend may reach at arrival ``n_seen``:
+        the pacing curve plus slack, and never more than the budget."""
+        progress = min(1.0, n_seen / self.horizon)
+        curve_cap = self.budget * min(
+            1.0, float(self.target_curve(progress)) + self.curve_slack
+        )
+        return min(self.budget, curve_cap)
+
     def _refresh(self) -> None:
         self._last_refresh = self.n_seen
         self._c_refreshes.inc()
-        traffic = np.asarray(self._traffic, dtype=float)
-        scores, costs = traffic[:, 0], traffic[:, 1]
+        scores, costs = self._traffic.columns()
 
         progress = min(1.0, self.n_seen / self.horizon)
         ahead = min(1.0, (self.n_seen + self.lookahead) / self.horizon)
@@ -300,11 +442,14 @@ class BudgetPacer:
             lo = float(np.min(scores)) - 1e-9
             hi = float(np.max(scores)) + 1e-9
 
+            n = scores.shape[0]
+
             def pace_gap(thr: float) -> float:
                 # relative gap (dimensionless so the bisection tolerance is
                 # cost-scale independent); > 0 when admitting above ``thr``
-                # spends slower than needed
-                admitted = float(np.mean(np.where(scores >= thr, costs, 0.0)))
+                # spends slower than needed.  The mean is np.mean's own
+                # sum and division, without its per-call overhead
+                admitted = float(np.add.reduce(np.where(scores >= thr, costs, 0.0))) / n
                 return 1.0 - admitted / rate
 
             if pace_gap(lo) >= 0.0:
@@ -312,15 +457,14 @@ class BudgetPacer:
             else:
                 self.threshold_ = bisect_monotone(pace_gap, lo, hi, eps=1e-3)
 
-        if self.use_roi_floor and self._outcomes:
-            outcomes = np.asarray(self._outcomes, dtype=float)
-            t, y_r, y_c = outcomes[:, 0], outcomes[:, 1], outcomes[:, 2]
-            n1, n0 = int(np.sum(t == 1)), int(np.sum(t == 0))
+        if self.use_roi_floor and len(self._outcomes):
+            t, y_r, y_c = self._outcomes.columns()
+            n1, n0 = int(np.count_nonzero(t == 1)), int(np.count_nonzero(t == 0))
             if n1 >= self.min_arm_outcomes and n0 >= self.min_arm_outcomes:
                 # Assumption 4 guard: the bisection needs tau_c > 0 in the
                 # window, else the derivative never crosses zero and the
                 # floor degenerates to the search endpoint
-                tau_c = float(y_c[t == 1].mean() - y_c[t == 0].mean())
+                _, tau_c = _pooled_uplift(t, y_r, y_c)
                 if tau_c > 0.0:
                     self.roi_floor_ = binary_search_roi_star(t, y_r, y_c)
                     self.threshold_ = max(self.threshold_, self.roi_floor_)
@@ -554,7 +698,14 @@ class MultiDayPacer:
             raise RuntimeError("no open day — call start_day() first")
         return self.current.offer(score, cost)
 
-    def observe_outcome(self, t: int, y_r: float, y_c: float) -> None:
+    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Delegate a block of arrivals to the open day's pacer
+        (:meth:`BudgetPacer.offer_batch`)."""
+        if self.current is None:
+            raise RuntimeError("no open day — call start_day() first")
+        return self.current.offer_batch(scores, costs)
+
+    def observe_outcome(self, t, y_r, y_c) -> None:
         """Delegate outcome feedback to the open day's pacer."""
         if self.current is None:
             raise RuntimeError("no open day — call start_day() first")

@@ -660,6 +660,21 @@ class ShardedScoringEngine:
         self._version_by_rid.pop(request_id, None)
         return score
 
+    def take_block(self, rids: Sequence[int]) -> np.ndarray:
+        """Pop the finished scores of ``rids`` as one array, in the
+        order given — the bulk :meth:`take`.  KeyError, with nothing
+        popped, when any of them is still pending or unknown."""
+        ready = self._ready
+        if not all(rid in ready for rid in rids):
+            self._reap(wait=False)
+            for rid in rids:
+                if rid not in ready:
+                    raise KeyError(rid)
+        versions = self._version_by_rid
+        for rid in rids:
+            versions.pop(rid, None)
+        return np.array([ready.pop(rid) for rid in rids], dtype=float)
+
     def drain(self) -> list[tuple[int, int, float]]:
         """Pop every finished result as ``(request_id, version_id, score)``."""
         self.poll()
@@ -1057,10 +1072,25 @@ class ShardedBudgetPacer:
         self._last_offer_shard = shard
         return self.shards[shard].offer(score, cost)
 
-    def observe_outcome(self, t: int, y_r: float, y_c: float) -> None:
-        """Feed one realised outcome back to the slice whose offer it
-        realises (callers report immediately after :meth:`offer`, the
-        :class:`~repro.serving.simulator.TrafficReplay` convention)."""
+    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
+        """Decide the first arrival of a block, keyless, as :meth:`offer`.
+
+        One arrival per call, so the rebalancing tick keeps firing
+        before every offer.  Returns its admit flag as a length-1 array
+        (the :meth:`BudgetPacer.offer_batch` contract with ``m = 1``).
+        Only that arrival is checked, by :meth:`offer`.
+        """
+        if len(scores) != len(costs):
+            raise ValueError(f"scores and costs must be equal-length, got {len(scores)} and {len(costs)}")
+        if not len(scores):
+            return np.zeros(0, dtype=bool)
+        return np.array([self.offer(scores[0], costs[0])])
+
+    def observe_outcome(self, t, y_r, y_c) -> None:
+        """Feed realised outcomes back to the slice whose offer they
+        realise (callers report immediately after :meth:`offer` or
+        :meth:`offer_batch`, the :class:`~repro.serving.simulator
+        .TrafficReplay` convention)."""
         self.shards[self._last_offer_shard].observe_outcome(t, y_r, y_c)
 
     # ------------------------------------------------------------------

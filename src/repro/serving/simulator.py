@@ -12,6 +12,15 @@ incremental revenue relative to the *offline greedy oracle*: Algorithm
 online policy can at best match the oracle; the replay quantifies the
 price of streaming.
 
+Decisions are made in blocks.  Arrivals go to the engine in chunks of
+its ``batch_size`` (``submit_batch``); each ready run of scores comes
+back through ``take_block`` and is paced through the pacer's
+``offer_batch``, one threshold prefix at a time, with one outcome draw
+per prefix — the same decisions, spend trajectory and outcome stream
+as one ``submit``, ``take``, ``offer`` and draw per arrival.  A replay
+that must act between arrivals (simulated time, a promoter or a
+retrainer) still submits one arrival at a time.
+
 Two runtime-layer features thread through the replay:
 
 * **Simulated time** — when the engine carries a
@@ -38,7 +47,6 @@ Two runtime-layer features thread through the replay:
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +176,7 @@ class MultiDayReplayResult:
 
 
 class TrafficReplay:
-    """Stream platform cohorts through the engine + pacer, event by event.
+    """Stream platform cohorts through the engine + pacer in arrival order.
 
     Parameters
     ----------
@@ -298,8 +306,10 @@ class TrafficReplay:
             Absolute budget; defaults to ``budget_fraction`` of the
             cohort's full-treatment expected cost (the A/B convention).
         pacer:
-            Pre-built pacer (its own budget wins); by default a
-            :class:`BudgetPacer` is constructed from ``pacer_params``.
+            Pre-built pacer (its own budget wins) with ``offer_batch``,
+            such as a :class:`~repro.serving.sharding.ShardedBudgetPacer`;
+            by default a :class:`BudgetPacer` is constructed from
+            ``pacer_params``.
         """
         cohort = self.platform.daily_cohort(n_users, day)
         if budget is None:
@@ -382,7 +392,9 @@ class TrafficReplay:
         hist_before = self.engine.latency_hist.snapshot()
         instrumented = self.engine.metrics is not NULL_REGISTRY
         metrics_before = self.engine.metrics.snapshot() if instrumented else None
-        waiting: deque[tuple[int, int]] = deque()  # (request_id, cohort index)
+        # submitted, undecided arrivals in arrival order
+        wait_rids: list[int] = []
+        wait_idx: list[int] = []
         realise = (
             self.feedback or self.promoter is not None or self.retrainer is not None
         )
@@ -390,40 +402,98 @@ class TrafficReplay:
         # draws are independent of decision order (CRN across replays)
         uniforms = self._rng.random((cohort.n, 2)) if self.paired_outcomes else None
 
-        def drain(force: bool = False) -> None:
+        def decide(idx: np.ndarray, run: np.ndarray, versions: list | None) -> None:
+            """Pace one run of scored arrivals, one threshold prefix at a
+            time, and realise each prefix's outcomes before the next."""
             nonlocal n_decided
+            scores[idx] = run
+            costs = cohort.tau_c[idx]
+            pos = 0
+            while pos < idx.shape[0]:
+                before = pacer.spent
+                admits = pacer.offer_batch(run[pos:], costs[pos:])
+                m = admits.shape[0]
+                block = idx[pos : pos + m]
+                treated[block] = admits
+                if m == 1:
+                    # read back: a fleet pacer's spend is a sum over slices
+                    trajectory[n_decided] = pacer.spent
+                else:
+                    # the pacer's own running sum, one addition per admit
+                    paid = np.where(admits, costs[pos : pos + m], 0.0)
+                    trajectory[n_decided : n_decided + m] = np.cumsum(
+                        np.concatenate(([before], paid))
+                    )[1:]
+                n_decided += m
+                if realise:
+                    # realised Bernoulli incremental outcomes: skipped
+                    # users realise none, mirroring Platform.realize_arm.
+                    # One (m, 2) draw is the stream of m random(2) calls.
+                    draws = uniforms[block] if uniforms is not None else self._rng.random((m, 2))
+                    y_r = (admits & (draws[:, 0] < cohort.tau_r[block])).astype(float)
+                    y_c = (admits & (draws[:, 1] < cohort.tau_c[block])).astype(float)
+                    if self.feedback:
+                        pacer.observe_outcome(admits, y_r, y_c)
+                    if self.promoter is not None or self.retrainer is not None:
+                        for j, i in enumerate(block.tolist()):
+                            admit, r, c = bool(admits[j]), float(y_r[j]), float(y_c[j])
+                            if self.promoter is not None:
+                                self.promoter.observe(versions[pos + j], admit, r, c)
+                            if self.retrainer is not None:
+                                self.retrainer.observe(cohort.x[i], admit, r, c)
+                pos += m
+
+        def drain(force: bool = False) -> None:
             if force:
                 self.engine.flush()
                 self.engine.join()
-            while waiting and self.engine.has_result(waiting[0][0]):
-                rid, i = waiting.popleft()
-                # which version's score drives this decision (read
-                # before take() releases the attribution)
-                vid = self.engine.version_of(rid) if self.promoter is not None else None
-                score = self.engine.take(rid)
-                scores[i] = score
-                admit = pacer.offer(score, float(cohort.tau_c[i]))
-                treated[i] = admit
-                trajectory[n_decided] = pacer.spent
-                n_decided += 1
-                if realise:
-                    # realised Bernoulli incremental outcomes: skipped
-                    # users realise none, mirroring Platform.realize_arm
-                    draw = uniforms[i] if uniforms is not None else self._rng.random(2)
-                    y_r = float(draw[0] < cohort.tau_r[i]) if admit else 0.0
-                    y_c = float(draw[1] < cohort.tau_c[i]) if admit else 0.0
-                    if self.feedback:
-                        pacer.observe_outcome(int(admit), y_r, y_c)
-                    if self.promoter is not None:
-                        self.promoter.observe(vid, bool(admit), y_r, y_c)
-                    if self.retrainer is not None:
-                        self.retrainer.observe(cohort.x[i], bool(admit), y_r, y_c)
+            k = 0
+            for rid in wait_rids:
+                if not self.engine.has_result(rid):
+                    break
+                k += 1
+            if not k:
+                return
+            ready = wait_rids[:k]
+            # which version's score drives each decision (read before
+            # take_block() releases the attribution)
+            versions = (
+                [self.engine.version_of(rid) for rid in ready] if self.promoter is not None else None
+            )
+            run = self.engine.take_block(ready)
+            idx = np.array(wait_idx[:k])
+            del wait_rids[:k], wait_idx[:k]
+            decide(idx, run, versions)
 
         clock = self.engine.clock if self.interarrival_s is not None else None
+        # acting between arrivals (clock, ramp and refit polls) needs one
+        # submit per arrival, and one-row submit_batch calls cost more
+        # than submit; otherwise rows go in chunks of one engine batch
+        per_arrival = (
+            clock is not None or self.promoter is not None or self.retrainer is not None
+        )
+        rows: np.ndarray | None = None  # the next chunk's feature rows
+        chunk: list[int] = []  # ... and their cohort indices
+
+        def submit_chunk() -> None:
+            wait_rids.extend(self.engine.submit_batch(rows[: len(chunk)]))
+            wait_idx.extend(chunk)
+            chunk.clear()
+            self.engine.poll()
+            drain()
+
         # real wall time on purpose: replay *measures* achieved host
         # throughput; the simulated timeline stays on the injected clock
         start = time.perf_counter()  # repro: allow[RPR001]
         for i, x_row in self.platform.iter_events(cohort):
+            if not per_arrival:
+                if rows is None:
+                    rows = np.empty((self.engine.batch_size, np.size(x_row)))
+                rows[len(chunk)] = x_row
+                chunk.append(i)
+                if len(chunk) == rows.shape[0]:
+                    submit_chunk()
+                continue
             if clock is not None:
                 # a flush deadline inside this inter-arrival gap must
                 # fire *at* the deadline, not when the next arrival
@@ -444,9 +514,12 @@ class TrafficReplay:
                 # periodic refit triggers + async fit collection run at
                 # the same arrival granularity
                 self.retrainer.poll()
-            waiting.append((self.engine.submit(x_row), i))
+            wait_rids.append(self.engine.submit(x_row))
+            wait_idx.append(i)
             self.engine.poll()
             drain()
+        if chunk:
+            submit_chunk()
         drain(force=True)
         if self.promoter is not None:
             self.promoter.poll()  # day's end: fire any boundary that landed on it
@@ -454,10 +527,10 @@ class TrafficReplay:
             self.retrainer.poll()
         elapsed = time.perf_counter() - start  # repro: allow[RPR001]
 
-        if waiting or n_decided != cohort.n:
+        if wait_rids or n_decided != cohort.n:
             raise RuntimeError(
                 f"replay decided {n_decided}/{cohort.n} arrivals "
-                f"({len(waiting)} still waiting) — the engine lost requests"
+                f"({len(wait_rids)} still waiting) — the engine lost requests"
             )
         oracle = greedy_allocation(
             scores, cohort.tau_c, budget, rewards=cohort.tau_r

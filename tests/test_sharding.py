@@ -165,6 +165,33 @@ class TestFleetSubmitBatch:
         assert fleet.stats == ref_stats
         fleet.close()
 
+    def test_take_block_pops_in_the_order_given(self, rows):
+        keys = list(range(100))
+        expected, _ = self._per_row_reference(rows[:100], keys, n_shards=3, batch_size=16)
+        fleet = ShardedScoringEngine(make_registry(), n_shards=3, batch_size=16)
+        ids = fleet.submit_batch(rows[:100], keys=keys)
+        fleet.flush()
+        versions = [fleet.version_of(rid) for rid in ids]
+        got = fleet.take_block(ids[::-1])
+        assert got.tolist() == expected[::-1]
+        assert set(versions) <= {1, 2}
+        with pytest.raises(KeyError):
+            fleet.version_of(ids[0])  # attribution released with the score
+        fleet.close()
+
+    def test_take_block_pops_nothing_while_any_is_pending(self, rows):
+        fleet = ShardedScoringEngine(make_registry(), n_shards=2, batch_size=64)
+        ready = fleet.submit_batch(rows[:4])
+        fleet.flush()
+        pending = fleet.submit(rows[4])
+        with pytest.raises(KeyError):
+            fleet.take_block([*ready, pending])
+        assert all(fleet.has_result(rid) for rid in ready)
+        fleet.flush()
+        assert fleet.take_block([*ready, pending]).shape == (5,)
+        assert fleet.take_block([]).shape == (0,)
+        fleet.close()
+
     def test_keyless_round_robin_matches(self, rows):
         expected, ref_stats = self._per_row_reference(
             rows[:150], [None] * 150, n_shards=3, batch_size=16
@@ -698,7 +725,9 @@ class TestShardedBudgetPacer:
         pacer.offer(1.0, 0.01, key="a")
         shard = pacer.shard_of("a")
         pacer.observe_outcome(1, 0.5, 0.1)
-        assert len(pacer.shards[shard]._outcomes) == 1
+        # the offering slice's outcome window holds it; no other does
+        fill = [len(p._outcomes) for p in pacer.shards]
+        assert fill == [int(i == shard) for i in range(pacer.n_shards)]
 
     def test_surface_matches_single_pacer(self):
         pacer = ShardedBudgetPacer(10.0, 100, 4, use_roi_floor=False)
