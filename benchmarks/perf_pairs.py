@@ -24,8 +24,12 @@ judges:
   better than every parent run;
 * the failed share of arrivals may not grow.
 
-Anything but "all rules hold" exits 1.  Standard library only; ``--json``
-also writes every run's raw JSON line.
+Anything but "all rules hold" exits 1.  Each workload also reports on
+how many pairs both sides read exactly the same ``incremental_revenue``
+and ``revenue_ratio``: same seed, same decisions.  That count informs
+and judges nothing, since a sharded workload does not repeat by design.
+Standard library only; ``--json`` also writes every run's raw JSON line,
+rewritten after each pair so a run that raises keeps the pairs before.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 MIN_PAIRS = 10
+DECISION_METRICS = ("incremental_revenue", "revenue_ratio")
 
 
 def load_spec(parent: Path, change: Path) -> dict:
@@ -83,6 +88,15 @@ def worse_by(parent: float, change: float, direction: str) -> float:
     return delta / abs(parent)
 
 
+def identical_decisions(sides: dict[str, list[dict]]) -> int:
+    """Pairs on which both sides read exactly the same
+    :data:`DECISION_METRICS`."""
+    return sum(
+        all(p["metrics"][name]["value"] == c["metrics"][name]["value"] for name in DECISION_METRICS)
+        for p, c in zip(sides["parent"], sides["change"])
+    )
+
+
 def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
           claim: str | None, claimed_on: set[str]) -> list[str]:
     """Print the summary of ``runs`` (workload -> side -> one JSON result
@@ -103,6 +117,8 @@ def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
         failed = {s: sum(o["failed"] for o in sides[s]) / max(1, sum(o["attempted"] for o in sides[s]))
                   for s in SIDES}
         print(f"  failed share: parent {failed['parent']:.6g}, change {failed['change']:.6g}")
+        print(f"  identical decisions: {identical_decisions(sides)}/{pairs} pairs read the same "
+              f"{' and '.join(DECISION_METRICS)}")
         if failed["change"] > failed["parent"]:
             verdicts.append(f"{workload}: failed share grew")
 
@@ -185,9 +201,8 @@ def main(argv: list[str] | None = None) -> int:
                 for out in [runs[workload][side][-1]]
             )
             print(f"pair {k + 1} seed {seed} {workload} ({order[0]} first): {line}", flush=True)
-
-    if args.json is not None:
-        args.json.write_text(json.dumps(runs, indent=1))
+        if args.json is not None:
+            args.json.write_text(json.dumps(runs, indent=1))
 
     verdicts = judge(runs, metrics, args.claim, claimed_on)
     print("\nverdict: " + ("all rules hold" if not verdicts else "; ".join(verdicts)))

@@ -16,7 +16,8 @@ Design notes
   losses (Eq. 2 of the paper, DragonNet's targeted regularisation, the
   Direct Rank ratio loss) plug in uniformly.
 * ``MCDropoutPredictor`` keeps dropout active at inference to produce
-  the per-sample std ``r(x)`` used by the rDRP conformal score.
+  the per-sample std ``r(x)`` used by the rDRP conformal score;
+  ``stochastic_passes`` runs DRP's ``T`` passes as one stacked pass.
 """
 
 from repro.nn.activations import (
@@ -41,8 +42,8 @@ from repro.nn.losses import (
     MeanSquaredError,
 )
 from repro.nn.gradcheck import check_network_gradients, numeric_gradient
-from repro.nn.mc_dropout import MCDropoutPredictor, mc_dropout_statistics
-from repro.nn.network import Network, TrainingHistory, mlp
+from repro.nn.mc_dropout import MCDropoutPredictor, mc_dropout_moments, mc_dropout_statistics
+from repro.nn.network import Network, TrainingHistory, mlp, stochastic_passes
 from repro.nn.optimizers import SGD, Adam, Optimizer
 
 __all__ = [
@@ -68,6 +69,7 @@ __all__ = [
     "he_normal",
     "identity",
     "log_sigmoid",
+    "mc_dropout_moments",
     "mc_dropout_statistics",
     "relu",
     "relu_grad",
@@ -75,6 +77,7 @@ __all__ = [
     "sigmoid_grad",
     "softmax",
     "softplus",
+    "stochastic_passes",
     "tanh",
     "tanh_grad",
     "zeros_init",

@@ -63,6 +63,9 @@ class Layer:
 class Dense(Layer):
     """Fully connected affine layer ``y = x W + b``.
 
+    ``x`` may carry leading stack axes, ``(k, n, in_features)``: the
+    product then broadcasts, slice by slice equal to the 2-D product.
+
     Parameters
     ----------
     in_features, out_features:
@@ -102,9 +105,9 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[1] != self.in_features:
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"Dense expected input with {self.in_features} features, got {x.shape[1]}"
+                f"Dense expected input with {self.in_features} features, got {x.shape[-1]}"
             )
         self._x = x if training else None
         return x @ self.weight + self.bias
@@ -145,9 +148,14 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._mask = None
             return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
+        self._mask = self.keep_mask(self._rng.random(x.shape))
         return x * self._mask
+
+    def keep_mask(self, uniforms: np.ndarray) -> np.ndarray:
+        """Overwrite uniform draws with their mask and return it: ``1/(1-rate)``
+        where a unit is kept, else 0."""
+        keep = 1.0 - self.rate
+        return np.divide(uniforms < keep, keep, out=uniforms)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:

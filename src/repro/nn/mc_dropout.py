@@ -15,7 +15,30 @@ import numpy as np
 
 from repro.nn.network import Network
 
-__all__ = ["mc_dropout_statistics", "MCDropoutPredictor"]
+__all__ = ["mc_dropout_moments", "mc_dropout_statistics", "MCDropoutPredictor"]
+
+
+def mc_dropout_moments(
+    sample: Callable[[], np.ndarray], n_samples: int, std_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored ``std(ddof=1)`` over the passes of an MC stack.
+
+    ``sample()`` returns the ``(n_samples, n, k)`` stack of pass
+    outputs.  It runs only once both arguments pass their checks, so a
+    rejected call draws nothing.  Eq. 3 divides by the std, hence a
+    floor that is finite and > 0.  Single-output stacks (``k == 1``) are
+    squeezed to ``(n,)``.
+    """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 to estimate a std, got {n_samples}")
+    if not (np.isfinite(std_floor) and std_floor > 0):
+        raise ValueError(f"std_floor must be finite and > 0, got {std_floor}")
+    draws = sample()
+    mean = draws.mean(axis=0)
+    std = np.maximum(draws.std(axis=0, ddof=1), std_floor)
+    if mean.shape[1] == 1:
+        return mean[:, 0], std[:, 0]
+    return mean, std
 
 
 def mc_dropout_statistics(
@@ -41,31 +64,26 @@ def mc_dropout_statistics(
         statistics (DRP applies ``sigmoid`` so the std is of the ROI,
         not the logit).
     std_floor:
-        Lower bound on the returned std — Eq. 3 divides by ``r(x)``, so
-        a hard floor keeps the conformal score finite even for inputs
-        the dropout mask never perturbs.
+        Lower bound on the returned std, finite and > 0 — Eq. 3 divides
+        by ``r(x)``, so a hard floor keeps the conformal score finite
+        even for inputs the dropout mask never perturbs.
 
     Returns
     -------
     (mean, std):
         Arrays of shape ``(n,)`` (single-output networks are squeezed).
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 to estimate a std, got {n_samples}")
-    if std_floor <= 0:
-        raise ValueError(f"std_floor must be > 0, got {std_floor}")
-    draws = []
-    for _ in range(n_samples):
-        out = stochastic_forward(x)
-        if transform is not None:
-            out = transform(out)
-        draws.append(np.asarray(out, dtype=float).reshape(out.shape[0], -1))
-    stacked = np.stack(draws, axis=0)  # (T, n, k)
-    mean = stacked.mean(axis=0)
-    std = np.maximum(stacked.std(axis=0, ddof=1), std_floor)
-    if mean.shape[1] == 1:
-        return mean[:, 0], std[:, 0]
-    return mean, std
+
+    def sample() -> np.ndarray:
+        draws = []
+        for _ in range(n_samples):
+            out = stochastic_forward(x)
+            if transform is not None:
+                out = transform(out)
+            draws.append(np.asarray(out, dtype=float).reshape(out.shape[0], -1))
+        return np.stack(draws, axis=0)
+
+    return mc_dropout_moments(sample, n_samples, std_floor)
 
 
 class MCDropoutPredictor:

@@ -25,10 +25,14 @@ from repro.nn.layers import Activation, Dense, Dropout, Layer
 from repro.nn.optimizers import Adam, Optimizer
 from repro.utils.rng import as_generator
 
-__all__ = ["Network", "TrainingHistory", "mlp"]
+__all__ = ["Network", "TrainingHistory", "mlp", "stochastic_passes"]
 
 # A loss consumes (predictions, batch_target) and returns (value, grad).
 LossFn = Callable[[np.ndarray, object], tuple[float, np.ndarray]]
+
+# Most elements one group's (passes, rows, units) stack may hold in
+# stochastic_passes: 2**17 float64s, a 1 MiB buffer per group.
+MC_STACK_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -83,19 +87,12 @@ class Network:
     def forward_stochastic(self, x: np.ndarray) -> np.ndarray:
         """Inference pass with dropout *active* (MC dropout).
 
-        Only :class:`Dropout` layers run in training mode; nothing is
-        cached, so this pass cannot be backpropagated — it exists purely
-        to sample from the approximate posterior predictive.
+        Only :class:`Dropout` layers sample, and the other layers cache
+        nothing, so this pass cannot be backpropagated — it exists
+        purely to sample from the approximate posterior predictive.  It
+        is the one-pass case of :func:`stochastic_passes`.
         """
-        out = np.asarray(x, dtype=float)
-        if out.ndim == 1:
-            out = out.reshape(-1, 1)
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                out = layer.forward(out, training=True)
-            else:
-                out = layer.forward(out, training=False)
-        return out
+        return stochastic_passes([self], x, 1)[0]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Backpropagate dL/d(output); returns dL/d(input)."""
@@ -255,6 +252,68 @@ class Network:
             scale = max_norm / total
             for g in grads:
                 g *= scale
+
+
+def stochastic_passes(networks: Sequence[Network], x: np.ndarray, n_passes: int) -> np.ndarray:
+    """``n_passes`` dropout-active passes over ``x``, stacked ``(n_passes, n, out)``.
+
+    Pass ``i`` runs on ``networks[i % len(networks)]`` and equals the
+    one-pass :meth:`Network.forward_stochastic` the pass-by-pass loop
+    made.  The layers before a network's first active :class:`Dropout`
+    are deterministic and run once on the ``(n, d)`` batch; from that
+    layer on, each network runs a ``(k, n, h)`` stack of its passes.
+    The masks of ``k`` consecutive passes come from one draw of the
+    networks' shared generator, the stream ``k`` one-pass draws give.
+    Passes, not rows, are grouped so that a group's stack holds at most
+    :data:`MC_STACK_ELEMENTS` elements: splitting rows would reorder the
+    stream.  A later :class:`Dropout` draws over its whole stack, so
+    with two active dropout layers only ``k = 1`` keeps the loop's
+    stream.
+
+    Raises ValueError unless every network reaches its first active
+    dropout with one shape and draws from one shared generator, as the
+    restarts of a model fitted from one seed do.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x.reshape(-1, 1)
+    heads, drops, tails = [], [], []
+    for network in networks:
+        layers = network.layers
+        split = next(
+            (i for i, layer in enumerate(layers) if isinstance(layer, Dropout) and layer.rate > 0),
+            len(layers),
+        )
+        head = x
+        for layer in layers[:split]:
+            head = layer.forward(head, training=False)
+        heads.append(head)
+        drops.append(layers[split] if split < len(layers) else None)
+        tails.append(layers[split + 1 :])
+    if len({(h.shape, None if d is None else id(d._rng)) for h, d in zip(heads, drops)}) > 1:
+        raise ValueError(
+            "round-robin passes need networks of one shape whose dropout shares one generator"
+        )
+    n_nets = len(networks)
+    group = max(1, MC_STACK_ELEMENTS // max(heads[0].size, 1))
+    passes = None
+    for start in range(0, n_passes, group):
+        k = min(group, n_passes - start)
+        uniforms = None if drops[0] is None else drops[0]._rng.random((k, *heads[0].shape))
+        for r in range(n_nets):
+            # pass start + j runs on network (start + j) % n_nets
+            rows = slice((r - start) % n_nets, k, n_nets)
+            stack = heads[r]
+            if uniforms is not None:
+                # the masked passes overwrite the draws: one buffer per group
+                drawn = uniforms[rows]
+                stack = np.multiply(stack, drops[r].keep_mask(drawn), out=drawn)
+            for layer in tails[r]:
+                stack = layer.forward(stack, training=isinstance(layer, Dropout))
+            if passes is None:
+                passes = np.empty((n_passes, *stack.shape[-2:]))
+            passes[start : start + k][rows] = stack
+    return passes
 
 
 def mlp(

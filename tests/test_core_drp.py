@@ -1,5 +1,7 @@
 """Tests for the DRP model and its Eq. 2 loss."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,19 @@ class TestDRPModel:
         model.fit(data.x, data.t, data.y_r, data.y_c)
         with pytest.raises(ValueError, match="n_samples"):
             model.predict_roi_mc(data.x[:5], n_samples=1)
+
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, 0.0, -1.0])
+    def test_std_floor_must_be_finite_and_positive(self, tiny_rct, floor):
+        # a NaN floor used to make every r(x) NaN, and floors <= 0 passed
+        # through to fail far away in the conformal score
+        data = tiny_rct
+        model = DRPModel(hidden=16, epochs=2, n_restarts=1, random_state=0)
+        model.fit(data.x, data.t, data.y_r, data.y_c)
+        gen = model.network_.layers[2]._rng
+        untouched = copy.deepcopy(gen)
+        with pytest.raises(ValueError, match="std_floor"):
+            model.predict_roi_mc(data.x[:5], std_floor=floor)
+        assert gen.random() == untouched.random()  # a rejected call draws nothing
 
     def test_reproducible(self, tiny_rct):
         data = tiny_rct

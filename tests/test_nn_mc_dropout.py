@@ -58,6 +58,14 @@ class TestMcDropoutStatistics:
                 dropout_net.forward_stochastic, np.ones((2, 3)), std_floor=0.0
             )
 
+    @pytest.mark.parametrize("floor", [-1.0, np.nan, np.inf])
+    def test_std_floor_must_be_finite_and_positive(self, dropout_net, floor):
+        # a NaN floor used to pass the check and make every std NaN
+        with pytest.raises(ValueError, match="std_floor"):
+            mc_dropout_statistics(
+                dropout_net.forward_stochastic, np.ones((2, 3)), std_floor=floor
+            )
+
     def test_multi_output_shapes(self):
         net = mlp(3, [8], output_dim=2, dropout=0.2, rng=0)
         mean, std = mc_dropout_statistics(net.forward_stochastic, np.ones((4, 3)), n_samples=5)

@@ -19,9 +19,15 @@ METRICS = {
 }
 
 
-def result(decided_eps, setup_s, failed=0):
+def result(decided_eps, setup_s, failed=0, revenue=(500.0, 0.99)):
+    incremental_revenue, revenue_ratio = revenue
     return {
-        "metrics": {"decided_eps": {"value": decided_eps}, "setup_s": {"value": setup_s}},
+        "metrics": {
+            "decided_eps": {"value": decided_eps},
+            "setup_s": {"value": setup_s},
+            "incremental_revenue": {"value": incremental_revenue},
+            "revenue_ratio": {"value": revenue_ratio},
+        },
         "failed": failed,
         "attempted": 1000,
     }
@@ -96,3 +102,37 @@ def test_fewer_than_ten_pairs_are_refused(tmp_path):
     with pytest.raises(SystemExit):
         perf_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workloads", "w",
                          "--pairs", "9", "--claim", "decided_eps"])
+
+
+def test_identical_decisions_are_counted_not_judged(capsys):
+    r = runs(PARENT, PARENT)
+    r["w"]["change"][3]["metrics"]["revenue_ratio"]["value"] = 0.9900000000000001
+    r["w"]["change"][5]["metrics"]["incremental_revenue"]["value"] = 499.0
+    assert perf_pairs.identical_decisions(r["w"]) == 8
+    assert perf_pairs.judge(r, METRICS, None, set()) == []
+    assert "identical decisions: 8/10 pairs" in capsys.readouterr().out
+
+
+def test_json_is_written_after_every_pair(tmp_path, monkeypatch):
+    spec = {"run_seconds": 20, "end_to_end": list(METRICS.values())}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append(seed)
+        if seed == 8 and root.name == "change":
+            raise RuntimeError("run failed")
+        return result(100.0 + seed, 1.0)
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    out = tmp_path / "runs.json"
+    with pytest.raises(RuntimeError, match="run failed"):
+        perf_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                         "--workloads", "w", "--json", str(out)])
+    written = json.loads(out.read_text())
+    assert [len(written["w"][side]) for side in ("parent", "change")] == [8, 8]
+    assert [r["metrics"]["decided_eps"]["value"] for r in written["w"]["parent"]] == [
+        100.0 + seed for seed in range(8)
+    ]
