@@ -14,7 +14,9 @@ side's median and quartiles (``statistics.quantiles(n=4)``), and then
 judges:
 
 * the claimed metric (``--claim``, on the ``--claim-on`` workloads,
-  by default all): the change must be better on at least nine tenths of
+  by default all; each must be among ``--workloads``, and
+  ``--claim-on`` needs ``--claim``): the change must be better on at
+  least nine tenths of
   the pairs, ties counting for neither, and its median better than the
   parent's by more than the parent's interquartile range;
 * every other end-to-end metric: the change's median may be worse than
@@ -174,6 +176,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.pairs < MIN_PAIRS:
         parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    if args.claim_on is not None:
+        # a claim on a workload that never runs would never be judged
+        if args.claim is None:
+            parser.error("--claim-on needs --claim")
+        missing = sorted(set(args.claim_on) - set(args.workloads))
+        if missing:
+            parser.error(f"--claim-on names workloads missing from --workloads: {' '.join(missing)}")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     try:
         spec = load_spec(roots["parent"], roots["change"])

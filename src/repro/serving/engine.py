@@ -87,6 +87,15 @@ def _score_rows(policy: DecisionPolicy, model: object, rows: np.ndarray) -> np.n
     return policy.score_batch(model, rows)
 
 
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """Each row's ``tobytes()`` (its cache key), from one ``np.void``
+    view of a C-contiguous ``(n, d)`` block."""
+    n, d = rows.shape
+    if d == 0:  # a zero-width void view has no items to list
+        return [b""] * n
+    return rows.view(np.dtype((np.void, d * rows.itemsize))).ravel().tolist()
+
+
 class _PendingBlock:
     """One version's buffered requests, stored columnar.
 
@@ -97,14 +106,17 @@ class _PendingBlock:
     when dispatched (a fresh block starts the next batch), so the view
     handed to the backend can never alias rows appended later.
 
-    ``record`` / ``mixed`` are the fast-path bookkeeping: a block fed
-    only by ``submit_batch`` slices carries one :class:`_RidRange`
+    ``record`` is the slab path's bookkeeping: a block fed only by
+    ``submit_batch`` slab slices carries one :class:`_RidRange`
     covering its (contiguous) ids, letting the reap skip per-rid dict
-    writes entirely; any scalar ``submit`` landing on the block flips
-    ``mixed`` and the reap degrades to exact per-rid accounting.
+    writes entirely.  The block is *pure* while ``record.stop -
+    record.start == n``: a record's rows are always buffered, so any
+    other row landing on the block (a scalar ``submit`` or a row walk)
+    makes the count exceed the run's length, and the reap books every
+    row per rid.
     """
 
-    __slots__ = ("rows", "rids", "stamps", "n", "record", "mixed")
+    __slots__ = ("rows", "rids", "stamps", "n", "record")
 
     def __init__(self, d: int, cap: int) -> None:
         cap = max(1, cap)
@@ -113,7 +125,6 @@ class _PendingBlock:
         self.stamps = np.empty(cap, dtype=float)
         self.n = 0
         self.record: _RidRange | None = None
-        self.mixed = False
 
     def _grow_to(self, need: int) -> None:
         cap = self.rows.shape[0]
@@ -127,8 +138,6 @@ class _PendingBlock:
         self.stamps = np.concatenate([self.stamps, np.empty(extra)])
 
     def append(self, rid: int, row: np.ndarray, stamp: float) -> None:
-        if self.record is not None:
-            self.mixed = True
         self._grow_to(self.n + 1)
         self.rows[self.n] = row
         self.rids[self.n] = rid
@@ -149,9 +158,9 @@ class _PendingBlock:
 
 
 class _RidRange:
-    """One contiguous run of fast-path request ids, bookkept as a range.
+    """One contiguous run of slab-path request ids, bookkept as a range.
 
-    ``submit_batch``'s vectorised path never touches the per-rid dicts
+    ``submit_batch``'s slab path never touches the per-rid dicts
     on submit *or* on reap: the block's ids are ``[start, stop)``, the
     version is single, and once scored the whole result array hangs
     off :attr:`scores`.  ``take_block`` then pops an entire record in
@@ -317,7 +326,7 @@ class ScoringEngine:
         # rather than whenever the caller happens to reap)
         self._inflight: deque[tuple[object, int, _PendingBlock, dict]] = deque()
         self._ready: dict[int, float] = {}
-        # fast-path id runs (pending, in-flight, or scored), oldest
+        # slab-path id runs (pending, in-flight, or scored), oldest
         # first; scan is linear but the list holds one entry per
         # undrained submit_batch block, not per request
         self._ranges: list[_RidRange] = []
@@ -359,11 +368,16 @@ class ScoringEngine:
         Auto-flushes when the buffer fills; first checks the deadline
         loop, so an overdue batch flushes *before* this request starts
         a fresh one (its own deadline is armed when it is the first
-        pending request).
+        pending request).  A row whose width differs from the pending
+        batch's raises ValueError before anything else moves.
         """
         if self._deadlines is not None:
             self._deadlines.poll()
         row = np.ascontiguousarray(np.asarray(x_row, dtype=float).ravel())
+        for vid in self._pending:  # inline and call-free: the per-arrival path
+            if self._pending[vid].rows.shape[1] != row.shape[0]:
+                self._check_width(row.shape[0])  # raises
+            break
         rid = self._next_id
         self._next_id += 1
         self._c_requests.inc()
@@ -399,29 +413,38 @@ class ScoringEngine:
         self, x: np.ndarray, keys: "list[str | int] | None" = None
     ) -> "list[int] | range":
         """Enqueue a block of requests; returns their ids in row order
-        (a ``range`` on the fast path, a list otherwise — both are
-        sequences of ints; hand either to :meth:`take_block`).
+        as a ``range`` (``[]`` for an empty block) — hand it to
+        :meth:`take_block`.
 
         Semantically **exactly** N :meth:`submit` calls — same scores,
-        stats, cache hits, version attribution, flush counters, and
-        latency sketch (pinned under a
+        stats, cache hits and LRU order, version attribution, routing
+        draws, flush counters, and latency sketch (pinned under a
         :class:`~repro.runtime.ManualClock`; under a wall clock the
         per-row submit stamps drift apart by however long N calls
         take, which a single block stamp legitimately doesn't).  The
-        difference is the constant factor: when the registry's routing
-        is static (:attr:`~repro.serving.registry.ModelRegistry.
-        routing_is_static`) and the cache is off, the block takes a
-        vectorised fast path — one route call, one clock stamp,
-        C-level id bookkeeping, and rows landing in the columnar
-        buffer as slab copies — which is what the ≥2M scores/s batched
-        target is measured on.  Keys only steer routing, so static
-        routing ignores them.  With a cache or an active challenger
-        the rows fall back to the per-row loop (each row must probe /
-        draw exactly as ``submit`` would).
+        difference is the constant factor: one deadline poll and one
+        clock stamp per block, and one of two paths, picked from what
+        the engine observes:
 
-        Mid-block ``batch_size`` boundaries flush exactly as they
-        would per-row, so flush counters and batch shapes are
-        identical to the scalar path.
+        * **slab** — cache off and static routing
+          (:attr:`~repro.serving.registry.ModelRegistry.
+          routing_is_static`): one route call, C-level id bookkeeping
+          (a :class:`_RidRange` per pending block), and rows landing
+          in the columnar buffer as slab copies — which is what the
+          ≥2M scores/s batched target is measured on.  Keys only steer
+          routing, so static routing ignores them.
+        * **row walk** — anything else: each row in turn routes (a
+          live challenger draws at the row's turn), probes the cache
+          and, on a miss, joins its version's pending block.  A
+          ``batch_size`` boundary flushes at the very row N submits
+          would flush at, so later rows probe the same cache state;
+          in between, misses land as one slab copy per version and the
+          ids, version attribution and counters move once per flush
+          segment — so a raising flush leaves exactly what N submits
+          would have left.
+
+        A block whose width differs from the pending batch's raises
+        ValueError before anything moves.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -431,22 +454,35 @@ class ScoringEngine:
             raise ValueError(f"got {len(keys)} keys for {n} rows")
         if n == 0:
             return []
-        if self.cache_size > 0 or not self.registry.routing_is_static:
-            # per-row semantics genuinely needed: cache probes and RNG
-            # routing must happen once per row, in order
-            if keys is None:
-                return [self.submit(x[i]) for i in range(n)]
-            return [self.submit(x[i], key=keys[i]) for i in range(n)]
-        # ---- vectorised fast path ----------------------------------
         if self._deadlines is not None:
             self._deadlines.poll()
-        version = self.registry.route(None)  # static: champion, no RNG
-        vid = version.version
+        self._check_width(x.shape[1])
+        rid0 = self._next_id
+        now = self.clock.now() if self.clock is not None else 0.0
+        if self.cache_size > 0 or not self.registry.routing_is_static:
+            self._walk(x, keys, now)
+        else:
+            self._slab(x, now)
+        self._g_queue.set(self._n_pending)
+        return range(rid0, rid0 + n)
+
+    def _check_width(self, d: int) -> None:
+        """ValueError unless ``d`` matches the pending rows' width (every
+        pending block shares it, so the first one answers)."""
+        block = next(iter(self._pending.values()), None)
+        if block is not None and block.rows.shape[1] != d:
+            raise ValueError(
+                f"got a row of width {d}, but the pending batch has width {block.rows.shape[1]}"
+            )
+
+    def _slab(self, x: np.ndarray, now: float) -> None:
+        """``submit_batch``'s slab path: cache off, static routing."""
+        n = x.shape[0]
+        vid = self.registry.route(None).version  # static: champion, no RNG
         rid0 = self._next_id
         self._next_id += n
         self._c_requests.inc(n)
         self._c_cache_misses.inc(n)
-        now = self.clock.now() if self.clock is not None else 0.0
         start = 0
         while start < n:
             # stop at every batch_size boundary exactly as the scalar
@@ -459,18 +495,17 @@ class ScoringEngine:
                     x.shape[1], min(self.batch_size, max(take, 64))
                 )
             rec = block.record
-            if rec is not None and not block.mixed and rec.stop == slice_rid0:
-                rec.stop += take  # same block, contiguous ids: extend
-            elif rec is None and not block.mixed and block.n == 0:
+            if rec is not None and rec.stop == slice_rid0 and rec.stop - rec.start == block.n:
+                rec.stop += take  # pure block, contiguous ids: extend
+            elif block.n == 0:
                 rec = block.record = _RidRange(slice_rid0, slice_rid0 + take, vid)
                 self._ranges.append(rec)
             else:
-                # the block already holds scalar rows (or ids that are
-                # no longer contiguous) — bookkeep this slice per-rid
-                # so the reap's exact path covers everything
+                # the block already holds other rows (or ids that are no
+                # longer contiguous) — bookkeep this slice per-rid so
+                # the reap's per-rid booking covers everything
                 slice_ids = range(slice_rid0, slice_rid0 + take)
                 self._version_by_rid.update(zip(slice_ids, repeat(vid)))
-                block.mixed = True
             was_empty = self._n_pending == 0
             block.append_block(
                 np.arange(slice_rid0, slice_rid0 + take, dtype=np.int64),
@@ -485,8 +520,80 @@ class ScoringEngine:
                 )
             if self._n_pending >= self.batch_size:
                 self.flush(reason="batch_full")
-        self._g_queue.set(self._n_pending)
-        return range(rid0, rid0 + n)
+
+    def _walk(self, x: np.ndarray, keys: "list[str | int] | None", now: float) -> None:
+        """``submit_batch``'s row walk: N :meth:`submit` calls' effects,
+        booked once per flush segment (the rows up to and including the
+        one whose miss fills the batch)."""
+        n = x.shape[0]
+        registry = self.registry
+        # a live challenger routes each row at its turn, after any
+        # flush before it, so the registry draws in submit's order
+        route = None if registry.routing_is_static else registry.route
+        version = registry.route(None) if route is None else None
+        cache_on = self.cache_size > 0
+        row_keys = _row_keys(x) if cache_on else None
+        lru, shared = self._cache, self._score_cache
+        rid0 = self._next_id  # row i gets id rid0 + i
+        vids: list[int] = []  # per row: the version serving it
+        lo = 0
+        while lo < n:
+            room = self.batch_size - self._n_pending
+            hit_rows: list[int] = []
+            hit_scores: list[float] = []
+            misses: dict[int, list[int]] = {}  # version id -> rows, first miss first
+            n_miss = 0
+            hi = n
+            for i in range(lo, n):
+                if route is not None:
+                    version = route(None if keys is None else keys[i])
+                vid = version.version
+                vids.append(vid)
+                if cache_on:
+                    if shared is not None:
+                        hit = shared.get(vid, row_keys[i])
+                    else:
+                        cache_key = (vid, row_keys[i])
+                        hit = lru.get(cache_key)
+                        if hit is not None:
+                            lru.move_to_end(cache_key)
+                    if hit is not None:
+                        hit_rows.append(i)
+                        hit_scores.append(hit)
+                        continue
+                misses.setdefault(vid, []).append(i)
+                n_miss += 1
+                if n_miss >= room:
+                    hi = i + 1
+                    break
+            # book the segment [lo, hi) as its submits would have
+            self._next_id = rid0 + hi
+            self._c_requests.inc(hi - lo)
+            self._version_by_rid.update(zip(range(rid0 + lo, rid0 + hi), vids[lo:hi]))
+            if hit_rows:
+                self._ready.update(zip([rid0 + i for i in hit_rows], hit_scores))
+                self._c_cache_hits.inc(len(hit_rows))
+                hit_vids = [vids[i] for i in hit_rows]
+                for vid in dict.fromkeys(hit_vids):
+                    registry.get(vid).cache_hits += hit_vids.count(vid)
+            if n_miss:
+                self._c_cache_misses.inc(n_miss)
+                was_empty = self._n_pending == 0
+                for vid, rows in misses.items():
+                    block = self._pending.get(vid)
+                    if block is None:
+                        block = self._pending[vid] = _PendingBlock(
+                            x.shape[1], min(self.batch_size, max(len(rows), 64))
+                        )
+                    block.append_block(rid0 + np.array(rows, dtype=np.int64), x[rows], now)
+                self._n_pending += n_miss
+                if was_empty and self._deadlines is not None:
+                    self._deadlines.schedule_in(
+                        _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
+                    )
+                if n_miss >= room:
+                    self.flush(reason="batch_full")
+            lo = hi
 
     def _flush_on_deadline(self) -> None:
         self.flush(reason="deadline")
@@ -600,37 +707,26 @@ class ScoringEngine:
             else:
                 now = None
             rec = batch.record
-            if rec is not None and not batch.mixed and now is None and self.cache_size <= 0:
-                # pure fast-path block: the scores array *is* the
+            if now is None and self.cache_size <= 0 and rec is not None and rec.stop - rec.start == nb:
+                # pure slab block: the scores array *is* the
                 # bookkeeping — O(1) reap, served by take_block (or
                 # lazily materialised if someone probes single ids)
                 rec.scores = scores
-            elif now is None and self.cache_size <= 0:
-                # nothing per-row to book — land the whole batch in one
-                # C-level update
-                if rec is not None:
-                    self._ranges.remove(rec)
-                    self._version_by_rid.update(
-                        zip(batch.rids[:nb].tolist(), repeat(version_id))
-                    )
-                self._ready.update(zip(batch.rids[:nb].tolist(), scores.tolist()))
-            else:
-                if rec is not None:
-                    # degrade to exact per-rid accounting (clock and/or
-                    # cache writes need every row anyway)
-                    self._ranges.remove(rec)
-                    self._version_by_rid.update(
-                        zip(batch.rids[:nb].tolist(), repeat(version_id))
-                    )
-                rows = batch.rows
-                waits = (now - batch.stamps[:nb]).tolist() if now is not None else None
-                for i, rid in enumerate(batch.rids[:nb].tolist()):
-                    score = float(scores[i])
-                    self._ready[rid] = score
-                    if waits is not None:
-                        self.latency_hist.record(max(0.0, waits[i]))
-                    if self.cache_size > 0:
-                        self._remember(version_id, rows[i].tobytes(), score)
+                continue
+            # every other block books its rows in one pass
+            if rec is not None:
+                self._ranges.remove(rec)
+                self._version_by_rid.update(
+                    zip(range(rec.start, rec.stop), repeat(version_id))
+                )
+            score_list = scores.tolist()
+            self._ready.update(zip(batch.rids[:nb].tolist(), score_list))
+            if now is not None:
+                record = self.latency_hist.record
+                for wait in np.maximum(now - batch.stamps[:nb], 0.0).tolist():
+                    record(wait)
+            if self.cache_size > 0:
+                self._remember_block(version_id, batch.view(), score_list)
 
     def latency_quantile(self, q: float) -> float:
         """Submit→score latency quantile (clock seconds) over **every**
@@ -715,7 +811,7 @@ class ScoringEngine:
         return None
 
     def _materialize(self, rec: _RidRange) -> None:
-        """Expand one scored fast-path run into the per-rid dicts (the
+        """Expand one scored slab-path run into the per-rid dicts (the
         price of probing block results id-by-id; ``take_block`` never
         pays it)."""
         ids = range(rec.start, rec.stop)
@@ -739,14 +835,18 @@ class ScoringEngine:
         return score
 
     def take_block(self, rids: "list[int] | range") -> np.ndarray:
-        """Pop a whole ``submit_batch`` worth of scores as one array.
+        """Pop the finished scores of ``rids`` as one array, in the
+        order given — the bulk :meth:`take`.
 
-        The bulk companion to :meth:`take`: hand back exactly what
-        ``submit_batch`` returned and the scores come out in row
-        order.  When the ids are a fast-path run whose records tile
-        the span, this is O(1) per dispatched block (array slices, no
-        per-rid dicts); any other id sequence falls back to per-rid
-        :meth:`take` calls — same result, scalar cost.
+        Hand back what ``submit_batch`` returned, or any ids in
+        ascending order (the replay takes ready prefixes), and the
+        scores come out in that order.  All or nothing: KeyError, with
+        nothing popped and no version attribution released, when any
+        id is still pending or unknown.  When the ids are a slab run
+        whose scored records tile the span, this is O(1) per
+        dispatched block (array slices, no per-rid dicts); otherwise
+        any scored run overlapping the ids is materialised first and
+        the ids are checked, then popped, in bulk.
         """
         n = len(rids)
         if n == 0:
@@ -773,7 +873,15 @@ class ScoringEngine:
                 if len(recs) == 1:
                     return recs[0].scores
                 return np.concatenate([rec.scores for rec in recs])
-        return np.array([self.take(rid) for rid in rids], dtype=float)
+        lo, hi = min(rids), max(rids)
+        for rec in [r for r in self._ranges if r.scores is not None and r.start <= hi and r.stop > lo]:
+            self._materialize(rec)
+        ready, versions = self._ready, self._version_by_rid
+        scores = np.array([ready[rid] for rid in rids], dtype=float)  # KeyError: nothing popped
+        for rid in rids:
+            ready.pop(rid, None)
+            versions.pop(rid, None)
+        return scores
 
     def drain(self) -> list[tuple[int, int, float]]:
         """Pop every finished result as ``(request_id, version_id, score)``.
@@ -849,17 +957,25 @@ class ScoringEngine:
             self._cache.move_to_end(cache_key)
         return hit
 
-    def _remember(self, version_id: int, row_bytes: bytes, score: float) -> None:
-        if self.cache_size <= 0:
-            return
+    def _remember_block(self, version_id: int, rows: np.ndarray, scores: list[float]) -> None:
+        """Cache one scored batch, row by row in order.
+
+        The private LRU is trimmed once, after the batch's inserts, not
+        after each: the batch's keys are the newest, so either way the
+        survivors are the ``cache_size`` most recently touched keys, in
+        the same order and with the last score written for each.
+        """
         if self._score_cache is not None:
-            self._score_cache.put(version_id, row_bytes, score)
+            put = self._score_cache.put
+            for row_key, score in zip(_row_keys(rows), scores):
+                put(version_id, row_key, score)
             return
-        cache_key = (version_id, row_bytes)
-        self._cache[cache_key] = score
-        self._cache.move_to_end(cache_key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
+        cache = self._cache
+        for cache_key, score in zip(zip(repeat(version_id), _row_keys(rows)), scores):
+            cache[cache_key] = score
+            cache.move_to_end(cache_key)
+        for _ in range(len(cache) - self.cache_size):
+            cache.popitem(last=False)
 
     @property
     def stats(self) -> dict[str, int]:

@@ -433,10 +433,10 @@ class ModelRegistry:
     def routing_is_static(self) -> bool:
         """True when :meth:`route` returns the champion for *every* key
         without touching the RNG (no challenger staged, or a zero
-        split).  This is the predicate behind the engine's vectorised
-        ``submit_batch`` fast path: one ``route(None)`` call stands in
-        for N per-row calls *exactly* — same result, same RNG stream —
-        only while this holds.
+        split).  This is the predicate behind the engine's
+        ``submit_batch`` paths: one ``route(None)`` call stands in for
+        N per-row calls *exactly* — same result, same RNG stream — only
+        while this holds; otherwise each row routes at its turn.
         """
         return self._challenger is None or self._traffic_split <= 0.0
 

@@ -188,9 +188,9 @@ def _shard_feed(fleet: int, shard: int, rows, keys: list, ring_consumed: int):
     full ring returns results inline; in-process fleets always do.
     """
     engine = _SHARD_ENGINES[(fleet, shard)]
-    # one vectorised submit, keyed or not (it falls back to the per-row
-    # path whenever caching/routing demand it); rids are deliberately
-    # dropped: results are consumed positionally via the drain() below
+    # one block submit, keyed or not (a row walk whenever caching or
+    # routing demand it); rids are deliberately dropped: results are
+    # consumed positionally via the drain() below
     engine.submit_batch(_resolve_rows(fleet, shard, rows), keys=keys)  # repro: allow[RPR006]
     results = engine.drain()
     transport = _SHARD_TRANSPORTS.get((fleet, shard))

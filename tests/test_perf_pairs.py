@@ -136,3 +136,25 @@ def test_json_is_written_after_every_pair(tmp_path, monkeypatch):
     assert [r["metrics"]["decided_eps"]["value"] for r in written["w"]["parent"]] == [
         100.0 + seed for seed in range(8)
     ]
+
+
+@pytest.mark.parametrize(
+    "claim_args",
+    [["--claim", "decided_eps", "--claim-on", "w2"], ["--claim-on", "w"]],
+    ids=["claim-on-a-workload-that-does-not-run", "claim-on-without-claim"],
+)
+def test_a_claim_that_would_go_unjudged_is_refused_before_any_run(tmp_path, monkeypatch, claim_args):
+    """Regression: ``--claim-on`` a workload missing from ``--workloads``
+    used to run every pair and print "all rules hold" with the claim
+    never judged."""
+    spec = {"run_seconds": 20, "end_to_end": list(METRICS.values())}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(root, workload, seed, seconds):
+        raise AssertionError("a pair ran")
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    with pytest.raises(SystemExit) as exit_info:
+        perf_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                         "--workloads", "w", *claim_args])
+    assert exit_info.value.code == 2

@@ -38,6 +38,43 @@ class IntervalROI(LinearROI):
         return 0.8 * point, np.minimum(1.2 * point, 1.0)
 
 
+class CountingROI:
+    """Stub scorer whose every scored row takes the next value of a
+    running count, shared by all stubs built on one ``tally``.
+
+    A cache hit replays an old score and a miss draws a fresh one, so
+    the scores alone reveal which rows the cache answered and in which
+    flush each miss was scored.  ``sign`` tells versions apart.
+    """
+
+    def __init__(self, tally: list[int], sign: float = 1.0) -> None:
+        self.tally = tally
+        self.sign = sign
+
+    def predict_roi(self, x: np.ndarray) -> np.ndarray:
+        n = np.atleast_2d(x).shape[0]
+        start = self.tally[0]
+        self.tally[0] += n
+        return self.sign * np.arange(start + 1, start + n + 1, dtype=float)
+
+
+class DictScoreCache:
+    """A plugged-in ``score_cache`` stub: a dict, plus a log of every
+    ``get``/``put`` in call order."""
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.log: list = []
+
+    def get(self, version, row_bytes):
+        self.log.append(("get", version, row_bytes))
+        return self.entries.get((version, row_bytes))
+
+    def put(self, version, row_bytes, score):
+        self.log.append(("put", version, row_bytes, score))
+        self.entries[(version, row_bytes)] = score
+
+
 @pytest.fixture
 def stub_model():
     rng = np.random.default_rng(3)
@@ -531,6 +568,32 @@ class TestScoringEngine:
             engine.version_of(rid)  # dropped with its batch
         assert engine._version_by_rid == {}
 
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize("bad", [np.ones(4), np.ones((2, 5))], ids=["submit", "submit_batch"])
+    def test_wrong_width_row_leaves_no_trace(self, cache_size, bad):
+        """Regression: a row of another width than the pending batch's
+        used to raise a broadcast error only after its id, counters and
+        version attribution had moved."""
+        engine, clean = (
+            ScoringEngine(LinearROI(np.full(3, 0.2)), batch_size=8, cache_size=cache_size)
+            for _ in range(2)
+        )
+        for e in (engine, clean):
+            e.submit(np.ones(3))
+        call = engine.submit if bad.ndim == 1 else engine.submit_batch
+        with pytest.raises(ValueError, match=rf"width {bad.shape[-1]}\b.*width 3\b"):
+            call(bad)
+        assert engine.stats == clean.stats
+        assert engine.n_pending == clean.n_pending == 1
+        for rejected in (1, 2):
+            with pytest.raises(KeyError):
+                engine.version_of(rejected)
+        assert engine.submit(np.full(3, 0.5)) == clean.submit(np.full(3, 0.5)) == 1
+        engine.flush()
+        clean.flush()
+        assert engine.stats == clean.stats
+        assert engine.take(1) == clean.take(1)
+
     def test_explicit_serial_backend_matches_default(self, stub_model, rng):
         x = rng.normal(size=(20, 12))
         default = ScoringEngine(stub_model, batch_size=8, cache_size=0)
@@ -794,10 +857,10 @@ class TestSubmitBatch:
 
     Pinned as *full* equivalence — scores, stats (including flush
     counters), cache hits, version attribution, and the latency sketch —
-    on both the vectorised fast path (static routing, cache off) and
-    the per-row fallback (cache or live challenger).  The scalar
-    reference engine batches rows into the same pending blocks at
-    flush, so even the score floats are bit-identical.
+    on both the slab path (static routing, cache off) and the row walk
+    (cache or live challenger).  The scalar reference engine batches
+    rows into the same pending blocks at flush, so even the score
+    floats are bit-identical.
     """
 
     W = np.linspace(-0.5, 0.5, 6)
@@ -831,7 +894,7 @@ class TestSubmitBatch:
         batch = self._engine(cache_size=64)
         scalar = self._engine(cache_size=64)
         ids = batch.submit_batch(rows)
-        assert isinstance(ids, list)  # per-row path engaged
+        assert isinstance(ids, range)  # the row walk keeps block ids
         ref_ids = [scalar.submit(row) for row in rows]
         batch.flush()
         scalar.flush()
@@ -928,6 +991,150 @@ class TestSubmitBatch:
             engine.submit_batch(np.zeros((3, 6)), keys=["a"])
         assert engine.submit_batch(np.empty((0, 6))) == []
         assert engine.stats["requests"] == 0
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    def test_take_block_that_raises_pops_nothing(self, cache_size):
+        """Regression: with four of six rows scored, ``take_block`` used
+        to pop those four before raising on the fifth, losing them."""
+        rows = self._rows(6)
+        engine = ScoringEngine(LinearROI(self.W), batch_size=4, cache_size=cache_size)
+        reference = ScoringEngine(LinearROI(self.W), batch_size=4, cache_size=cache_size)
+        ids = engine.submit_batch(rows)
+        ref_ids = [reference.submit(row) for row in rows]
+        with pytest.raises(KeyError):
+            engine.take_block(ids)
+        assert [engine.version_of(rid) for rid in ids[:4]] == [1] * 4  # still attributed
+        engine.flush()
+        reference.flush()
+        expected = np.array([reference.take(rid) for rid in ref_ids])
+        np.testing.assert_array_equal(engine.take_block(ids), expected)
+        with pytest.raises(KeyError):
+            engine.version_of(ids[0])  # released by the take
+
+    # -- the row walk, pinned against per-row submits ------------------
+    @staticmethod
+    def _counting_engine(split=0.0, **kwargs) -> ScoringEngine:
+        tally = [0]
+        registry = ModelRegistry(traffic_split=split, random_state=11)
+        registry.register(CountingROI(tally), promote=True)
+        if split > 0.0:
+            registry.register(CountingROI(tally, sign=-1.0))
+        return ScoringEngine(registry, **kwargs)
+
+    @staticmethod
+    def _feed(batch, scalar, rows, cuts=(), keys=None, clocks=(), gap=0.0):
+        """Submit ``rows`` to ``batch`` as blocks cut at ``cuts`` and to
+        ``scalar`` row by row, advancing ``clocks`` by ``gap`` after each
+        block; returns both engines' ids.  Both share the reap, so the
+        LRU's bound is checked on its own after every block."""
+        ids, ref_ids = [], []
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            block_keys = None if keys is None else keys[lo:hi]
+            ids.extend(batch.submit_batch(rows[lo:hi], keys=block_keys))
+            ref_ids.extend(
+                scalar.submit(row, key=None if keys is None else keys[i])
+                for i, row in zip(range(lo, hi), rows[lo:hi])
+            )
+            assert len(batch._cache) <= batch.cache_size
+            assert len(scalar._cache) <= scalar.cache_size
+            for clock in clocks:
+                clock.advance(gap)
+        return ids, ref_ids
+
+    @staticmethod
+    def _assert_same(batch, scalar, ids, ref_ids):
+        """Everything observable agrees: ids, attribution, stats, the
+        LRU's entries and order, per-version counts, scores, and the
+        routing generator's next draw."""
+        assert ids == ref_ids
+        assert [batch.version_of(r) for r in ids] == [scalar.version_of(r) for r in ref_ids]
+        assert batch.stats == scalar.stats
+        assert batch.n_pending == scalar.n_pending
+        batch.flush()
+        scalar.flush()
+        got = batch.take_block(ids)
+        np.testing.assert_array_equal(got, [scalar.take(r) for r in ref_ids])
+        assert batch.stats == scalar.stats
+        assert list(batch._cache.items()) == list(scalar._cache.items())
+        assert [(v.version, v.requests, v.cache_hits) for v in batch.registry.versions()] == [
+            (v.version, v.requests, v.cache_hits) for v in scalar.registry.versions()
+        ]
+        assert batch.registry._rng.random() == scalar.registry._rng.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pattern=st.lists(st.integers(0, 9), min_size=1, max_size=60),
+        cache_size=st.integers(1, 8),
+        batch_size=st.integers(1, 16),
+        cuts=st.lists(st.integers(1, 59), max_size=6),
+        split=st.sampled_from([0.0, 0.4]),
+        keyed=st.booleans(),
+    )
+    def test_row_walk_matches_per_row_submits(
+        self, pattern, cache_size, batch_size, cuts, split, keyed
+    ):
+        rows = self._rows(10)[pattern]
+        cuts = sorted({c for c in cuts if c < len(rows)})
+        keys = [f"user-{p}" for p in pattern] if keyed else None
+        batch, scalar = (
+            self._counting_engine(split=split, batch_size=batch_size, cache_size=cache_size)
+            for _ in range(2)
+        )
+        ids, ref_ids = self._feed(batch, scalar, rows, cuts, keys)
+        self._assert_same(batch, scalar, ids, ref_ids)
+
+    def test_row_walk_probes_a_plugged_in_cache_in_order(self):
+        rows = self._rows(5)[[0, 1, 2, 0, 3, 1, 1, 4, 0, 2, 3, 3, 0, 4, 1]]
+        caches = DictScoreCache(), DictScoreCache()
+        batch, scalar = (
+            self._counting_engine(batch_size=3, cache_size=8, score_cache=c) for c in caches
+        )
+        ids, ref_ids = self._feed(batch, scalar, rows, cuts=[4, 11])
+        self._assert_same(batch, scalar, ids, ref_ids)
+        assert caches[0].log == caches[1].log
+        assert caches[0].entries == caches[1].entries
+        assert batch.stats["cache_hits"] > 0
+
+    def test_row_walk_latency_sketch_under_manual_clock(self):
+        rows = self._rows(6)[[0, 1, 2, 0, 3, 4, 1, 5, 0, 2, 2, 5, 3, 1, 0, 4]]
+        clocks = ManualClock(), ManualClock()
+        batch, scalar = (
+            self._counting_engine(batch_size=4, cache_size=3, max_latency_ms=5.0, clock=c)
+            for c in clocks
+        )
+        # 3 ms per block: a deadline armed in one block fires at the
+        # second block's single poll, before its rows probe the cache
+        ids, ref_ids = self._feed(batch, scalar, rows, [3, 5, 9, 10, 14], clocks=clocks, gap=0.003)
+        self._assert_same(batch, scalar, ids, ref_ids)
+        assert batch.stats["flush_deadline"] > 0 and batch.stats["cache_hits"] > 0
+        assert batch.latency_hist.snapshot() == scalar.latency_hist.snapshot()
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_row_walk_routes_a_live_split_like_submits(self, keyed):
+        pattern = [0, 1, 2, 3, 0, 4, 5, 1, 6, 7, 2, 8, 9, 0, 3] * 3
+        rows = self._rows(10)[pattern]
+        keys = [f"user-{p}" for p in pattern] if keyed else None
+        for cache_size in (0, 4):
+            batch, scalar = (
+                self._counting_engine(split=0.3, batch_size=5, cache_size=cache_size)
+                for _ in range(2)
+            )
+            ids, ref_ids = self._feed(batch, scalar, rows, cuts=[7, 30], keys=keys)
+            assert len({batch.version_of(r) for r in ids}) == 2  # both arms served
+            self._assert_same(batch, scalar, ids, ref_ids)
+
+    def test_row_walk_interleaves_scalar_submits(self):
+        # a stream on which a hit's LRU refresh decides a later eviction
+        rows = self._rows(4)[[1, 3, 1, 3, 0, 1, 1, 0, 3, 3, 0, 3, 3, 1]]
+        batch, scalar = (self._counting_engine(batch_size=3, cache_size=2) for _ in range(2))
+        ids, ref_ids = [], []
+        for lo, hi in ((0, 1), (1, 5), (5, 6), (6, 7), (7, 12), (12, 14)):
+            if hi - lo == 1:
+                ids.append(batch.submit(rows[lo]))
+            else:
+                ids.extend(batch.submit_batch(rows[lo:hi]))
+            ref_ids.extend(scalar.submit(row) for row in rows[lo:hi])
+        self._assert_same(batch, scalar, ids, ref_ids)
 
 
 # ---------------------------------------------------------------------------
