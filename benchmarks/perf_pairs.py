@@ -30,6 +30,11 @@ Anything but "all rules hold" exits 1.  Each workload also reports on
 how many pairs both sides read exactly the same ``incremental_revenue``
 and ``revenue_ratio``: same seed, same decisions.  That count informs
 and judges nothing, since a sharded workload does not repeat by design.
+Likewise informative only, it prints the paired deltas of those two
+metrics, change minus parent on the same seed: their median and
+quartiles (also relative to the parent's median) and the number of
+negative pairs.  A change that moves decisions is read on these, not
+only on two medians whose seed-to-seed spread hides a small shift.
 Standard library only; ``--json`` also writes every run's raw JSON line,
 rewritten after each pair so a run that raises keeps the pairs before.
 """
@@ -99,6 +104,12 @@ def identical_decisions(sides: dict[str, list[dict]]) -> int:
     )
 
 
+def paired_deltas(sides: dict[str, list[dict]], name: str) -> list[float]:
+    """Change minus parent on each pair's seed, for metric ``name``."""
+    return [c["metrics"][name]["value"] - p["metrics"][name]["value"]
+            for p, c in zip(sides["parent"], sides["change"])]
+
+
 def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
           claim: str | None, claimed_on: set[str]) -> list[str]:
     """Print the summary of ``runs`` (workload -> side -> one JSON result
@@ -121,6 +132,13 @@ def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
         print(f"  failed share: parent {failed['parent']:.6g}, change {failed['change']:.6g}")
         print(f"  identical decisions: {identical_decisions(sides)}/{pairs} pairs read the same "
               f"{' and '.join(DECISION_METRICS)}")
+        for name in DECISION_METRICS:
+            deltas = paired_deltas(sides, name)
+            med, q1, q3 = quartiles(deltas)
+            parent_med = statistics.median(o["metrics"][name]["value"] for o in sides["parent"])
+            rel = f" ({med / abs(parent_med):+.4%} of the parent's median)" if parent_med else ""
+            print(f"  paired delta {name} (change - parent): median {med:+.6g}{rel}, "
+                  f"q1 {q1:+.6g}, q3 {q3:+.6g}, negative on {sum(d < 0 for d in deltas)}/{pairs} pairs")
         if failed["change"] > failed["parent"]:
             verdicts.append(f"{workload}: failed share grew")
 

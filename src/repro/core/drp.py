@@ -87,7 +87,8 @@ def _pooled_uplift(t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray) -> tuple[flo
     if not n1 or not n0:
         raise ValueError("Both treated and control samples are required")
     # each arm's mean is np.mean's own sum and division, without its
-    # per-call overhead (the pacer computes these every refresh)
+    # per-call overhead (the budget pacer takes the same floats from its
+    # window sums when the outcomes are integer-valued)
     tau_r = float(np.add.reduce(y_r[treated]) / n1 - np.add.reduce(y_r[control]) / n0)
     tau_c = float(np.add.reduce(y_c[treated]) / n1 - np.add.reduce(y_c[control]) / n0)
     return tau_r, tau_c

@@ -26,7 +26,7 @@ from typing import Callable
 from repro.core.drp import _pooled_uplift
 from repro.utils.validation import check_1d, check_binary, check_consistent_length
 
-__all__ = ["bisect_monotone", "binary_search_roi_star", "RoiStarEstimator"]
+__all__ = ["bisect_monotone", "binary_search_roi_star", "roi_star_from_uplift", "RoiStarEstimator"]
 
 
 def bisect_monotone(
@@ -37,12 +37,11 @@ def bisect_monotone(
 ) -> float:
     """Bisect a monotone-increasing ``fn`` to its zero crossing on ``[lo, hi]``.
 
-    The generic threshold search underlying Algorithm 2 — and reused by
-    :mod:`repro.serving.pacing` to locate admission thresholds on
-    streaming traffic.  Stops when either the bracket width or ``|fn|``
-    at the midpoint falls below ``eps`` and returns the midpoint.  When
-    the zero lies outside ``[lo, hi]`` the search converges to the
-    nearer endpoint, which is the correct clamped threshold.
+    The generic threshold search underlying Algorithm 2.  Stops when
+    either the bracket width or ``|fn|`` at the midpoint falls below
+    ``eps`` and returns the midpoint.  When the zero lies outside
+    ``[lo, hi]`` the search converges to the nearer endpoint, which is
+    the correct clamped threshold.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -88,9 +87,22 @@ def binary_search_roi_star(
     float
         The convergence-point ROI of the pooled sample.
     """
-    # L' is linear in roi: the two pooled means are computed once and
-    # every step evaluates drp_pooled_derivative's own expression on them
     tau_r, tau_c = _pooled_uplift(t, y_r, y_c)
+    return roi_star_from_uplift(tau_r, tau_c, eps=eps, clip=clip)
+
+
+def roi_star_from_uplift(
+    tau_r: float, tau_c: float, *, eps: float = 1e-3, clip: float = 1e-3
+) -> float:
+    """Algorithm 2's bisection on a sample's pooled uplifts ``(τ̂_r, τ̂_c)``.
+
+    :func:`binary_search_roi_star` is this on the difference-in-means
+    uplifts of its sample; a caller that already holds the two floats
+    (the budget pacer, from its window sums) skips recomputing them.
+    ``eps`` and ``clip`` are as in :func:`binary_search_roi_star`.
+    """
+    # L' is linear in roi: every step evaluates drp_pooled_derivative's
+    # own expression on the two floats
     roi_star = bisect_monotone(lambda roi: -tau_r + tau_c * float(roi), 0.0, 1.0, eps=eps)
     return min(max(roi_star, clip), 1.0 - clip)
 

@@ -26,8 +26,8 @@ has to survive until midnight.  This package is that online half:
   and snapshot-merge fleet accounting (see
   :mod:`repro.serving.sharding` and ``docs/SERVING.md``);
 * :class:`BudgetPacer` — streaming C-BTAP admission via an adaptive
-  score threshold fit on a sliding traffic window with the Algorithm-2
-  bisection primitive, tracking a target pacing curve and optionally
+  score threshold solved exactly on a sliding traffic window (a sort
+  and a cumulative sum), tracking a target pacing curve and optionally
   floored at the live ``roi*`` break-even;
 * :class:`MultiDayPacer` — chains pacer days with under/over-spend
   carryover, so a campaign converges on its cumulative plan instead

@@ -10,14 +10,16 @@ of C-BTAP with an *adaptive admission threshold*:
    live sample of the day's traffic distribution;
 2. the pacer periodically derives the per-event spend rate that keeps
    cumulative spend on a target pacing curve (uniform by default), and
-3. locates, with the same bisection primitive as Algorithm 2
-   (:func:`repro.core.roi_star.bisect_monotone`), the score threshold
-   whose expected admitted cost over the window matches that rate.
+3. ranks the window by score, as Algorithm 1 ranks the day, and takes
+   as threshold the lowest window score whose at-or-above entries cost
+   at most that rate per window entry: one sort and one cumulative sum
+   solve it exactly.
 
 When realised outcomes are fed back via :meth:`observe_outcome`, the
-pacer additionally computes the break-even ``roi*`` of recent traffic
-with :func:`repro.core.roi_star.binary_search_roi_star` and uses it as
-a profitability floor under the pacing threshold — the paper's "treat
+pacer additionally computes the break-even ``roi*`` of recent traffic,
+Algorithm 2's bisection (:func:`repro.core.roi_star.roi_star_from_uplift`)
+on uplifts taken from one pass of window sums, and uses it as a
+profitability floor under the pacing threshold — the paper's "treat
 only when ROI clears roi*" rule, applied to the live stream.
 
 Two invariants hold by construction: cumulative spend never exceeds
@@ -39,8 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.drp import _pooled_uplift
-from repro.core.roi_star import binary_search_roi_star, bisect_monotone
+from repro.core.roi_star import roi_star_from_uplift
+# re-exported: perfbench's tracer wraps ``binary_search_roi_star`` under this module's name
+from repro.core.roi_star import binary_search_roi_star as binary_search_roi_star
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 
 __all__ = ["BudgetPacer", "DayPlan", "EmpiricalCurve", "MultiDayPacer"]
@@ -99,6 +102,38 @@ def _uniform_curve(progress: float) -> float:
     return progress
 
 
+def _pace_threshold(scores: np.ndarray, costs: np.ndarray, limit: float) -> float:
+    """The lowest window score whose at-or-above entries cost at most
+    ``limit`` in total.
+
+    One ascending sort ranks the scores, one cumulative sum adds their
+    costs from the top score down, and one search counts the top
+    entries that fit.  A tie group the limit splits does not fit, so
+    the threshold steps past it.  If even the top group does not fit
+    the threshold is ``max + 1e-9``; if everything fits it is the
+    lowest score.  NaN scores sort last and are ranked nowhere: they
+    never count as admitted, and a window without a ranked score gives
+    ``-inf``.
+    """
+    order = np.argsort(scores)
+    ranked = scores[order]
+    k = ranked.shape[0]  # the ranked entries: all but the NaNs sorted last
+    if np.isnan(ranked[-1]):
+        k = int(np.searchsorted(ranked, np.nan))
+        if k == 0:
+            return -math.inf
+    fits = int(np.searchsorted(np.cumsum(costs[order[k - 1 :: -1]]), limit, side="right"))
+    if fits == k:
+        return float(ranked[0])
+    if fits == 0:
+        return float(ranked[k - 1]) + 1e-9
+    low = k - fits  # the lowest entry that fits
+    if ranked[low - 1] < ranked[low]:
+        return float(ranked[low])
+    above = int(np.searchsorted(ranked, ranked[low], side="right"))
+    return float(ranked[above]) if above < k else float(ranked[k - 1]) + 1e-9
+
+
 class _Window:
     """The last ``size`` entries of a stream, one float array per field.
 
@@ -145,9 +180,10 @@ class _Window:
         self._stop += m
         self._start = max(self._start, self._stop - self.size)
 
-    def columns(self) -> list[np.ndarray]:
-        """The live window, one contiguous view per field."""
-        return [col[self._start : self._stop] for col in self._cols]
+    def view(self) -> np.ndarray:
+        """The live window as one ``(fields, len)`` view: each field's
+        row is contiguous."""
+        return self._buf[:, self._start : self._stop]
 
 
 class BudgetPacer:
@@ -373,18 +409,32 @@ class BudgetPacer:
 
         Outcomes power the ``roi*`` profitability floor; without them
         the pacer paces spend but cannot tell whether spending is
-        worthwhile at all.
+        worthwhile at all.  ``t`` must be 0 or 1 (a bool block is
+        taken as is), and ``y_r`` and ``y_c`` must be finite; a block
+        is checked as one sum, so one whose outcomes add up past the
+        float range is refused as well.  Otherwise ``ValueError`` is
+        raised and nothing is stored.
         """
         if np.ndim(t) == 0:
-            self._outcomes.append(int(t), float(y_r), float(y_c))
+            y_r, y_c = float(y_r), float(y_c)
+            if not (t == 0 or t == 1):
+                raise ValueError(f"t must be 0 or 1, got {t!r}")
+            if not (math.isfinite(y_r) and math.isfinite(y_c)):
+                raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
+            self._outcomes.append(float(t), y_r, y_c)
             return
-        t = np.asarray(t, dtype=np.int64)
+        t = np.asarray(t)
         y_r = np.asarray(y_r, dtype=float)
         y_c = np.asarray(y_c, dtype=float)
         if t.ndim != 1 or not t.shape == y_r.shape == y_c.shape:
             raise ValueError(
                 f"t, y_r and y_c must be equal-length 1-d, got {t.shape}, {y_r.shape}, {y_c.shape}"
             )
+        if t.dtype != bool and not ((t == 0) | (t == 1)).all():
+            raise ValueError("t must be 0 or 1 in every entry")
+        # one reduction: a NaN or an infinity anywhere makes the sum non-finite
+        if not math.isfinite(np.add.reduce(y_r + y_c)):
+            raise ValueError("y_r and y_c must be finite in every entry")
         self._outcomes.extend(t, y_r, y_c)
 
     def rebudget(self, budget: float) -> None:
@@ -422,7 +472,6 @@ class BudgetPacer:
     def _refresh(self) -> None:
         self._last_refresh = self.n_seen
         self._c_refreshes.inc()
-        scores, costs = self._traffic.columns()
 
         progress = min(1.0, self.n_seen / self.horizon)
         ahead = min(1.0, (self.n_seen + self.lookahead) / self.horizon)
@@ -439,34 +488,32 @@ class BudgetPacer:
             self.threshold_ = np.inf
             self._c_lockouts.inc()
         else:
-            lo = float(np.min(scores)) - 1e-9
-            hi = float(np.max(scores)) + 1e-9
-
-            n = scores.shape[0]
-
-            def pace_gap(thr: float) -> float:
-                # relative gap (dimensionless so the bisection tolerance is
-                # cost-scale independent); > 0 when admitting above ``thr``
-                # spends slower than needed.  The mean is np.mean's own
-                # sum and division, without its per-call overhead
-                admitted = float(np.add.reduce(np.where(scores >= thr, costs, 0.0))) / n
-                return 1.0 - admitted / rate
-
-            if pace_gap(lo) >= 0.0:
-                self.threshold_ = lo  # even admitting everyone is too slow
-            else:
-                self.threshold_ = bisect_monotone(pace_gap, lo, hi, eps=1e-3)
+            # admitting the window's entries at or above the threshold
+            # spends at most ``rate`` per entry; NaN scores count in the
+            # window's length but are never admitted
+            scores, costs = self._traffic.view()
+            self.threshold_ = _pace_threshold(scores, costs, rate * scores.shape[0])
 
         if self.use_roi_floor and len(self._outcomes):
-            t, y_r, y_c = self._outcomes.columns()
-            n1, n0 = int(np.count_nonzero(t == 1)), int(np.count_nonzero(t == 0))
+            outcomes = self._outcomes.view()
+            t, ys = outcomes[0], outcomes[1:]  # t is 0/1: observe_outcome checks it
+            n1 = int(np.count_nonzero(t))
+            n0 = t.shape[0] - n1
             if n1 >= self.min_arm_outcomes and n0 >= self.min_arm_outcomes:
+                # each arm's sum of (y_r, y_c) in one pass: the treated sums
+                # as a dot with t, the control sums as column totals minus
+                # them.  On integer-valued outcomes every sum is exact, so
+                # the uplifts are _pooled_uplift's floats bit for bit; on
+                # real-valued ones the last bits may differ
+                r1, c1 = (ys @ t).tolist()
+                r, c = np.add.reduce(ys, axis=1).tolist()
+                tau_r = r1 / n1 - (r - r1) / n0
+                tau_c = c1 / n1 - (c - c1) / n0
                 # Assumption 4 guard: the bisection needs tau_c > 0 in the
                 # window, else the derivative never crosses zero and the
                 # floor degenerates to the search endpoint
-                _, tau_c = _pooled_uplift(t, y_r, y_c)
                 if tau_c > 0.0:
-                    self.roi_floor_ = binary_search_roi_star(t, y_r, y_c)
+                    self.roi_floor_ = roi_star_from_uplift(tau_r, tau_c)
                     self.threshold_ = max(self.threshold_, self.roi_floor_)
         self.history.append((self.n_seen, self.spent, self.threshold_))
         self.offered_trace.append((self.n_seen, self.offered_cost))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ab.platform import Platform
-from repro.core.roi_star import bisect_monotone
+from repro.core.roi_star import binary_search_roi_star, bisect_monotone
 from repro.data import criteo_uplift_v2
 from repro.runtime import ManualClock, ThreadBackend
 from repro.serving import pacing
@@ -368,57 +368,78 @@ class TestOfferBatchProperty:
 
 
 # ---------------------------------------------------------------------------
-# the refresh against a re-fit written with np.mean
+# the refresh against a brute-force threshold and an np.mean floor
 # ---------------------------------------------------------------------------
-def refit_by_mean(pacer, scores, costs, t, y_r, y_c, spent):
-    """The threshold re-fit on one window, every mean an ``np.mean`` or
-    ``ndarray.mean``.  Returns ``(threshold, roi floor or None, branch,
-    pace gap or None)``."""
+def brute_threshold(scores, costs, limit):
+    """The pacing threshold found by trying every distinct ranked score,
+    lowest first: the first whose at-or-above entries cost at most
+    ``limit`` in total (an exactly rounded ``math.fsum``).  NaN is
+    ranked nowhere and never admitted.  Returns ``(threshold, branch)``;
+    ``"tie_split"`` marks a step past a tie group whose first entry
+    fits in any order, so the limit splits it."""
+    ranked = np.unique(scores[~np.isnan(scores)]).tolist()
+    if not ranked:
+        return -math.inf, "unranked"
+    for i, s in enumerate(ranked):
+        above = math.fsum(costs[scores >= s].tolist())
+        if above <= limit:
+            if i == 0:
+                return s, "all_fit"
+            below = costs[scores == ranked[i - 1]]
+            split = below.shape[0] > 1 and above + float(below.max()) <= limit
+            return s, "tie_split" if split else "step"
+    return ranked[-1] + 1e-9, "none_fit"
+
+
+def pace_rate(pacer, spent):
+    """The spend rate per arrival a refresh at ``pacer.n_seen`` paces to."""
     progress = min(1.0, pacer.n_seen / pacer.horizon)
     ahead = min(1.0, (pacer.n_seen + pacer.lookahead) / pacer.horizon)
     events_ahead = max(1, int(round((ahead - progress) * pacer.horizon)))
-    rate = (pacer.budget * float(pacer.target_curve(ahead)) - spent) / events_ahead
-    pace_gap = None
+    return (pacer.budget * float(pacer.target_curve(ahead)) - spent) / events_ahead
+
+
+def mean_floor(pacer, t, y_r, y_c):
+    """Algorithm 2's ``roi*`` on an outcome window, every mean an
+    ``ndarray.mean``; None where the pacer keeps its previous floor."""
+    if not len(t) or min(np.sum(t == 1), np.sum(t == 0)) < pacer.min_arm_outcomes:
+        return None
+    tau_c = float(y_c[t == 1].mean() - y_c[t == 0].mean())
+    if not tau_c > 0.0:
+        return None
+    tau_r = float(y_r[t == 1].mean() - y_r[t == 0].mean())
+    root = bisect_monotone(lambda roi: -tau_r + tau_c * float(roi), 0.0, 1.0, eps=1e-3)
+    return float(np.clip(root, 1e-3, 1.0 - 1e-3))
+
+
+def refit(pacer, scores, costs, t, y_r, y_c, spent):
+    """One refresh re-done on its windows: the threshold by
+    :func:`brute_threshold`, the floor by :func:`mean_floor`.  Returns
+    ``(threshold, roi floor or None, branch)``."""
+    rate = pace_rate(pacer, spent)
     if rate <= 0.0:
         threshold, branch = np.inf, "lockout"
     else:
-        lo, hi = float(np.min(scores)) - 1e-9, float(np.max(scores)) + 1e-9
-
-        def pace_gap(thr):
-            return 1.0 - float(np.mean(np.where(scores >= thr, costs, 0.0))) / rate
-
-        if pace_gap(lo) >= 0.0:
-            threshold, branch = lo, "admit_all"
-        else:
-            threshold, branch = bisect_monotone(pace_gap, lo, hi, eps=1e-3), "bisect"
-    floor = None
-    if len(t) and min(np.sum(t == 1), np.sum(t == 0)) >= pacer.min_arm_outcomes:
-        tau_c = float(y_c[t == 1].mean() - y_c[t == 0].mean())
-        if tau_c > 0.0:
-            tau_r = float(y_r[t == 1].mean() - y_r[t == 0].mean())
-            root = bisect_monotone(lambda roi: -tau_r + tau_c * float(roi), 0.0, 1.0, eps=1e-3)
-            floor = float(np.clip(root, 1e-3, 1.0 - 1e-3))
-            threshold = max(threshold, floor)
-    return threshold, floor, branch, pace_gap
+        threshold, branch = brute_threshold(scores, costs, rate * len(scores))
+    floor = mean_floor(pacer, t, y_r, y_c)
+    if floor is not None:
+        threshold = max(threshold, floor)
+    return threshold, floor, branch
 
 
 class TestRefreshMatchesMeanArithmetic:
-    def test_every_refresh_on_three_budgets(self, monkeypatch):
-        """The pacer takes its means as sums over counts; each refresh's
-        pace gap, threshold and roi* floor must be the floats the
-        np.mean re-fit gives on the same window, in every branch."""
-        gaps = []
-
-        def recording_bisect(f, lo, hi, eps=1e-3):
-            gaps.append(f)
-            return bisect_monotone(f, lo, hi, eps=eps)
-
-        monkeypatch.setattr(pacing, "bisect_monotone", recording_bisect)
+    def test_every_refresh_on_three_budgets(self):
+        """Each refresh's threshold must be the brute-force solve on the
+        same window and its ``roi*`` floor the float the ``np.mean``
+        re-fit gives, in every branch: lockout, everything fits, a step,
+        a step past a split tie group, nothing fits, and the floor."""
         branches = Counter()
-        for seed, share in [(0, 0.05), (1, 0.3), (2, 2.0)]:
+        for seed, share, decimals in [(0, 0.05, None), (1, 0.3, 2), (2, 2.0, None)]:
             n = 1500
             gen = np.random.default_rng(seed)
             scores, costs = gen.random(n), gen.random(n) * 0.5 + 0.05
+            if decimals is not None:
+                scores = scores.round(decimals)  # ~100 tie groups per window
             pacer = BudgetPacer(
                 share * float(costs.sum()), n, window=200, refresh_every=7, lookahead=5, warmup=60, min_arm_outcomes=5
             )
@@ -426,23 +447,199 @@ class TestRefreshMatchesMeanArithmetic:
             for j in range(n):
                 spent, floor_before, refreshes = pacer.spent, pacer.roi_floor_, len(pacer.history)
                 traffic.append((scores[j], costs[j]))
-                gaps.clear()
                 admit = pacer.offer(scores[j], costs[j])
                 if len(pacer.history) > refreshes:
                     s, c = np.array(traffic[-pacer.window :]).T
                     t, y_r, y_c = np.array(outcomes[-pacer.window :]).reshape(-1, 3).T
-                    threshold, floor, branch, pace_gap = refit_by_mean(pacer, s, c, t, y_r, y_c, spent)
-                    if pace_gap is not None and gaps:
-                        probes = np.linspace(np.min(s) - 1e-9, np.max(s) + 1e-9, 17)
-                        assert [repr(gaps[0](x)) for x in probes] == [repr(pace_gap(x)) for x in probes], j
-                    assert len(gaps) == (branch == "bisect"), j
+                    threshold, floor, branch = refit(pacer, s, c, t, y_r, y_c, spent)
                     branches[branch] += 1
                     branches["floor"] += floor is not None
                     assert repr(pacer.history[-1][2]) == repr(threshold), j
                     assert repr(pacer.roi_floor_) == repr(floor_before if floor is None else floor), j
                 outcomes.append((int(admit), float(admit and gen.random() < 0.3), float(admit and gen.random() < 0.6)))
                 pacer.observe_outcome(*outcomes[-1])
-        assert all(branches[b] for b in ("lockout", "admit_all", "bisect", "floor")), branches
+        assert all(branches[b] for b in ("lockout", "all_fit", "step", "tie_split", "none_fit", "floor")), branches
+
+    def test_a_nan_score_leaves_every_refresh_finite(self):
+        """Regression: ``np.min`` carried one NaN score into the lower
+        bracket, the pace gap there read 1.0, and every refresh whose
+        window held the NaN stored a NaN threshold.  ``score < NaN``
+        never holds, so those refreshes gated nothing: 518 admits over
+        arrivals 512-1500 (both included) instead of 313.  The NaN is
+        ranked nowhere but counts in the window's length."""
+        n = 3000
+        gen = np.random.default_rng(7)
+        scores, costs = gen.random(n), gen.random(n) * 0.5 + 0.05
+        scores[500] = np.nan
+        pacer = BudgetPacer(0.3 * float(costs.sum()), n)
+        refits = []
+        for j in range(n):
+            spent, refreshes = pacer.spent, len(pacer.history)
+            pacer.offer(scores[j], costs[j])
+            if len(pacer.history) > refreshes:
+                lo = max(0, j + 1 - pacer.window)
+                s, c = scores[lo : j + 1], costs[lo : j + 1]
+                expect, _ = brute_threshold(s, c, pace_rate(pacer, spent) * s.shape[0])
+                refits.append((j, pacer.threshold_, expect, bool(np.isnan(s).any())))
+        assert sum(with_nan for *_, with_nan in refits) == 16
+        assert all(math.isfinite(got) for _, got, _, _ in refits)
+        for j, got, expect, _ in refits:
+            assert repr(got) == repr(expect), j
+
+
+SCORE_POOL = [-math.inf, -1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0, math.inf, math.nan]
+# dyadic costs: every sum of them is exact in any order, so the solve's
+# cumulative sum and the reference's fsum meet the limit identically
+COST_POOL = [0.125, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0]
+
+
+@st.composite
+def windows(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    scores = np.array(draw(st.lists(st.sampled_from(SCORE_POOL), min_size=n, max_size=n)))
+    costs = np.array(draw(st.lists(st.sampled_from(COST_POOL), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # a limit that is some score's at-or-above cost exactly: "at most" holds with equality
+        s = draw(st.sampled_from(scores.tolist()))
+        limit = math.fsum(costs[scores >= s].tolist())
+    else:
+        rate = draw(st.one_of(st.sampled_from([1e-300, 1e-12, 1e12, 1e300]), st.floats(min_value=1e-3, max_value=10.0)))
+        limit = rate * n
+    return scores, costs, limit
+
+
+class TestPaceThresholdProperty:
+    @given(windows())
+    @settings(max_examples=300, deadline=None)
+    def test_the_solve_is_the_brute_force_threshold(self, window):
+        scores, costs, limit = window
+        expect, _ = brute_threshold(scores, costs, limit)
+        assert repr(pacing._pace_threshold(scores, costs, limit)) == repr(expect)
+
+    @pytest.mark.parametrize(
+        "scores, costs, limit, expect",
+        [
+            ([0.2, 0.5, 0.5, 0.9], [1.0, 1.0, 1.0, 1.0], 2.0, 0.9),  # the 0.5 tie is split: step past it
+            ([0.2, 0.5, 0.5, 0.9], [1.0, 1.0, 1.0, 1.0], 3.0, 0.5),  # exactly at the limit fits
+            ([0.2, 0.5, 0.5, 0.9], [1.0, 1.0, 1.0, 1.0], 0.5, 0.9 + 1e-9),  # nothing fits
+            ([0.9, 0.9, 0.2], [1.0, 1.0, 1.0], 1.0, 0.9 + 1e-9),  # the top tie group is split
+            ([0.2, math.nan, 0.9], [1.0, 5.0, 1.0], 2.0, 0.2),  # the NaN's cost is never admitted
+            ([math.nan, math.nan], [1.0, 1.0], 10.0, -math.inf),  # nothing ranked
+        ],
+    )
+    def test_named_windows(self, scores, costs, limit, expect):
+        got = pacing._pace_threshold(np.array(scores), np.array(costs), limit)
+        assert repr(got) == repr(expect)
+
+
+@st.composite
+def outcome_blocks(draw):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    blocks = []
+    for m in draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8)):
+        t = gen.random(m) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+        if draw(st.booleans()):
+            t = t.astype(np.int64)
+        top = draw(st.sampled_from([1, 5, 2**40]))  # 0/1, small counts, large integers
+        y_r = gen.integers(-top if top > 1 else 0, top + 1, m).astype(float)
+        y_c = gen.integers(0, top + 1, m).astype(float)
+        blocks.append((t, y_r, y_c))
+    window = draw(st.integers(min_value=2, max_value=64))
+    min_arm = draw(st.integers(min_value=1, max_value=8))
+    return blocks, window, min_arm
+
+
+class TestFloorMatchesBinarySearch:
+    @given(outcome_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_the_floor_is_binary_search_roi_star_on_the_window(self, case):
+        """On integer-valued outcomes the window sums are exact, so the
+        floor is ``binary_search_roi_star`` on the window by repr."""
+        blocks, window, min_arm = case
+        pacer = BudgetPacer(1.0, 100, window=window, min_arm_outcomes=min_arm)
+        pacer.offer(0.5, 0.01)  # a traffic window for the threshold half, still in warmup
+        seen = [np.empty(0)] * 3
+        floor = pacer.roi_floor_
+        for block in blocks:
+            pacer.observe_outcome(*block)
+            seen = [np.concatenate((a, np.asarray(b, dtype=float)))[-window:] for a, b in zip(seen, block)]
+            pacer._refresh()
+            t, y_r, y_c = seen
+            if min(np.sum(t == 1), np.sum(t == 0)) >= min_arm and y_c[t == 1].mean() - y_c[t == 0].mean() > 0:
+                floor = binary_search_roi_star(t, y_r, y_c)
+            assert repr(pacer.roi_floor_) == repr(floor)
+
+
+# ---------------------------------------------------------------------------
+# outcome validation
+# ---------------------------------------------------------------------------
+def fed_pacer():
+    """A pacer fed 1,500 of 3,000 arrivals with 0/1 outcomes: its floor is live."""
+    gen = np.random.default_rng(3)
+    scores, costs = traffic(3000, seed=3)
+    pacer = BudgetPacer(0.3 * float(costs.sum()), 3000)
+    for j in range(1500):
+        admit = pacer.offer(scores[j], costs[j])
+        pacer.observe_outcome(int(admit), float(admit and gen.random() < 0.3), float(admit and gen.random() < 0.6))
+    return pacer, scores, costs
+
+
+class TestOutcomeValidation:
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            (1, math.nan, 1.0),
+            (1, 1.0, math.inf),
+            (0, -math.inf, 0.0),
+            (0.7, 1.0, 1.0),
+            (2, 0.0, 0.0),
+            (-1, 0.0, 0.0),
+            (math.nan, 0.0, 0.0),
+            (np.array([1, 0, 1]), np.array([1.0, math.nan, 0.0]), np.zeros(3)),
+            (np.array([True, False]), np.zeros(2), np.array([0.0, -math.inf])),
+            (np.array([1.0, 0.7]), np.zeros(2), np.zeros(2)),
+            (np.array([0, 2]), np.zeros(2), np.zeros(2)),
+            (np.array([1.0, math.nan]), np.zeros(2), np.zeros(2)),
+        ],
+    )
+    def test_a_bad_outcome_is_refused_and_leaves_window_and_floor_alone(self, outcome):
+        """Regression: one ``observe_outcome(1, nan, 1.0)`` passed the
+        floor's ``tau_c > 0`` guard, the bisection on a NaN ``tau_r``
+        ran to the upper clip, and the floor read 0.999 while the NaN
+        stayed in the window; ``t = 0.7`` was stored as control."""
+        pacer, scores, costs = fed_pacer()
+        twin, _, _ = fed_pacer()
+        stored, floor = len(pacer._outcomes), pacer.roi_floor_
+        assert 0.001 < floor < 0.999
+        with pytest.raises(ValueError, match="must be"):
+            pacer.observe_outcome(*outcome)
+        assert (len(pacer._outcomes), pacer.roi_floor_) == (stored, floor)
+        # the window is the twin's: every later floor and decision repeats
+        gen = np.random.default_rng(4)
+        for j in range(1500, 2600):
+            admit = pacer.offer(scores[j], costs[j])
+            assert twin.offer(scores[j], costs[j]) == admit
+            fed = (int(admit), float(admit and gen.random() < 0.3), float(admit and gen.random() < 0.6))
+            pacer.observe_outcome(*fed)
+            twin.observe_outcome(*fed)
+        assert_same_state(pacer, twin)
+
+    @pytest.mark.parametrize(
+        "t",
+        [np.array([True, False, True]), np.array([1, 0, 1]), np.array([1.0, 0.0, 1.0]), [1, 0, 1]],
+        ids=["bool", "int", "float", "list"],
+    )
+    def test_binary_t_of_any_dtype_is_stored_as_0_and_1(self, t):
+        pacer = BudgetPacer(10.0, 100)
+        pacer.observe_outcome(t, np.array([2.0, 0.0, 1.0]), np.ones(3))
+        pacer.observe_outcome(True, 1.0, 0.0)
+        pacer.observe_outcome(np.int64(0), 0, 0)
+        assert pacer._outcomes.view().tolist() == [
+            [1.0, 0.0, 1.0, 1.0, 0.0],
+            [2.0, 0.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0, 0.0],
+        ]
 
 
 # ---------------------------------------------------------------------------

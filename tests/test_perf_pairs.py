@@ -158,3 +158,16 @@ def test_a_claim_that_would_go_unjudged_is_refused_before_any_run(tmp_path, monk
         perf_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
                          "--workloads", "w", *claim_args])
     assert exit_info.value.code == 2
+
+
+def test_paired_decision_deltas_are_printed_not_judged(capsys):
+    r = runs(PARENT, PARENT)
+    for k, out in enumerate(r["w"]["change"]):
+        out["metrics"]["incremental_revenue"]["value"] += k - 3.0
+    assert perf_pairs.paired_deltas(r["w"], "incremental_revenue") == [k - 3.0 for k in range(10)]
+    assert perf_pairs.judge(r, METRICS, None, set()) == []
+    printed = capsys.readouterr().out
+    assert ("paired delta incremental_revenue (change - parent): median +1.5 (+0.3000% of the parent's "
+            "median), q1 -1.25, q3 +4.25, negative on 3/10 pairs") in printed
+    assert ("paired delta revenue_ratio (change - parent): median +0 (+0.0000% of the parent's median), "
+            "q1 +0, q3 +0, negative on 0/10 pairs") in printed
