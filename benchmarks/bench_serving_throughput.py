@@ -266,8 +266,8 @@ def test_metrics_overhead(benchmark, smoke) -> None:
 def test_sharded_fleet_throughput(benchmark, smoke) -> None:
     """1-shard vs 4-shard fleet on a ProcessBackend: the scale-out lever.
 
-    Both fleets pay the same transport tax (shared-memory dispatch on
-    a process pool's affinity lanes), so the ratio isolates what
+    Both fleets pay the same transport tax (rows and results pickled
+    over a process pool's affinity lanes), so the ratio isolates what
     sharding buys: four DRP forward passes running on four cores.  The
     >= 2.5x bar is asserted only where it is physically possible
     (>= 4 CPUs); everywhere else the speedup is still *recorded* as

@@ -29,8 +29,8 @@ judges:
 Anything but "all rules hold" exits 1.  Each workload also reports on
 how many pairs both sides read exactly the same ``incremental_revenue``
 and ``revenue_ratio``: same seed, same decisions.  That count informs
-and judges nothing, since a sharded workload does not repeat by design.
-Likewise informative only, it prints the paired deltas of those two
+and judges nothing: a change may move decisions on purpose.  Likewise
+informative only, it prints the paired deltas of those two
 metrics, change minus parent on the same seed: their median and
 quartiles (also relative to the parent's median) and the number of
 negative pairs.  A change that moves decisions is read on these, not

@@ -15,11 +15,11 @@ scaling feature kept reinventing privately:
   deadlines that make latency guarantees (flush at ``max_latency_ms``)
   testable under simulated time.
 
-A third concern joined in the zero-copy pass: **how bytes move** —
-:class:`SharedTensorPool` / :class:`SharedTensor` /
-:class:`SharedScoreCache` (``repro.runtime.shm``), named ref-counted
-shared-memory numpy segments with an explicit create/attach/release
-lifecycle, the transport under the process-backed serving fleet.
+:class:`SharedTensorPool` / :class:`SharedTensor`
+(``repro.runtime.shm``) are named ref-counted shared-memory numpy
+segments with an explicit create/attach/release lifecycle.  How bytes
+cross a process boundary is not decided here: the serving fleet passes
+plain arrays over its lanes, and no serving path uses the pool.
 
 Everything here depends only on ``repro.obs`` (itself stdlib-only),
 so any layer may build on it.
@@ -33,7 +33,7 @@ from repro.runtime.backend import (
     resolve_n_workers,
 )
 from repro.runtime.clock import Clock, DeadlineLoop, ManualClock, SystemClock
-from repro.runtime.shm import SharedScoreCache, SharedTensor, SharedTensorPool, live_segment_count
+from repro.runtime.shm import SharedTensor, SharedTensorPool, live_segment_count
 
 __all__ = [
     "Clock",
@@ -42,7 +42,6 @@ __all__ = [
     "ManualClock",
     "ProcessBackend",
     "SerialBackend",
-    "SharedScoreCache",
     "SharedTensor",
     "SharedTensorPool",
     "SystemClock",

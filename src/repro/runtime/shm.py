@@ -1,10 +1,4 @@
-"""Shared-memory tensors: the zero-copy transport under the serving fleet.
-
-A :class:`~repro.serving.sharding.ShardedScoringEngine` on a
-:class:`~repro.runtime.ProcessBackend` used to pickle every feature
-block onto its shard's lane and pickle every score list back — at
-production batch sizes the fleet's wall clock was serialization, not
-model math.  This module is the transport that removes it:
+"""Shared-memory tensors: named, ref-counted numpy segments.
 
 * :class:`SharedTensorPool` — named, ref-counted numpy segments over
   :mod:`multiprocessing.shared_memory` with an explicit lifecycle:
@@ -14,27 +8,23 @@ model math.  This module is the transport that removes it:
   already enforces: **whoever creates a segment releases it** —
   attachers only ever close their own mapping.  ``shutdown()`` (and a
   registered ``atexit`` hook, counting into ``shm.segments_leaked``)
-  sweep anything still open, so a crashed fleet cannot strand kernel
+  sweep anything still open, so a crashed owner cannot strand kernel
   objects in ``/dev/shm``.
 * :class:`SharedTensor` — one segment viewed as a numpy array.  The
   array *is* the segment: a parent writing rows into it and a worker
   reading them shares physical pages, no copies in between.
-* :class:`SharedScoreCache` — a fixed-capacity open-addressing score
-  table in one segment, keyed by a 64-bit ``blake2b`` tag of
-  ``(version, row bytes)``.  Every shard of a process fleet attaches
-  the same table, so a score cached by any shard is a hit on all of
-  them without a byte of pickling.  Writes are torn-write safe
-  (tag is cleared before the score is written and re-checked after
-  reading); eviction is probe-window replacement, not strict LRU —
-  the cache is a performance object, never a correctness one, because
-  a scored ``(version, row)`` pair always maps to the same float.
+
+No serving path uses the pool: the sharded fleet
+(:mod:`repro.serving.sharding`) passes plain arrays over its lanes and
+keeps one LRU per shard, so it creates no segment, and
+``live_segment_count()`` reads 0 around it.
 
 Observability: every pool owns real counters/gauges (``shm.*``) and a
 :class:`~repro.obs.MetricsRegistry` passed in only *collects* them —
 the same adopt-don't-create contract the rest of the stack uses.
-Tests pin the hygiene half: after a fleet shuts down (cleanly, after a
-mid-flight exception, or with a dead worker) ``live_segment_count()``
-is 0 and the leak counter never moved.
+Tests pin the hygiene half: a pool's ``close()`` (or its context-manager
+exit) leaves ``live_segment_count()`` where it started, and the atexit
+sweep counts whatever an owner never released.
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ import os
 import secrets
 import sys
 import threading
-from hashlib import blake2b
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -52,7 +41,6 @@ import numpy as np
 from repro.obs import NULL_REGISTRY, Counter, Gauge, MetricsRegistry
 
 __all__ = [
-    "SharedScoreCache",
     "SharedTensor",
     "SharedTensorPool",
     "live_segment_count",
@@ -73,7 +61,7 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     Python's ``resource_tracker`` assumes whoever opens a segment owns
     it and unlinks anything still registered when the process exits —
     which would let a short-lived worker destroy the parent's live
-    transport.  Attachers must therefore opt out of tracking: 3.13+
+    segments.  Attachers must therefore opt out of tracking: 3.13+
     has ``track=False``.  Earlier interpreters need a subtler idiom
     than the well-known attach-then-``unregister``: forked workers
     share the *parent's* tracker process, so a worker's unregister
@@ -319,103 +307,3 @@ class SharedTensorPool:
 
     def __repr__(self) -> str:
         return f"SharedTensorPool(live={self.live_segments}, prefix={self._prefix!r})"
-
-
-# ---------------------------------------------------------------------------
-# the fleet-wide score cache
-# ---------------------------------------------------------------------------
-_EMPTY_TAG = np.uint64(0)
-_PROBE_WINDOW = 8
-
-
-class SharedScoreCache:
-    """A fixed-capacity score table every shard of a fleet shares.
-
-    One segment of ``(slots, 2)`` float64: column 0 reinterpreted as a
-    ``uint64`` tag (``blake2b(version || row bytes)``, never 0 — 0
-    means *empty*), column 1 the cached score.  ``get``/``put`` probe a
-    short linear window from ``tag % slots``:
-
-    * lock-free reads: a reader accepts a score only when the tag read
-      *before* and *after* the score load agree — a torn concurrent
-      overwrite is detected and treated as a miss;
-    * writes clear the tag first, store the score, then publish the
-      tag, so no reader can pair a new tag with an old score;
-    * a full probe window evicts a tag-derived slot (probe-window
-      replacement).  Not strict LRU — but a cache entry here is a pure
-      function of its key, so replacement policy affects hit rate
-      only, never results.
-
-    Use :meth:`create` on the fleet parent and :meth:`attach` (with the
-    parent's descriptor) inside each shard process; both sides go
-    through a :class:`SharedTensorPool`, so hygiene accounting covers
-    the cache like any other segment.
-    """
-
-    def __init__(self, tensor: SharedTensor, slots: int) -> None:
-        if slots < _PROBE_WINDOW:
-            raise ValueError(f"slots must be >= {_PROBE_WINDOW}, got {slots}")
-        self.tensor = tensor
-        self.slots = int(slots)
-        table = tensor.array
-        self._tags = table[:, 0].view(np.uint64)
-        self._scores = table[:, 1]
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def create(cls, pool: SharedTensorPool, slots: int) -> "SharedScoreCache":
-        tensor = pool.create((int(slots), 2), dtype=np.float64)
-        return cls(tensor, slots)  # freshly created segments are zeroed
-
-    @classmethod
-    def attach(cls, pool: SharedTensorPool, name: str, slots: int) -> "SharedScoreCache":
-        return cls(pool.attach(name, (int(slots), 2), dtype=np.float64), slots)
-
-    def descriptor(self) -> tuple[str, int]:
-        return (self.tensor.name, self.slots)
-
-    # -- the table ------------------------------------------------------
-    @staticmethod
-    def tag_of(version: int, row_bytes: bytes) -> int:
-        digest = blake2b(row_bytes, digest_size=8, salt=version.to_bytes(8, "little"))
-        tag = int.from_bytes(digest.digest(), "little")
-        return tag or 1  # 0 is the empty marker
-
-    def get(self, version: int, row_bytes: bytes) -> float | None:
-        tag = np.uint64(self.tag_of(version, row_bytes))
-        tags, scores = self._tags, self._scores
-        base = int(tag) % self.slots
-        for probe in range(_PROBE_WINDOW):
-            i = (base + probe) % self.slots
-            seen = tags[i]
-            if seen == _EMPTY_TAG:
-                return None  # slots fill front-to-back; an empty slot ends the chain
-            if seen == tag:
-                score = float(scores[i])
-                if tags[i] == tag:  # no concurrent overwrite mid-read
-                    return score
-                return None
-        return None
-
-    def put(self, version: int, row_bytes: bytes, score: float) -> None:
-        tag = np.uint64(self.tag_of(version, row_bytes))
-        tags, scores = self._tags, self._scores
-        base = int(tag) % self.slots
-        victim = None
-        for probe in range(_PROBE_WINDOW):
-            i = (base + probe) % self.slots
-            seen = tags[i]
-            if seen == tag:
-                return  # same key ⇒ same score; nothing to update
-            if seen == _EMPTY_TAG:
-                victim = i
-                break
-        if victim is None:
-            # window full: evict a tag-derived slot (deterministic, spread)
-            victim = (base + (int(tag) >> 56) % _PROBE_WINDOW) % self.slots
-        tags[victim] = _EMPTY_TAG  # unpublish before the score store
-        scores[victim] = score
-        tags[victim] = tag
-
-    def __repr__(self) -> str:
-        return f"SharedScoreCache(slots={self.slots}, segment={self.tensor.name!r})"

@@ -205,7 +205,6 @@ class EngineCore:
         clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
         metrics: MetricsRegistry | None = None,
-        score_cache: object | None = None,
     ) -> "ScoringEngine":
         """Reconstitute a live engine around this core."""
         return ScoringEngine(
@@ -217,7 +216,6 @@ class EngineCore:
             clock=clock,
             backend=backend,
             metrics=metrics,
-            score_cache=score_cache,
         )
 
 
@@ -268,16 +266,6 @@ class ScoringEngine:
         engine (a second engine adopting into the same registry
         replaces the first's metrics); shard-level registries merge
         via :meth:`~repro.obs.Snapshot.merge`.
-    score_cache:
-        Pluggable score-cache backend: an object with
-        ``get(version, row_bytes) -> float | None`` and
-        ``put(version, row_bytes, score)`` (the
-        :class:`~repro.runtime.SharedScoreCache` contract).  ``None``
-        (default) keeps the engine's private LRU dict.  ``cache_size``
-        still gates whether caching happens at all (``0`` disables the
-        probe either way); capacity/eviction of an external cache are
-        its own — a shared fixed-capacity table is what the sharded
-        fleet plugs in so a hit on any shard is a hit on all.
     """
 
     def __init__(
@@ -290,7 +278,6 @@ class ScoringEngine:
         clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
         metrics: MetricsRegistry | None = None,
-        score_cache: object | None = None,
     ) -> None:
         if isinstance(models, ModelRegistry):
             self.registry = models
@@ -315,7 +302,6 @@ class ScoringEngine:
             DeadlineLoop(clock) if (clock is not None and max_latency_ms is not None) else None
         )
         self._cache: OrderedDict[tuple[int, bytes], float] = OrderedDict()
-        self._score_cache = score_cache
         # pending rows grouped by model version, stored columnar:
         # version -> _PendingBlock (rows + rids, one contiguous slab)
         self._pending: dict[int, _PendingBlock] = {}
@@ -533,7 +519,7 @@ class ScoringEngine:
         version = registry.route(None) if route is None else None
         cache_on = self.cache_size > 0
         row_keys = _row_keys(x) if cache_on else None
-        lru, shared = self._cache, self._score_cache
+        lru = self._cache
         rid0 = self._next_id  # row i gets id rid0 + i
         vids: list[int] = []  # per row: the version serving it
         lo = 0
@@ -550,14 +536,10 @@ class ScoringEngine:
                 vid = version.version
                 vids.append(vid)
                 if cache_on:
-                    if shared is not None:
-                        hit = shared.get(vid, row_keys[i])
-                    else:
-                        cache_key = (vid, row_keys[i])
-                        hit = lru.get(cache_key)
-                        if hit is not None:
-                            lru.move_to_end(cache_key)
+                    cache_key = (vid, row_keys[i])
+                    hit = lru.get(cache_key)
                     if hit is not None:
+                        lru.move_to_end(cache_key)
                         hit_rows.append(i)
                         hit_scores.append(hit)
                         continue
@@ -948,9 +930,7 @@ class ScoringEngine:
     # cache
     # ------------------------------------------------------------------
     def _cache_probe(self, version_id: int, row_bytes: bytes) -> float | None:
-        """One cache lookup through whichever backend is plugged in."""
-        if self._score_cache is not None:
-            return self._score_cache.get(version_id, row_bytes)
+        """One LRU lookup; a hit becomes the most recently used entry."""
         cache_key = (version_id, row_bytes)
         hit = self._cache.get(cache_key)
         if hit is not None:
@@ -960,16 +940,11 @@ class ScoringEngine:
     def _remember_block(self, version_id: int, rows: np.ndarray, scores: list[float]) -> None:
         """Cache one scored batch, row by row in order.
 
-        The private LRU is trimmed once, after the batch's inserts, not
-        after each: the batch's keys are the newest, so either way the
+        The LRU is trimmed once, after the batch's inserts, not after
+        each: the batch's keys are the newest, so either way the
         survivors are the ``cache_size`` most recently touched keys, in
         the same order and with the last score written for each.
         """
-        if self._score_cache is not None:
-            put = self._score_cache.put
-            for row_key, score in zip(_row_keys(rows), scores):
-                put(version_id, row_key, score)
-            return
         cache = self._cache
         for cache_key, score in zip(zip(repeat(version_id), _row_keys(rows)), scores):
             cache[cache_key] = score

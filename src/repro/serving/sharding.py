@@ -15,7 +15,13 @@ worker process with its own cache and registry replica; on the
 bit-identical to a plain engine at ``n_shards=1``, which is the
 correctness anchor the tests pin.
 
-Three contracts hold by construction:
+Four contracts hold by construction:
+
+**One transport.**  Rows travel to a shard, and results come back, as
+plain arrays and lists over its lane: pickled on a process backend,
+handed over as they are in-process.  Each shard keeps its own LRU, so a
+fleet scores and counts the same on every backend, and a stochastic
+model's fleet repeats per seed.
 
 **Sticky routing.**  A keyed request always lands on
 ``blake2b(key) % n_shards`` — the shard whose cache has seen that user
@@ -67,9 +73,6 @@ from repro.runtime import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    SharedScoreCache,
-    SharedTensor,
-    SharedTensorPool,
     SystemClock,
 )
 from repro.serving.engine import EngineCore, ScoringEngine, _STAT_NAMES
@@ -95,28 +98,12 @@ _LATENCY_METRIC = "engine.latency_seconds"
 # Each worker process (or thread, or the parent itself on the serial
 # backend) holds its shards here, keyed by (fleet_id, shard_index).
 # FIFO lane ordering guarantees _shard_install runs before any other op
-# on the lane, so the dict is always populated when traffic arrives.
+# on the lane, so both dicts are populated when traffic arrives.
 _SHARD_ENGINES: dict[tuple[int, int], ScoringEngine] = {}
 
-# zero-copy transport state per shard: the attacher side of the
-# parent's segments (see :mod:`repro.runtime.shm`).  Workers only ever
-# *attach* — the lifecycle rule is that the parent, who created every
-# segment, releases them; a worker's pool merely closes its own
-# mappings at _shard_drop (or process exit).
-_SHARD_TRANSPORTS: dict[tuple[int, int], "_WorkerTransport"] = {}
-
-
-class _WorkerTransport:
-    """One shard's attached transport segments + ring write cursor."""
-
-    __slots__ = ("pool", "ring", "ring_slots", "ring_written", "staging")
-
-    def __init__(self, pool: SharedTensorPool, ring: SharedTensor, ring_slots: int) -> None:
-        self.pool = pool
-        self.ring = ring
-        self.ring_slots = ring_slots
-        self.ring_written = 0  # absolute result cursor (parent reads [consumed, written))
-        self.staging: dict[str, SharedTensor] = {}
+# per shard: the engine's request id -> the fleet's, filled with the
+# ids the engine really issued and popped as each result is drained
+_SHARD_RIDS: dict[tuple[int, int], dict[int, int]] = {}
 
 
 def _shard_install(
@@ -125,7 +112,6 @@ def _shard_install(
     core_blob: bytes,
     max_latency_ms: float | None,
     clock: Clock | None,
-    transport_desc: dict | None = None,
 ) -> int:
     """Build shard ``shard`` of fleet ``fleet`` from a pickled core.
 
@@ -135,83 +121,55 @@ def _shard_install(
     live registry and the fleet would stop being a replica system.
     Each shard gets its own real :class:`MetricsRegistry`: the fleet's
     accounting is the merge of these.
-
-    ``transport_desc`` (zero-copy fleets only) names the parent's
-    segments: ``{"ring": (name, slots), "cache": (name, slots)|None}``.
-    The shard attaches its result ring and — when the fleet runs a
-    shared score cache — plugs the one fleet-wide
-    :class:`~repro.runtime.SharedScoreCache` into its engine, so a
-    score cached by any shard is a cache hit on all of them.
     """
     core: EngineCore = pickle.loads(core_blob)
-    score_cache = None
-    if transport_desc is not None:
-        pool = SharedTensorPool(prefix=f"repro-shard{shard}")
-        ring_name, ring_slots = transport_desc["ring"]
-        ring = pool.attach(ring_name, (ring_slots, 3))
-        _SHARD_TRANSPORTS[(fleet, shard)] = _WorkerTransport(pool, ring, ring_slots)
-        if transport_desc.get("cache") is not None:
-            cache_name, cache_slots = transport_desc["cache"]
-            score_cache = SharedScoreCache.attach(pool, cache_name, cache_slots)
     _SHARD_ENGINES[(fleet, shard)] = core.build(
         max_latency_ms=max_latency_ms,
         clock=clock,
         backend=SerialBackend(),
         metrics=MetricsRegistry(),
-        score_cache=score_cache,
     )
+    _SHARD_RIDS[(fleet, shard)] = {}
     return shard
 
 
-def _resolve_rows(fleet: int, shard: int, rows) -> np.ndarray:
-    """Turn a feed payload into rows: either the array itself (in-process
-    lanes, or the pickled fallback) or a staged-segment descriptor to
-    view."""
-    if not isinstance(rows, tuple):
-        return rows
-    _tag, name, cap, d, pos, n = rows
-    transport = _SHARD_TRANSPORTS[(fleet, shard)]
-    seg = transport.staging.get(name)
-    if seg is None:
-        seg = transport.staging[name] = transport.pool.attach(name, (cap, d))
-    return seg.array[pos : pos + n]
+def _shard_results(fleet: int, shard: int) -> list[tuple[int, int, float]]:
+    """Drain the shard's ready results as ``(fleet id, version, score)``."""
+    fleet_ids = _SHARD_RIDS[(fleet, shard)]
+    return [
+        (fleet_ids.pop(local), version, score)
+        for local, version, score in _SHARD_ENGINES[(fleet, shard)].drain()
+    ]
 
 
-def _shard_feed(fleet: int, shard: int, rows, keys: list, ring_consumed: int):
-    """Submit a dispatch of rows and return everything now ready.
+def _shard_feed(
+    fleet: int, shard: int, rows: np.ndarray, keys: list, rids: list[int]
+) -> list[tuple[int, int, float]]:
+    """Submit a feed as one block and return every result now ready.
 
-    Zero-copy fleets ship ``rows`` as a ``("seg", name, cap, d, pos,
-    n)`` descriptor into the parent's staging ring, and results go
-    back through the shard's shared result ring when it has room
-    (``("ring", start, k)``) — the parent ships its consumed cursor
-    with every feed, so the worker never overwrites unread slots.  A
-    full ring returns results inline; in-process fleets always do.
+    The engine's ids map to the fleet's ``rids`` where they are
+    issued: all of them, or, when a flush inside the block raises, those
+    the engine issued before the raise.  Each fleet id thus maps to its
+    own row's engine id, so no later result lands on another row's
+    fleet id; rows a raise left unscored never resolve.
     """
     engine = _SHARD_ENGINES[(fleet, shard)]
-    # one block submit, keyed or not (a row walk whenever caching or
-    # routing demand it); rids are deliberately dropped: results are
-    # consumed positionally via the drain() below
-    engine.submit_batch(_resolve_rows(fleet, shard, rows), keys=keys)  # repro: allow[RPR006]
-    results = engine.drain()
-    transport = _SHARD_TRANSPORTS.get((fleet, shard))
-    if transport is None:
-        return results
-    k = len(results)
-    free = transport.ring_slots - (transport.ring_written - ring_consumed)
-    if k == 0 or k > free:
-        return ("inline", results)
-    start = transport.ring_written
-    idx = (start + np.arange(k)) % transport.ring_slots
-    transport.ring.array[idx] = np.asarray(results, dtype=float)
-    transport.ring_written = start + k
-    return ("ring", start, k)
+    fleet_ids = _SHARD_RIDS[(fleet, shard)]
+    first = engine._next_id
+    try:
+        issued = engine.submit_batch(rows, keys=keys)
+    except BaseException:
+        fleet_ids.update(zip(range(first, engine._next_id), rids))
+        raise
+    fleet_ids.update(zip(issued, rids))
+    return _shard_results(fleet, shard)
 
 
 def _shard_flush(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     engine = _SHARD_ENGINES[(fleet, shard)]
     engine.flush()
     engine.join()
-    return engine.drain()
+    return _shard_results(fleet, shard)
 
 
 def _shard_poll(
@@ -220,33 +178,15 @@ def _shard_poll(
     """Fire overdue deadline flushes; returns (fired, next_deadline, ready)."""
     engine = _SHARD_ENGINES[(fleet, shard)]
     fired = engine.poll()
-    return fired, engine.next_deadline(), engine.drain()
+    return fired, engine.next_deadline(), _shard_results(fleet, shard)
 
 
 def _shard_next_deadline(fleet: int, shard: int) -> float | None:
     return _SHARD_ENGINES[(fleet, shard)].next_deadline()
 
 
-def _shard_score_batch(fleet: int, shard: int, x, key):
-    """Score one pre-assembled part; zero-copy fleets ship ``x`` as a
-    ``("bulk", in_name, cap, d, pos, n, out_name)`` descriptor and the
-    scores land in the parent's output segment instead of a pickled
-    return (the worker returns only the row count)."""
-    engine = _SHARD_ENGINES[(fleet, shard)]
-    if not isinstance(x, tuple):
-        return engine.score_batch(x, key=key)
-    _tag, in_name, cap, d, pos, n, out_name = x
-    transport = _SHARD_TRANSPORTS[(fleet, shard)]
-    pool = transport.pool
-    seg_in = pool.attach(in_name, (cap, d))
-    seg_out = pool.attach(out_name, (cap,))
-    try:
-        scores = engine.score_batch(seg_in.array[pos : pos + n], key=key)
-        seg_out.array[pos : pos + n] = scores
-    finally:
-        pool.release(in_name)
-        pool.release(out_name)
-    return n
+def _shard_score_batch(fleet: int, shard: int, x: np.ndarray, key) -> np.ndarray:
+    return _SHARD_ENGINES[(fleet, shard)].score_batch(x, key=key)
 
 
 def _shard_snapshot(fleet: int, shard: int) -> tuple[Snapshot, dict]:
@@ -268,11 +208,7 @@ def _shard_sync(fleet: int, shard: int, state_blob: bytes) -> int:
 
 
 def _shard_drop(fleet: int, shard: int) -> bool:
-    transport = _SHARD_TRANSPORTS.pop((fleet, shard), None)
-    if transport is not None:
-        # attacher side only: close our mappings, never unlink — the
-        # parent created these segments and the parent releases them
-        transport.pool.close()
+    _SHARD_RIDS.pop((fleet, shard), None)
     return _SHARD_ENGINES.pop((fleet, shard), None) is not None
 
 
@@ -358,10 +294,13 @@ class ShardedScoringEngine:
         Fleet width; defaults to ``backend.n_workers``.
     policy / batch_size / cache_size:
         Per-shard engine construction, as for :class:`ScoringEngine`.
+        Each shard keeps its own LRU of ``cache_size`` entries.  The
+        parent ships a shard one feed per ``batch_size`` rows routed
+        to it; flush boundaries are the shard engine's own, so scores
+        and stats match one engine fed row by row.
     max_latency_ms:
-        Per-shard deadline flushing.  Forces ``dispatch_size=1`` so
-        every arrival reaches its shard (and its deadline loop)
-        immediately.
+        Per-shard deadline flushing.  Every arrival is then fed to its
+        shard (and its deadline loop) at once, one row per feed.
     clock:
         Shared time source for deadline/latency accounting.  Only
         meaningful on in-process backends (serial/thread) — a clock
@@ -373,25 +312,9 @@ class ShardedScoringEngine:
         Where shards live: one :meth:`submit_to` lane per shard.
         Defaults to a private :class:`SerialBackend` (shut down by
         :meth:`close`); a caller-provided backend is borrowed and left
-        running.  The backend also fixes how bytes cross the shard
-        boundary.  On a :class:`ProcessBackend` the fleet is zero-copy:
-        feature blocks land in per-shard shared staging rings and
-        feeds ship only a ``(segment, offset, shape)`` descriptor;
-        scores return through a per-shard shared result ring; and when
-        ``cache_size > 0`` the score cache becomes one fleet-wide
-        :class:`~repro.runtime.SharedScoreCache` segment, so a score
-        cached by any shard is a hit on all of them.  A full ring (or
-        a row-width change) falls back to pickling that one dispatch.
-        In-process backends hand arrays over the lane as they are, and
-        each shard keeps its own LRU.  Scores and stats are identical
-        either way; the shared fixed-capacity table can only change
-        *hit rates*, never scores.
-    dispatch_size:
-        Rows the parent buffers per shard before shipping one
-        ``_shard_feed``.  Transport granularity **only**: flush
-        boundaries are governed by the shard engine's own
-        ``batch_size``, so scores and stats are identical for any
-        value.  Defaults to ``batch_size`` (one feed per micro-batch).
+        running.  The backend decides only where shards run: rows and
+        results cross every lane as plain arrays and lists, so scores,
+        stats and cache hits are identical on every backend.
     """
 
     def __init__(
@@ -405,7 +328,6 @@ class ShardedScoringEngine:
         max_latency_ms: float | None = None,
         clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
-        dispatch_size: int | None = None,
     ) -> None:
         if isinstance(models, ModelRegistry):
             self.registry = models
@@ -440,13 +362,6 @@ class ShardedScoringEngine:
         self.clock = clock
         self.max_latency_ms = max_latency_ms
         self._deadline_driven = max_latency_ms is not None
-        if dispatch_size is None:
-            dispatch_size = int(batch_size)
-        if self._deadline_driven:
-            dispatch_size = 1  # arrivals must reach their shard's deadline loop
-        if dispatch_size < 1:
-            raise ValueError(f"dispatch_size must be >= 1, got {dispatch_size}")
-        self.dispatch_size = int(dispatch_size)
 
         core = EngineCore(
             registry=self.registry,
@@ -456,66 +371,33 @@ class ShardedScoringEngine:
         )
         self.policy = core.policy
         self.batch_size = core.batch_size
+        # rows per feed: one engine batch, or every arrival at once so
+        # it reaches its shard's deadline loop
+        self._feed_size = 1 if self._deadline_driven else self.batch_size
         self._fleet_id = next(_FLEET_IDS)
         self._closed = False
 
-        # request plumbing: parent ids, per-shard local-id mirrors, buffers
+        # request plumbing: fleet ids, per-shard buffers, results
         self._next_rid = 0
         self._rr = 0  # keyless round-robin cursor
+        self._width: int | None = None  # fixed by the first row
         self._ready: dict[int, float] = {}
         self._version_by_rid: dict[int, int] = {}
-        self._next_local = [0] * self.n_shards
-        self._rid_map: list[dict[int, int]] = [{} for _ in range(self.n_shards)]
         self._buf_rows: list[list[np.ndarray]] = [[] for _ in range(self.n_shards)]
         self._buf_keys: list[list] = [[] for _ in range(self.n_shards)]
         self._buf_rids: list[list[int]] = [[] for _ in range(self.n_shards)]
-        self._inflight: deque = deque()  # (kind, shard, future, meta)
+        self._inflight: deque = deque()  # (kind, future)
 
         self.metrics: MetricsRegistry = _FleetMetrics(self)
         self.latency_hist = _MergedSketch(self)
-
-        # zero-copy transport on process lanes: the parent creates every
-        # segment (and therefore releases every segment — close() sweeps
-        # the pool even when workers died mid-flight)
-        self._shm_pool: SharedTensorPool | None = None
-        self._ring_consumed = [0] * self.n_shards
-        transport_desc = None
-        if isinstance(self.backend, ProcessBackend):
-            self._shm_pool = SharedTensorPool(metrics=self.metrics, prefix="repro-fleet")
-            self._ring_slots = max(16 * self.dispatch_size, 1024)
-            self._rings = [
-                self._shm_pool.create((self._ring_slots, 3)) for _ in range(self.n_shards)
-            ]
-            # staging rings materialise lazily (row width unknown yet)
-            self._stage_cap = max(8 * self.dispatch_size, 512)
-            self._staging: list[SharedTensor | None] = [None] * self.n_shards
-            self._stage_head = [0] * self.n_shards  # absolute consumed row cursor
-            self._stage_tail = [0] * self.n_shards  # absolute written row cursor
-            self._shared_cache: SharedScoreCache | None = None
-            if core.cache_size > 0:
-                # open addressing wants headroom: 2x slots keeps the
-                # probe windows sparse at the engine's nominal capacity
-                self._shared_cache = SharedScoreCache.create(
-                    self._shm_pool, slots=max(2 * core.cache_size, 8)
-                )
 
         # ship the replicas: first task on every lane, ahead of traffic
         blob = pickle.dumps(core)
         self._known_versions = {mv.version for mv in self.registry.versions()}
         self._synced_revision = self.registry.revision
         for shard in range(self.n_shards):
-            if self._shm_pool is not None:
-                transport_desc = {
-                    "ring": (self._rings[shard].name, self._ring_slots),
-                    "cache": (
-                        self._shared_cache.descriptor()
-                        if self._shared_cache is not None
-                        else None
-                    ),
-                }
             self._enqueue(shard, "install", _shard_install,
-                          self._fleet_id, shard, blob, max_latency_ms, clock,
-                          transport_desc)
+                          self._fleet_id, shard, blob, max_latency_ms, clock)
 
     # ------------------------------------------------------------------
     # routing
@@ -533,16 +415,21 @@ class ShardedScoringEngine:
     # request lifecycle (the ScoringEngine facade)
     # ------------------------------------------------------------------
     def submit(self, x_row: np.ndarray, key: str | int | None = None) -> int:
-        """Enqueue one request on its shard; returns the fleet request id."""
-        self._maybe_sync()
+        """Enqueue one request on its shard; returns the fleet request id.
+
+        A row whose width differs from the fleet's raises ValueError
+        before anything moves.
+        """
         row = np.ascontiguousarray(np.asarray(x_row, dtype=float).ravel())
+        self._check_width(row.shape[0])
+        self._maybe_sync()
         rid = self._next_rid
         self._next_rid += 1
         shard = self.shard_of(key)
         self._buf_rows[shard].append(row)
         self._buf_keys[shard].append(key)
         self._buf_rids[shard].append(rid)
-        if len(self._buf_rows[shard]) >= self.dispatch_size:
+        if len(self._buf_rows[shard]) >= self._feed_size:
             self._feed(shard)
         self._reap(wait=False)
         return rid
@@ -557,11 +444,11 @@ class ShardedScoringEngine:
         walk the round-robin cursor, keyed rows stick to their hash
         shard — so results, stats, and version attribution match N
         single submits.  The win is constant-factor: one routing pass,
-        one buffer extension per shard, and (keyless) the shard engine
-        scores the dispatch through its own vectorised
-        :meth:`ScoringEngine.submit_batch`.
+        one buffer extension per shard, and the shard engine scores
+        each feed through its own :meth:`ScoringEngine.submit_batch`.
+        A block whose width differs from the fleet's raises ValueError
+        before anything moves.
         """
-        self._maybe_sync()
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
@@ -569,9 +456,11 @@ class ShardedScoringEngine:
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {n} rows but {len(keys)} keys")
         rid0 = self._next_rid
-        self._next_rid += n
         if n == 0:
             return range(rid0, rid0)
+        self._check_width(x.shape[1])
+        self._maybe_sync()
+        self._next_rid += n
         if keys is None:
             shards = (self._rr + np.arange(n)) % self.n_shards
             self._rr = int((self._rr + n) % self.n_shards)
@@ -590,7 +479,7 @@ class ShardedScoringEngine:
                 [None] * len(ids) if keys is None else [keys[i] for i in ids]
             )
             self._buf_rids[shard].extend(rid0 + i for i in ids)
-            if len(self._buf_rids[shard]) >= self.dispatch_size:
+            if len(self._buf_rids[shard]) >= self._feed_size:
                 self._feed(shard)
         self._reap(wait=False)
         return range(rid0, rid0 + n)
@@ -613,13 +502,13 @@ class ShardedScoringEngine:
         fired = 0
         if self._deadline_driven:
             futures = [
-                (s, self.backend.submit_to(s, _shard_poll, self._fleet_id, s))
+                self.backend.submit_to(s, _shard_poll, self._fleet_id, s)
                 for s in range(self.n_shards)
             ]
-            for shard, future in futures:
+            for future in futures:
                 n_fired, _deadline, drained = future.result()
                 fired += n_fired
-                self._absorb(shard, drained)
+                self._absorb(drained)
         return fired
 
     def join(self) -> None:
@@ -696,9 +585,10 @@ class ShardedScoringEngine:
 
         Keyed batches go whole to their sticky shard (one routed
         version, exactly the single-engine semantics).  Keyless
-        batches split row-contiguously across every shard — the fleet
-        throughput path — and each chunk routes on its own shard's
-        replica (identical outcome whenever no challenger is staged).
+        batches split row-contiguously across every shard at
+        ``np.array_split`` boundaries — the fleet throughput path — and
+        each chunk routes on its own shard's replica (identical outcome
+        whenever no challenger is staged).
         """
         self._maybe_sync()
         x = np.asarray(x, dtype=float)
@@ -710,56 +600,17 @@ class ShardedScoringEngine:
                 shard, _shard_score_batch, self._fleet_id, shard, x, key
             )
             return np.asarray(future.result(), dtype=float).ravel()
-        if self._shm_pool is not None and x.shape[0] >= self.n_shards:
-            return self._score_batch_shm(x)
         parts = np.array_split(x, self.n_shards)
         futures = [
-            (shard, self.backend.submit_to(
+            self.backend.submit_to(
                 shard, _shard_score_batch, self._fleet_id, shard, part, None
-            ))
+            )
             for shard, part in enumerate(parts)
             if part.shape[0]
         ]
         return np.concatenate(
-            [np.asarray(f.result(), dtype=float).ravel() for _s, f in futures]
+            [np.asarray(f.result(), dtype=float).ravel() for f in futures]
         ) if futures else np.empty(0)
-
-    def _score_batch_shm(self, x: np.ndarray) -> np.ndarray:
-        """Keyless bulk scoring over shared segments: rows go out and
-        scores come back without a pickled byte.
-
-        One input segment holds the whole batch and one output segment
-        its scores; each shard reads/writes only its contiguous slice,
-        so there is no cross-shard write overlap to synchronise.  Both
-        segments are per-call (bulk batches are occasional and sized
-        arbitrarily — the feed path's persistent rings don't fit) and
-        the parent releases them before returning, success or not.
-        """
-        n, d = x.shape
-        seg_in = self._shm_pool.create((n, d))
-        seg_out = self._shm_pool.create((n,))
-        try:
-            seg_in.array[:] = x
-            # same part boundaries as np.array_split, so each shard
-            # scores byte-identical slices to the pickled dispatch
-            base, extra = divmod(n, self.n_shards)
-            futures = []
-            pos = 0
-            for shard in range(self.n_shards):
-                stop = pos + base + (1 if shard < extra else 0)
-                if stop == pos:
-                    continue
-                desc = ("bulk", seg_in.name, n, d, pos, stop - pos, seg_out.name)
-                futures.append(self.backend.submit_to(
-                    shard, _shard_score_batch, self._fleet_id, shard, desc, None
-                ))
-                pos = stop
-            for future in futures:
-                future.result()
-            return seg_out.array.copy()
-        finally:
-            self._shm_pool.release(seg_in.name)
-            self._shm_pool.release(seg_out.name)
 
     # ------------------------------------------------------------------
     # merge-derived accounting
@@ -821,13 +672,12 @@ class ShardedScoringEngine:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain in-flight work, drop every shard, release every shared
-        segment, and shut down a privately owned backend (idempotent).
+        """Drain in-flight work, drop every shard, and shut down a
+        privately owned backend (idempotent).
 
-        Segment release is unconditional: the parent created every
-        fleet segment, so whatever the reap or the drops raise — a
-        mid-flight scoring exception, even a dead process worker — the
-        final tier closes the parent's pool, which unlinks them all.
+        The drops run whatever the reap raises (a mid-flight scoring
+        exception, a dead process worker), and the backend shutdown
+        runs whatever the drops raise.
         """
         if self._closed:
             return
@@ -843,8 +693,6 @@ class ShardedScoringEngine:
                 for f in futures:
                     f.result()
         finally:
-            if self._shm_pool is not None:
-                self._shm_pool.close()
             if self._owns_backend:
                 self.backend.shutdown()
 
@@ -863,106 +711,47 @@ class ShardedScoringEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _enqueue(self, shard: int, kind: str, fn, *args, meta=None) -> None:
-        self._inflight.append((kind, shard, self.backend.submit_to(shard, fn, *args), meta))
+    def _check_width(self, d: int) -> None:
+        """ValueError unless ``d`` is the fleet's row width.  A fleet
+        serves one registry, so its first row fixes the width."""
+        if self._width is None:
+            self._width = d
+        elif d != self._width:
+            raise ValueError(
+                f"got a row of width {d}, but the fleet's rows have width {self._width}"
+            )
 
-    def _stage_rows(self, shard: int, rows: np.ndarray):
-        """Land a feed's rows in the shard's staging ring; returns the
-        descriptor to ship, or ``None`` when the ring can't take them
-        (full, or a row-width change) — the caller falls back to the
-        pickled dispatch, which is always correct."""
-        n, d = rows.shape
-        staging = self._staging[shard]
-        if staging is None:
-            if n > self._stage_cap:
-                return None
-            staging = self._staging[shard] = self._shm_pool.create((self._stage_cap, d))
-        elif staging.shape[1] != d:
-            return None
-        cap = staging.shape[0]
-        head, tail = self._stage_head[shard], self._stage_tail[shard]
-        pos = tail % cap
-        if pos + n > cap:
-            tail += cap - pos  # pad to the wrap boundary (freed with the feed)
-            pos = 0
-        if tail + n - head > cap:
-            return None
-        staging.array[pos : pos + n] = rows
-        self._stage_tail[shard] = tail + n
-        return ("seg", staging.name, cap, d, pos, n), tail + n
+    def _enqueue(self, shard: int, kind: str, fn, *args) -> None:
+        self._inflight.append((kind, self.backend.submit_to(shard, fn, *args)))
 
     def _feed(self, shard: int) -> int:
         """Ship shard ``shard``'s parent-side buffer as one dispatch."""
         rids = self._buf_rids[shard]
         if not rids:
             return 0
-        # shard-local ids are assigned sequentially by the worker
-        # engine's submit; mirror its counter to map them back
-        base = self._next_local[shard]
-        mapping = self._rid_map[shard]
-        for offset, rid in enumerate(rids):
-            mapping[base + offset] = rid
-        self._next_local[shard] = base + len(rids)
         rows = np.stack(self._buf_rows[shard])
-        keys = list(self._buf_keys[shard])
-        n = len(rids)
+        keys = self._buf_keys[shard]
         self._buf_rows[shard] = []
         self._buf_keys[shard] = []
         self._buf_rids[shard] = []
-        staged = self._stage_rows(shard, rows) if self._shm_pool is not None else None
-        payload, meta = staged if staged is not None else (rows, None)
-        self._enqueue(
-            shard, "feed", _shard_feed, self._fleet_id, shard,
-            payload, keys, self._ring_consumed[shard], meta=meta,
-        )
-        return n
+        self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys, rids)
+        return len(rids)
 
-    def _absorb(self, shard: int, drained: Sequence[tuple[int, int, float]]) -> None:
-        mapping = self._rid_map[shard]
-        for local, version, score in drained:
-            rid = mapping.pop(local, None)
-            if rid is None:
-                continue  # already surfaced through another op's drain
+    def _absorb(self, drained: Sequence[tuple[int, int, float]]) -> None:
+        for rid, version, score in drained:
             self._ready[rid] = score
             self._version_by_rid[rid] = version
 
-    def _absorb_ring(self, shard: int, start: int, k: int) -> None:
-        """Read ``k`` results the worker parked in the shared ring.
-
-        Safe without locks: the feed's future resolved, so the worker
-        finished writing; and the worker never writes past our consumed
-        cursor + ring size, so these slots were not overwritten."""
-        ring = self._rings[shard]
-        idx = (start + np.arange(k)) % self._ring_slots
-        mapping = self._rid_map[shard]
-        for local, version, score in ring.array[idx].tolist():
-            rid = mapping.pop(int(local), None)
-            if rid is None:
-                continue
-            self._ready[rid] = score
-            self._version_by_rid[rid] = int(version)
-        self._ring_consumed[shard] = start + k
-
     def _reap(self, wait: bool) -> None:
         while self._inflight:
-            kind, shard, future, meta = self._inflight[0]
+            kind, future = self._inflight[0]
             if not wait and not future.done():
                 break
             self._inflight.popleft()
             result = future.result()  # re-raises worker failures here
-            if meta is not None:
-                # the worker consumed the staged rows: free them (FIFO,
-                # so the head simply advances to this feed's end)
-                self._stage_head[shard] = meta
-            if kind == "feed" and isinstance(result, tuple):
-                tag = result[0]
-                if tag == "ring":
-                    self._absorb_ring(shard, result[1], result[2])
-                else:  # "inline": ring was full — results rode the future
-                    self._absorb(shard, result[1])
-            elif kind in ("feed", "flush"):
-                self._absorb(shard, result)
-            # install/sync/drop return markers; nothing to absorb
+            if kind in ("feed", "flush"):
+                self._absorb(result)
+            # install/sync return markers; nothing to absorb
 
     def _maybe_sync(self) -> None:
         """Ship the registry lifecycle delta when the revision moved."""

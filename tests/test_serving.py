@@ -58,23 +58,6 @@ class CountingROI:
         return self.sign * np.arange(start + 1, start + n + 1, dtype=float)
 
 
-class DictScoreCache:
-    """A plugged-in ``score_cache`` stub: a dict, plus a log of every
-    ``get``/``put`` in call order."""
-
-    def __init__(self) -> None:
-        self.entries: dict = {}
-        self.log: list = []
-
-    def get(self, version, row_bytes):
-        self.log.append(("get", version, row_bytes))
-        return self.entries.get((version, row_bytes))
-
-    def put(self, version, row_bytes, score):
-        self.log.append(("put", version, row_bytes, score))
-        self.entries[(version, row_bytes)] = score
-
-
 @pytest.fixture
 def stub_model():
     rng = np.random.default_rng(3)
@@ -1082,18 +1065,6 @@ class TestSubmitBatch:
         )
         ids, ref_ids = self._feed(batch, scalar, rows, cuts, keys)
         self._assert_same(batch, scalar, ids, ref_ids)
-
-    def test_row_walk_probes_a_plugged_in_cache_in_order(self):
-        rows = self._rows(5)[[0, 1, 2, 0, 3, 1, 1, 4, 0, 2, 3, 3, 0, 4, 1]]
-        caches = DictScoreCache(), DictScoreCache()
-        batch, scalar = (
-            self._counting_engine(batch_size=3, cache_size=8, score_cache=c) for c in caches
-        )
-        ids, ref_ids = self._feed(batch, scalar, rows, cuts=[4, 11])
-        self._assert_same(batch, scalar, ids, ref_ids)
-        assert caches[0].log == caches[1].log
-        assert caches[0].entries == caches[1].entries
-        assert batch.stats["cache_hits"] > 0
 
     def test_row_walk_latency_sketch_under_manual_clock(self):
         rows = self._rows(6)[[0, 1, 2, 0, 3, 4, 1, 5, 0, 2, 2, 5, 3, 1, 0, 4]]

@@ -45,6 +45,37 @@ class LinearROI:
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.w
 
 
+class NoisyROI:
+    """Module-level (picklable) stochastic scorer: ``x @ w`` plus one
+    draw from its own generator per scored row, as MC dropout would."""
+
+    def __init__(self, w, seed):
+        self.w = np.asarray(w, dtype=float)
+        self.rng = np.random.default_rng(seed)
+
+    def predict_roi(self, x):
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return x @ self.w + self.rng.normal(size=x.shape[0])
+
+
+class FailingSecondCall:
+    """Module-level (picklable) scorer: row ``[v, 1]`` scores ``v``, and
+    the second call raises."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def predict_roi(self, x):
+        self.calls += 1
+        if self.calls == 2:
+            raise RuntimeError("model down")
+        return np.atleast_2d(np.asarray(x, dtype=float))[:, 0]
+
+
+def valued_rows(values):
+    return np.array([[float(v), 1.0] for v in values])
+
+
 W_CHAMPION = [1.0, -0.5, 0.25, 2.0]
 W_CHALLENGER = [0.5, 0.5, -0.25, 1.0]
 
@@ -112,26 +143,6 @@ class TestSingleShardEquivalence:
         assert fleet.stats == plain.stats
         assert fleet.stats["cache_hits"] > 0
         fleet.close()
-
-    def test_dispatch_size_does_not_change_results(self, rows):
-        """Transport granularity is invisible: worker batch_size governs
-        flush boundaries, so any dispatch_size yields identical stats."""
-        baseline = None
-        for dispatch in (1, 7, 16, 64):
-            fleet = ShardedScoringEngine(
-                make_registry(), n_shards=1, batch_size=16, dispatch_size=dispatch
-            )
-            for i, row in enumerate(rows[:200]):
-                fleet.submit(row, key=i)
-            fleet.flush()
-            scores = [fleet.take(r) for r in range(200)]
-            stats = fleet.stats
-            if baseline is None:
-                baseline = (scores, stats)
-            else:
-                assert scores == baseline[0]
-                assert stats == baseline[1]
-            fleet.close()
 
 
 # ---------------------------------------------------------------------------
@@ -206,21 +217,20 @@ class TestFleetSubmitBatch:
         fleet.close()
 
     def test_partial_dispatch_then_more_batches(self, rows):
-        """Blocks smaller than dispatch_size buffer parent-side and ship
-        with the next batch — boundaries only affect transport, never
+        """Blocks smaller than a batch buffer parent-side and ship with
+        the next block — feed boundaries only affect transport, never
         results."""
         expected, ref_stats = self._per_row_reference(
-            rows[:90], list(range(90)), n_shards=2, batch_size=8, dispatch_size=64
+            rows[:90], list(range(90)), n_shards=2, batch_size=64
         )
-        fleet = ShardedScoringEngine(
-            make_registry(), n_shards=2, batch_size=8, dispatch_size=64
-        )
+        fleet = ShardedScoringEngine(make_registry(), n_shards=2, batch_size=64)
         got = []
         for start in (0, 30, 60):
             ids = fleet.submit_batch(
                 rows[start : start + 30], keys=list(range(start, start + 30))
             )
             got.append(ids)
+        assert fleet.n_pending > 0  # part of the stream is still parent-side
         fleet.flush()
         scores = [fleet.take(rid) for ids in got for rid in ids]
         assert scores == expected
@@ -321,6 +331,102 @@ class TestFleetSubmitBatch:
         assert isinstance(empty, range) and len(empty) == 0
         assert fleet.stats["requests"] == 0
         fleet.close()
+
+
+# ---------------------------------------------------------------------------
+# one transport: the backend is invisible to decisions
+# ---------------------------------------------------------------------------
+class TestOneTransport:
+    """Rows go out and results come back as plain arrays on every
+    backend, and each shard keeps its own LRU, so a cache-on fleet
+    scoring with a stochastic model decides on a process pool exactly
+    as inline, and repeats."""
+
+    @staticmethod
+    def _run(backend):
+        users = np.random.default_rng(11).normal(size=(50, 4))
+        rows = users[np.random.default_rng(12).integers(0, 50, size=600)]
+        registry = ModelRegistry()
+        registry.register(NoisyROI(W_CHAMPION, seed=5), promote=True)
+        with ShardedScoringEngine(
+            registry, n_shards=2, batch_size=16, cache_size=64, backend=backend
+        ) as fleet:
+            blocks, scores = [], []
+            for i, start in enumerate(range(0, 600, 40)):
+                blocks.append(fleet.submit_batch(rows[start : start + 40]))
+                if i % 5 == 4:
+                    fleet.flush()
+                    scores += [fleet.take_block(ids) for ids in blocks]
+                    blocks = []
+            return np.concatenate(scores), fleet.stats
+
+    def test_process_fleet_decides_like_serial_and_repeats(self, process_pool):
+        serial_scores, serial_stats = self._run(None)
+        runs = [self._run(process_pool)]
+        backend = ProcessBackend(n_workers=2)
+        try:
+            runs.append(self._run(backend))
+        finally:
+            backend.shutdown()
+        for scores, stats in runs:
+            np.testing.assert_array_equal(scores, serial_scores)
+            assert stats == serial_stats
+        assert serial_stats["requests"] == 600
+        assert 0 < serial_stats["cache_hits"] < 600
+
+
+# ---------------------------------------------------------------------------
+# failure paths
+# ---------------------------------------------------------------------------
+class TestFleetFailurePaths:
+    def test_raising_feed_leaves_later_ids_their_own_scores(self):
+        """A flush that raises inside a feed stops the shard's walk
+        short: the rows after it take no id.  The next block's fleet
+        ids must still read that block's scores, never other rows'."""
+        fleet = ShardedScoringEngine(
+            FailingSecondCall(), n_shards=1, batch_size=4, cache_size=64
+        )
+        first = fleet.submit_batch(valued_rows([0, 1, 2, 3]))
+        second = fleet.submit_batch(valued_rows([0, 4, 5, 6]))
+        with pytest.raises(RuntimeError, match="model down"):
+            fleet.submit_batch(valued_rows([7, 8, 9, 10]))
+        last = fleet.submit_batch(valued_rows([20, 21, 22, 23]))
+        fleet.flush()
+        assert fleet.take_block(first).tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert fleet.take(second[0]) == 0.0  # the cache hit
+        assert fleet.take_block(last).tolist() == [20.0, 21.0, 22.0, 23.0]
+        # the dropped batch (rows 4-7) and the rows after the raise
+        # (8-10) never resolve, as a dropped batch's ids do on one engine
+        assert not any(fleet.has_result(rid) for rid in range(second[1], last[0]))
+        assert fleet.drain() == []
+        fleet.close()
+
+    @pytest.mark.parametrize("call", ["submit", "submit_batch"])
+    def test_wrong_width_row_leaves_no_trace(self, rows, call):
+        """A row of another width is refused, naming both widths,
+        before any fleet id, buffer or mapping moves: the fleet goes on
+        as if the call had never happened."""
+        refused, reference = (
+            ShardedScoringEngine(make_registry(), n_shards=1, batch_size=4)
+            for _ in range(2)
+        )
+        for fleet in (refused, reference):
+            fleet.submit(rows[0])
+            fleet.submit(rows[1])
+        with pytest.raises(ValueError, match="width 3.*width 4"):
+            if call == "submit":
+                refused.submit(rows[2, :3])
+            else:
+                refused.submit_batch(rows[2:4, :3])
+        assert refused.n_pending == reference.n_pending == 2
+        ids = [refused.submit(row) for row in rows[2:10]]
+        assert ids == [reference.submit(row) for row in rows[2:10]] == list(range(2, 10))
+        for fleet in (refused, reference):
+            fleet.flush()
+        assert refused.take_block(range(10)).tolist() == reference.take_block(range(10)).tolist()
+        assert refused.stats == reference.stats
+        refused.close()
+        reference.close()
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,15 @@
-"""Zero-copy transport pins: pool lifecycle, shared cache, segment hygiene.
-
-The guarantees :mod:`repro.runtime.shm` makes to the serving fleet:
+"""Shared-memory pins: pool lifecycle, and a fleet that creates no segment.
 
 * :class:`SharedTensorPool` segments follow the create/attach/release
   lifecycle — attachers only ever close their own mapping, the creator's
   final release unlinks the kernel object, and ``shutdown``/``close``
   sweep whatever is still open;
-* :class:`SharedScoreCache` is shared-visibility (any attacher sees any
-  writer's entries) and correctness-neutral under eviction: a ``get``
-  returns the exact cached score or ``None``, never a stale value for a
-  different key;
-* **hygiene**: a fleet shutdown — clean, after a mid-flight exception,
-  or with a SIGKILLed worker — leaves ``live_segment_count() == 0`` and
-  the leak counter untouched.  Leaked ``/dev/shm`` objects survive the
-  process, so this is pinned by regression test rather than left to
-  code review;
-* a full result ring degrades to inline (pickled) results, never to a
-  stall or an overwrite.
+* **hygiene**: a process fleet passes plain arrays over its lanes, so
+  ``live_segment_count()`` keeps its pre-construction value through
+  construction, traffic, a mid-flight exception and a SIGKILLed worker,
+  and ``close()`` still returns after a worker died.  Leaked
+  ``/dev/shm`` objects survive the process, so this is pinned by
+  regression test rather than left to code review.
 """
 
 from __future__ import annotations
@@ -29,12 +22,7 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.runtime import (
-    ProcessBackend,
-    SharedScoreCache,
-    SharedTensorPool,
-    live_segment_count,
-)
+from repro.runtime import ProcessBackend, SharedTensorPool, live_segment_count
 from repro.serving import ModelRegistry, ScoringEngine, ShardedScoringEngine
 
 
@@ -141,113 +129,24 @@ class TestSharedTensorPool:
 
 
 # ---------------------------------------------------------------------------
-# SharedScoreCache
-# ---------------------------------------------------------------------------
-class TestSharedScoreCache:
-    def test_put_get_roundtrip_and_miss(self):
-        with SharedTensorPool() as pool:
-            cache = SharedScoreCache.create(pool, slots=64)
-            row = np.arange(4.0).tobytes()
-            assert cache.get(1, row) is None
-            cache.put(1, row, 0.625)
-            assert cache.get(1, row) == 0.625
-            cache.put(1, row, 0.625)  # same key: no-op, still one entry
-            assert cache.get(1, row) == 0.625
-
-    def test_version_salts_the_tag(self):
-        """The same row under two model versions is two distinct keys."""
-        with SharedTensorPool() as pool:
-            cache = SharedScoreCache.create(pool, slots=64)
-            row = b"feature-bytes"
-            assert cache.tag_of(1, row) != cache.tag_of(2, row)
-            cache.put(1, row, 0.5)
-            assert cache.get(2, row) is None
-            assert cache.get(1, row) == 0.5
-
-    def test_attacher_sees_creator_entries(self):
-        """The cross-shard property: one table, every attacher hits it."""
-        with SharedTensorPool() as owner, SharedTensorPool() as other:
-            cache = SharedScoreCache.create(owner, slots=32)
-            cache.put(3, b"row", 1.25)
-            name, slots = cache.descriptor()
-            attached = SharedScoreCache.attach(other, name, slots)
-            assert attached.get(3, b"row") == 1.25
-            attached.put(3, b"other", -2.0)
-            assert cache.get(3, b"other") == -2.0
-
-    def test_eviction_never_corrupts(self):
-        """Overfilling a tiny table loses entries, never falsifies them."""
-        with SharedTensorPool() as pool:
-            cache = SharedScoreCache.create(pool, slots=8)
-            keys = [f"row-{i}".encode() for i in range(50)]
-            for i, key in enumerate(keys):
-                cache.put(1, key, float(i))
-            hits = misses = 0
-            for i, key in enumerate(keys):
-                got = cache.get(1, key)
-                if got is None:
-                    misses += 1
-                else:
-                    assert got == float(i)  # exact or absent, never stale
-                    hits += 1
-            assert hits > 0 and misses > 0  # genuinely evicting
-
-    def test_min_slots_validated(self):
-        with SharedTensorPool() as pool:
-            with pytest.raises(ValueError, match="slots"):
-                SharedScoreCache.create(pool, slots=4)
-
-
-# ---------------------------------------------------------------------------
-# fleet-wide cache visibility over the transport
-# ---------------------------------------------------------------------------
-class TestFleetSharedCache:
-    def _two_keys_on_different_shards(self, fleet):
-        k0 = next(k for k in range(100) if fleet.shard_of(f"k{k}") == 0)
-        k1 = next(k for k in range(100) if fleet.shard_of(f"k{k}") == 1)
-        return f"k{k0}", f"k{k1}"
-
-    def test_shm_cache_hit_crosses_shards(self, process_pool):
-        """A row scored on shard 0 is a cache hit on shard 1 (shm only)."""
-        row = np.arange(4.0)
-        hits = {}
-        for name, backend in (("shm", process_pool), ("inline", None)):
-            fleet = ShardedScoringEngine(
-                make_registry(),
-                n_shards=2,
-                cache_size=64,
-                dispatch_size=1,
-                backend=backend,
-            )
-            key_a, key_b = self._two_keys_on_different_shards(fleet)
-            fleet.submit(row, key=key_a)
-            fleet.flush()
-            fleet.submit(row, key=key_b)
-            fleet.flush()
-            hits[name] = fleet.stats["cache_hits"]
-            fleet.close()
-        assert hits["shm"] == 1  # the shared table made it visible
-        assert hits["inline"] == 0  # per-shard LRUs cannot
-
-
-# ---------------------------------------------------------------------------
 # segment hygiene: shutdown in every failure mode
 # ---------------------------------------------------------------------------
 class TestSegmentHygiene:
     def test_clean_close_releases_every_segment(self, rows, process_pool):
+        """Construction, traffic and close create no segment at all."""
         before = live_segment_count()
         fleet = ShardedScoringEngine(
             make_registry(), n_shards=2, cache_size=64, backend=process_pool
         )
-        assert live_segment_count() > before  # rings (+ cache) are live
+        fleet.join()  # both shards installed
+        assert live_segment_count() == before
         rids = [fleet.submit(row, key=i) for i, row in enumerate(rows)]
         fleet.flush()
+        assert live_segment_count() == before
         for rid in rids:
             fleet.take(rid)
         fleet.close()
         assert live_segment_count() == before
-        assert fleet._shm_pool.live_segments == 0
-        assert fleet._shm_pool.leaked_segments == 0
 
     def test_mid_flight_exception_releases_every_segment(self, rows, process_pool):
         before = live_segment_count()
@@ -257,9 +156,10 @@ class TestSegmentHygiene:
             ) as fleet:
                 for i, row in enumerate(rows):
                     fleet.submit(row, key=i)  # in-flight, never flushed
+                assert live_segment_count() == before
                 raise RuntimeError("mid-flight failure")
         assert live_segment_count() == before
-        assert fleet._shm_pool.leaked_segments == 0
+        assert fleet._closed
 
     def test_process_fleet_clean_close(self, rows):
         before = live_segment_count()
@@ -268,21 +168,19 @@ class TestSegmentHygiene:
             fleet = ShardedScoringEngine(
                 make_registry(), n_shards=2, cache_size=128, backend=backend
             )
-            assert live_segment_count() > before  # process lanes run on shm
             for i, row in enumerate(rows):
                 fleet.submit(row, key=i)
             fleet.flush()
             assert fleet.stats["requests"] == len(rows)
+            assert live_segment_count() == before
             fleet.close()
             assert live_segment_count() == before
-            assert fleet._shm_pool.leaked_segments == 0
         finally:
             backend.shutdown()
 
     def test_worker_death_still_releases_parent_segments(self, rows):
-        """SIGKILLing a shard's worker must not strand /dev/shm objects:
-        the parent created every segment, so the parent can always
-        unlink them — even when _shard_drop can no longer run."""
+        """SIGKILLing a shard's worker strands nothing (there is no
+        segment to strand), and close() still returns."""
         before = live_segment_count()
         backend = ProcessBackend(n_workers=2)
         try:
@@ -296,7 +194,7 @@ class TestSegmentHygiene:
             os.kill(victim, signal.SIGKILL)
             with contextlib.suppress(Exception):  # broken lane may raise
                 fleet.close()
-            assert fleet._shm_pool.live_segments == 0
+            assert fleet._closed
             assert live_segment_count() == before
         finally:
             with contextlib.suppress(Exception):
@@ -304,33 +202,10 @@ class TestSegmentHygiene:
 
 
 # ---------------------------------------------------------------------------
-# result-ring degradation
+# the plain engine
 # ---------------------------------------------------------------------------
 class TestRingFallback:
-    def test_full_ring_falls_back_to_inline_results(self, rows, process_pool):
-        """With zero free ring slots every dispatch returns results
-        inline — scores are still exact and nothing is overwritten."""
-        fleet, reference = (
-            ShardedScoringEngine(
-                make_registry(), n_shards=1, batch_size=8, dispatch_size=8,
-                cache_size=0, backend=process_pool,
-            )
-            for _ in range(2)
-        )
-        # white box: the worker reads the parent's consumed cursor on
-        # every feed, so pulling it back a ring's worth leaves no room
-        fleet._ring_consumed[0] -= fleet._ring_slots
-        ids = fleet.submit_batch(rows)
-        ref_ids = reference.submit_batch(rows)
-        fleet.flush()
-        reference.flush()
-        assert fleet._ring_consumed[0] == -fleet._ring_slots  # ring never used
-        assert reference._ring_consumed[0] == len(rows)  # ...but is normally
-        for rid, ref in zip(ids, ref_ids):
-            assert fleet.take(rid) == reference.take(ref)
-        fleet.close()
-        reference.close()
-        assert fleet._shm_pool.leaked_segments == 0
+    """A plain engine beside the fleet creates no segment either."""
 
     def test_plain_engine_unaffected_by_transport_machinery(self, rows):
         """The serial engine path has no segments at all: submitting the
