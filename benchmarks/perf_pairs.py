@@ -37,6 +37,12 @@ negative pairs.  A change that moves decisions is read on these, not
 only on two medians whose seed-to-seed spread hides a small shift.
 Standard library only; ``--json`` also writes every run's raw JSON line,
 rewritten after each pair so a run that raises keeps the pairs before.
+
+``--ledger SEED`` then runs ``perfbench/run.py --trace 1`` once per side
+per workload on that seed, parent first, and prints each layer's calls
+on both sides (flagging any that differ) and its self seconds per
+replay (``<layer>.share`` x ``trace.wall_s``), followed by the other
+per-layer counts.  It locates a saving and judges nothing.
 """
 
 from __future__ import annotations
@@ -63,9 +69,9 @@ def load_spec(parent: Path, change: Path) -> dict:
     return spec
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -108,6 +114,29 @@ def paired_deltas(sides: dict[str, list[dict]], name: str) -> list[float]:
     """Change minus parent on each pair's seed, for metric ``name``."""
     return [c["metrics"][name]["value"] - p["metrics"][name]["value"]
             for p, c in zip(sides["parent"], sides["change"])]
+
+
+def ledger_lines(parent: dict, change: dict) -> list[str]:
+    """Both sides' traced runs, layer by layer: calls (flagged where
+    they differ) and self seconds per replay, then every other count."""
+    p, c = parent["metrics"], change["metrics"]
+    lines = [f"  {'layer':<10} {'parent calls':>14} {'change calls':>14} "
+             f"{'parent self_s':>14} {'change self_s':>14}"]
+    for name in p:
+        layer = name.removesuffix(".share")
+        if layer == name or f"{layer}.calls" not in p:
+            continue
+        calls = [m[f"{layer}.calls"]["value"] for m in (p, c)]
+        self_s = [m[name]["value"] * m["trace.wall_s"]["value"] for m in (p, c)]
+        flag = "  calls differ" if calls[0] != calls[1] else ""
+        lines.append(f"  {layer:<10} {calls[0]:>14.10g} {calls[1]:>14.10g} "
+                     f"{self_s[0]:>14.4f} {self_s[1]:>14.4f}{flag}")
+    for name, metric in p.items():
+        if metric.get("unit") == "count" and not name.endswith(".calls"):
+            values = (metric["value"], c[name]["value"])
+            flag = "  differs" if values[0] != values[1] else ""
+            lines.append(f"  {name:<25} {values[0]:>14.10g} {values[1]:>14.10g}{flag}")
+    return lines
 
 
 def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
@@ -190,6 +219,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim-on", nargs="+", default=None, metavar="WORKLOAD",
                         help="workloads the claim is made on (default: every listed workload)")
     parser.add_argument("--json", type=Path, default=None, help="write every run's JSON line here")
+    parser.add_argument("--ledger", type=int, default=None, metavar="SEED",
+                        help="after the pairs, compare one traced run per side on this seed")
     args = parser.parse_args(argv)
 
     if args.pairs < MIN_PAIRS:
@@ -232,6 +263,13 @@ def main(argv: list[str] | None = None) -> int:
             args.json.write_text(json.dumps(runs, indent=1))
 
     verdicts = judge(runs, metrics, args.claim, claimed_on)
+    if args.ledger is not None:
+        print(f"\nledger on seed {args.ledger}: one traced run per side, parent first "
+              f"(informative, judges nothing)")
+        for workload in args.workloads:
+            traced = {side: run_once(roots[side], workload, args.ledger, seconds, trace=1) for side in SIDES}
+            print(f"{workload}:")
+            print("\n".join(ledger_lines(traced["parent"], traced["change"])))
     print("\nverdict: " + ("all rules hold" if not verdicts else "; ".join(verdicts)))
     return 0 if not verdicts else 1
 

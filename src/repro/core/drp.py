@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.causal.base import TrainableModel
 
-from repro.nn.activations import sigmoid, softplus
+from repro.nn.activations import sigmoid
 from repro.nn.mc_dropout import mc_dropout_moments
 from repro.nn.network import Network, TrainingHistory, mlp, stochastic_passes
 from repro.nn.optimizers import Adam
@@ -38,26 +38,42 @@ __all__ = ["DRPModel", "drp_loss", "drp_loss_gradient", "drp_pooled_derivative"]
 
 def _group_weights(t: np.ndarray) -> np.ndarray:
     """Per-sample weights ``+1/N₁`` (treated) / ``−1/N₀`` (control)."""
-    n1 = max(int(np.sum(t == 1)), 1)
-    n0 = max(int(np.sum(t == 0)), 1)
+    n1 = max(int(np.count_nonzero(t == 1)), 1)
+    n0 = max(int(np.count_nonzero(t == 0)), 1)
     return np.where(t == 1, 1.0 / n1, -1.0 / n0)
+
+
+def _drp_loss_and_gradient(
+    s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Eq. 2 and its gradient at per-sample scores ``s``, numerically stable.
+
+    One set of group weights and one ``e = exp(-|s|)`` serve both:
+    ``softplus(s) = max(s, 0) + log1p(e)``, and the two-branch sigmoid,
+    whose ``exp`` arguments are exactly ``-|s|``, is ``1/(1+e)`` where
+    ``s >= 0`` and ``e/(1+e)`` elsewhere — the floats
+    :func:`~repro.nn.activations.softplus` and
+    :func:`~repro.nn.activations.sigmoid` give.
+    """
+    s = np.asarray(s, dtype=float).ravel()
+    w = _group_weights(np.asarray(t).ravel())
+    y_r = np.asarray(y_r, dtype=float)
+    y_c = np.asarray(y_c, dtype=float)
+    e = np.exp(-np.abs(s))
+    value = float(-np.sum(w * (y_r * s - y_c * (np.maximum(s, 0.0) + np.log1p(e)))))
+    return value, -w * (y_r - y_c * (np.where(s >= 0, 1.0, e) / (1.0 + e)))
 
 
 def drp_loss(s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray) -> float:
     """Eq. 2 evaluated at per-sample scores ``s`` (numerically stable)."""
-    s = np.asarray(s, dtype=float).ravel()
-    w = _group_weights(np.asarray(t).ravel())
-    contrib = np.asarray(y_r, dtype=float) * s - np.asarray(y_c, dtype=float) * softplus(s)
-    return float(-np.sum(w * contrib))
+    return _drp_loss_and_gradient(s, t, y_r, y_c)[0]
 
 
 def drp_loss_gradient(
     s: np.ndarray, t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray
 ) -> np.ndarray:
     """``∂L/∂s_i = −w_i (y_{r,i} − y_{c,i} σ(s_i))``."""
-    s = np.asarray(s, dtype=float).ravel()
-    w = _group_weights(np.asarray(t).ravel())
-    return -w * (np.asarray(y_r, dtype=float) - np.asarray(y_c, dtype=float) * sigmoid(s))
+    return _drp_loss_and_gradient(s, t, y_r, y_c)[1]
 
 
 def drp_pooled_derivative(
@@ -96,13 +112,8 @@ def _pooled_uplift(t: np.ndarray, y_r: np.ndarray, y_c: np.ndarray) -> tuple[flo
 
 def _drp_batch_loss(pred: np.ndarray, batch: dict) -> tuple[float, np.ndarray]:
     """Adapter plugging Eq. 2 into :meth:`repro.nn.network.Network.fit`."""
-    s = pred[:, 0]
-    t = batch["t"]
-    y_r = batch["y_r"]
-    y_c = batch["y_c"]
-    value = drp_loss(s, t, y_r, y_c)
-    grad = drp_loss_gradient(s, t, y_r, y_c).reshape(-1, 1)
-    return value, grad
+    value, grad = _drp_loss_and_gradient(pred[:, 0], batch["t"], batch["y_r"], batch["y_c"])
+    return value, grad.reshape(-1, 1)
 
 
 class DRPModel(TrainableModel):

@@ -59,6 +59,16 @@ class Layer:
         for g in self.gradients():
             g[...] = 0.0
 
+    def rebind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Adopt ``params`` and ``grads`` as the layer's own arrays.
+
+        They align with :meth:`parameters` and :meth:`gradients` and
+        match them in shape; :meth:`~repro.nn.network.Network.fit`
+        passes views into its flat training buffers.
+        """
+        if params or grads:
+            raise NotImplementedError(f"{type(self).__name__} does not rebind its parameters")
+
 
 class Dense(Layer):
     """Fully connected affine layer ``y = x W + b``.
@@ -124,6 +134,10 @@ class Dense(Layer):
 
     def gradients(self) -> list[np.ndarray]:
         return [self.grad_weight, self.grad_bias]
+
+    def rebind(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        self.weight, self.bias = params
+        self.grad_weight, self.grad_bias = grads
 
 
 class Dropout(Layer):

@@ -11,7 +11,9 @@ their backward passes manually.
 the paper: shuffled batches, an arbitrary ``(pred, target) -> (value,
 grad)`` loss, optional validation-based early stopping with
 best-weights restoration, and gradient-norm clipping (small RCT
-datasets make uplift losses noisy, cf. §IV-B2 of the paper).
+datasets make uplift losses noisy, cf. §IV-B2 of the paper).  It keeps
+every parameter in one flat buffer, so a step costs a few numpy calls
+on one array rather than a few per parameter.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ class TrainingHistory:
     @property
     def n_epochs(self) -> int:
         return len(self.train_loss)
+
+
+def _packed(arrays: list[np.ndarray]) -> np.ndarray | None:
+    """The 1-D buffer ``arrays`` view back to back, in order, or None."""
+    base = arrays[0].base if arrays else None
+    if not isinstance(base, np.ndarray) or base.ndim != 1 or base.size != sum(a.size for a in arrays):
+        return None
+    at = base.__array_interface__["data"][0]
+    for a in arrays:
+        if a.base is not base or not a.flags.c_contiguous or a.__array_interface__["data"][0] != at:
+            return None
+        at += a.nbytes
+    return base
 
 
 def _slice_target(target, idx: np.ndarray):
@@ -121,6 +136,30 @@ class Network:
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters()))
 
+    def _flat_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every parameter in one flat buffer, every gradient in another.
+
+        The layers are rebound to same-shaped views into the buffers
+        (values copied in), unless they already view one buffer back to
+        back: a second ``fit`` hands its optimizer the same array.
+        """
+        params, grads = self.parameters(), self.gradients()
+        flat_params, flat_grads = _packed(params), _packed(grads)
+        if flat_params is not None and flat_grads is not None:
+            return flat_params, flat_grads
+        flat_params = np.concatenate([p.ravel() for p in params]) if params else np.empty(0)
+        flat_grads = np.concatenate([g.ravel() for g in grads]) if grads else np.empty(0)
+        start = 0
+        for layer in self.layers:
+            views, grad_views = [], []
+            for p in layer.parameters():
+                stop = start + p.size
+                views.append(flat_params[start:stop].reshape(p.shape))
+                grad_views.append(flat_grads[start:stop].reshape(p.shape))
+                start = stop
+            layer.rebind(views, grad_views)
+        return flat_params, flat_grads
+
     def get_weights(self) -> list[np.ndarray]:
         """Deep copies of all parameters (for best-epoch restoration)."""
         return [p.copy() for p in self.parameters()]
@@ -176,6 +215,12 @@ class Network:
         clip_norm:
             Global gradient-norm clip; ``None`` disables.
 
+        The optimizer sees one flat parameter: ``fit`` moves every
+        layer's parameters and gradients into two flat buffers and keeps
+        the layers on views into them, so each step zeroes the gradients
+        with one fill and updates every parameter with one elementwise
+        pass (per element the same floats as a per-parameter update).
+
         Returns
         -------
         TrainingHistory
@@ -190,6 +235,9 @@ class Network:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         gen = as_generator(rng)
         opt = optimizer if optimizer is not None else Adam()
+        flat_params, flat_grads = self._flat_buffers()
+        params, grads = [flat_params], [flat_grads]
+        layer_grads = self.gradients()  # views: the clip norm sums them one by one
         history = TrainingHistory()
         best_loss = np.inf
         best_weights: list[np.ndarray] | None = None
@@ -203,13 +251,16 @@ class Network:
                 idx = order[start : start + batch_size]
                 batch_x = x[idx]
                 batch_target = _slice_target(target, idx)
-                self.zero_grad()
+                flat_grads.fill(0.0)
                 pred = self.forward(batch_x, training=True)
                 value, grad = loss(pred, batch_target)
                 self.backward(grad)
                 if clip_norm is not None:
-                    self._clip_gradients(clip_norm)
-                opt.step(self.parameters(), self.gradients())
+                    # np.sum's own reduction, without its wrapper
+                    total = np.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in layer_grads))
+                    if total > clip_norm and total > 0:
+                        flat_grads *= clip_norm / total
+                opt.step(params, grads)
                 epoch_loss += value
                 n_batches += 1
             mean_loss = epoch_loss / max(n_batches, 1)
@@ -244,14 +295,6 @@ class Network:
         if patience is not None and best_weights is not None:
             self.set_weights(best_weights)
         return history
-
-    def _clip_gradients(self, max_norm: float) -> None:
-        grads = self.gradients()
-        total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
-        if total > max_norm and total > 0:
-            scale = max_norm / total
-            for g in grads:
-                g *= scale
 
 
 def stochastic_passes(networks: Sequence[Network], x: np.ndarray, n_passes: int) -> np.ndarray:

@@ -3,7 +3,10 @@
 Parameters are updated **in place** so layers keep owning their arrays.
 Weight decay is decoupled (applied directly to the parameter), matching
 the L2-regularised training the uplift-modelling literature uses for
-small RCT datasets.
+small RCT datasets.  State (momentum, moments) is keyed by the
+parameter array and allocated on its first step only; every update is
+elementwise, so :meth:`~repro.nn.network.Network.fit` hands over one
+flat parameter and gets the floats a per-parameter update gives.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class SGD(Optimizer):
         for p, g in zip(params, grads):
             update = g + self.weight_decay * p
             if self.momentum > 0:
-                v = self._velocity.setdefault(id(p), np.zeros_like(p))
+                v = self._velocity.get(id(p))
+                if v is None:
+                    v = self._velocity[id(p)] = np.zeros_like(p)
                 v *= self.momentum
                 v += update
                 update = v
@@ -88,8 +93,11 @@ class Adam(Optimizer):
         )
         for p, g in zip(params, grads):
             g = g + self.weight_decay * p
-            m = self._m.setdefault(id(p), np.zeros_like(p))
-            v = self._v.setdefault(id(p), np.zeros_like(p))
+            m = self._m.get(id(p))
+            if m is None:
+                m = self._m[id(p)] = np.zeros_like(p)
+                self._v[id(p)] = np.zeros_like(p)
+            v = self._v[id(p)]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -14,11 +14,13 @@ callbacks with absolute deadlines, fired in deadline order whenever
 ``poll()`` observes that the clock has passed them.  It is
 deliberately *pull*-based — no background timer thread — so behaviour
 is deterministic under a :class:`ManualClock` and adds zero overhead
-when nothing is scheduled.
+when nothing is due: the loop caches its earliest deadline, so a poll
+that finds nothing due costs one clock read and one comparison.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable, Protocol, runtime_checkable
 
@@ -75,6 +77,12 @@ class DeadlineLoop:
     otherwise push a poll landing exactly on the deadline to the
     *next* poll.  One nanosecond is far below any meaningful latency
     bound and far above any double-precision drift.
+
+    The earliest deadline is cached (``schedule``, ``cancel`` and
+    ``poll`` keep it current), so ``next_deadline`` reads it and a
+    ``poll`` with nothing due returns after one clock read.  A NaN
+    deadline or delay raises ValueError before anything is stored: it
+    would never fire, and no earliest deadline is defined beside it.
     """
 
     def __init__(self, clock: Clock, epsilon: float = 1e-9) -> None:
@@ -83,37 +91,55 @@ class DeadlineLoop:
         self.clock = clock
         self.epsilon = float(epsilon)
         self._deadlines: dict[object, tuple[float, Callable[[], None]]] = {}
+        self._earliest = math.inf  # min deadline in _deadlines, inf when empty
 
     def __len__(self) -> int:
         return len(self._deadlines)
+
+    def _reset_earliest(self) -> None:
+        # the loops hold one to three keys: a scan per change is enough
+        self._earliest = min((at for at, _cb in self._deadlines.values()), default=math.inf)
 
     def schedule(self, key: object, at: float, callback: Callable[[], None]) -> None:
         """Register ``callback`` to fire once ``clock.now() >= at``.
 
         A second ``schedule`` under the same key replaces the first —
         the scoring engine re-arms its single ``"flush"`` deadline this
-        way.
+        way.  A NaN ``at`` raises ValueError.
         """
-        self._deadlines[key] = (float(at), callback)
+        at = float(at)
+        if at != at:
+            raise ValueError(f"deadline must not be NaN, got {at} for key {key!r}")
+        old = self._deadlines.get(key)
+        self._deadlines[key] = (at, callback)
+        if at < self._earliest:
+            self._earliest = at
+        elif old is not None and old[0] == self._earliest and at > old[0]:
+            self._reset_earliest()  # the earliest moved later
 
     def schedule_in(self, key: object, delay: float, callback: Callable[[], None]) -> None:
         """Relative-time convenience: fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # rejects NaN too
             raise ValueError(f"delay must be >= 0, got {delay}")
         self.schedule(key, self.clock.now() + float(delay), callback)
 
     def cancel(self, key: object) -> bool:
         """Drop a scheduled deadline; True when one existed."""
-        return self._deadlines.pop(key, None) is not None
+        entry = self._deadlines.pop(key, None)
+        if entry is None:
+            return False
+        if entry[0] == self._earliest:
+            self._reset_earliest()
+        return True
 
     def next_deadline(self) -> float | None:
         """The earliest scheduled time, or None when nothing is pending."""
-        if not self._deadlines:
-            return None
-        return min(at for at, _cb in self._deadlines.values())
+        return self._earliest if self._deadlines else None
 
     def poll(self) -> int:
         """Fire every overdue callback (deadline order); return the count."""
+        if self._earliest > self.clock.now() + self.epsilon:
+            return 0  # nothing due: the idle path
         fired = 0
         while self._deadlines:
             now = self.clock.now() + self.epsilon
@@ -127,6 +153,8 @@ class DeadlineLoop:
                 entry = self._deadlines.pop(key, None)
                 if entry is None:  # an earlier callback cancelled it
                     continue
+                if entry[0] == self._earliest:
+                    self._reset_earliest()
                 entry[1]()
                 fired += 1
         return fired

@@ -418,7 +418,8 @@ class ScoringEngine:
           (a :class:`_RidRange` per pending block), and rows landing
           in the columnar buffer as slab copies — which is what the
           ≥2M scores/s batched target is measured on.  Keys only steer
-          routing, so static routing ignores them.
+          routing, so static routing ignores them.  Ids and counters
+          move once per flush segment, as on the row walk.
         * **row walk** — anything else: each row in turn routes (a
           live challenger draws at the row's turn), probes the cache
           and, on a miss, joins its version's pending block.  A
@@ -466,15 +467,17 @@ class ScoringEngine:
         n = x.shape[0]
         vid = self.registry.route(None).version  # static: champion, no RNG
         rid0 = self._next_id
-        self._next_id += n
-        self._c_requests.inc(n)
-        self._c_cache_misses.inc(n)
         start = 0
         while start < n:
             # stop at every batch_size boundary exactly as the scalar
-            # path would (flush counters stay identical)
+            # path would (flush counters stay identical), and book ids
+            # and counters per segment, so a raising flush leaves
+            # exactly what N submits leave
             take = min(max(self.batch_size - self._n_pending, 1), n - start)
             slice_rid0 = rid0 + start
+            self._next_id = slice_rid0 + take
+            self._c_requests.inc(take)
+            self._c_cache_misses.inc(take)
             block = self._pending.get(vid)
             if block is None:
                 block = self._pending[vid] = _PendingBlock(
@@ -785,6 +788,18 @@ class ScoringEngine:
         if rec is not None:
             return rec.version_id
         return self._version_by_rid[request_id]  # KeyError with the rid
+
+    def _open_ids(self) -> set[int]:
+        """Ids a later take or drain can still resolve: buffered, in
+        flight, or scored and not yet taken (a dropped batch's are not)."""
+        ids = set(self._ready)
+        for block in self._pending.values():
+            ids.update(block.rids[: block.n].tolist())
+        for _future, _version_id, batch, _stamp in self._inflight:
+            ids.update(batch.rids[: batch.n].tolist())
+        for rec in self._ranges:
+            ids.update(range(rec.start, rec.stop))
+        return ids
 
     def _find_range(self, rid: int) -> _RidRange | None:
         for rec in self._ranges:

@@ -261,7 +261,7 @@ class Retrainer:
         self._c_outcomes.inc()
         self._g_fill.set(len(self._buffer))
         if self._reference is None and len(self._buffer) >= self.min_outcomes:
-            self._freeze_reference()
+            self._freeze_reference(np.stack([row[0] for row in self._buffer]))
         if (
             self.every_outcomes is not None
             and self._since_count_trigger >= self.every_outcomes
@@ -302,8 +302,8 @@ class Retrainer:
         self._loop.schedule_in(_TIMER_KEY, self.every_s, self._on_timer)
         self._trigger("every_n_days")
 
-    def _freeze_reference(self) -> None:
-        x = np.stack([row[0] for row in self._buffer])
+    def _freeze_reference(self, x: np.ndarray) -> None:
+        """Measure drift against the window's stacked features ``x``."""
         self._reference = (x.mean(axis=0), np.maximum(x.std(axis=0), 1e-9))
 
     def _template(self) -> TrainableModel:
@@ -331,7 +331,7 @@ class Retrainer:
         y_c = np.array([row[3] for row in self._buffer])
         clone = self._template().clone_unfit()
         self._fit_reason = reason
-        self._freeze_reference()  # drift is now measured against this window
+        self._freeze_reference(x)  # drift is now measured against this window
         if self.backend is not None:
             self._fit_future = self.backend.submit(_fit_clone, clone, x, t, y_r, y_c)
         else:

@@ -133,13 +133,24 @@ def _shard_install(
     return shard
 
 
+def _forget_dropped(engine: ScoringEngine, fleet_ids: dict[int, int]) -> None:
+    """Drop the id-map entries of rows a raising flush dropped: their
+    engine ids never resolve, so nothing would ever pop them."""
+    open_ids = engine._open_ids()
+    for local in [local for local in fleet_ids if local not in open_ids]:
+        del fleet_ids[local]
+
+
 def _shard_results(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     """Drain the shard's ready results as ``(fleet id, version, score)``."""
+    engine = _SHARD_ENGINES[(fleet, shard)]
     fleet_ids = _SHARD_RIDS[(fleet, shard)]
-    return [
-        (fleet_ids.pop(local), version, score)
-        for local, version, score in _SHARD_ENGINES[(fleet, shard)].drain()
-    ]
+    try:
+        drained = engine.drain()  # its poll may fire a raising flush
+    except BaseException:
+        _forget_dropped(engine, fleet_ids)
+        raise
+    return [(fleet_ids.pop(local), version, score) for local, version, score in drained]
 
 
 def _shard_feed(
@@ -151,7 +162,8 @@ def _shard_feed(
     issued: all of them, or, when a flush inside the block raises, those
     the engine issued before the raise.  Each fleet id thus maps to its
     own row's engine id, so no later result lands on another row's
-    fleet id; rows a raise left unscored never resolve.
+    fleet id; rows a raise left unscored never resolve, and every raise
+    drops their entries from the map.
     """
     engine = _SHARD_ENGINES[(fleet, shard)]
     fleet_ids = _SHARD_RIDS[(fleet, shard)]
@@ -160,6 +172,7 @@ def _shard_feed(
         issued = engine.submit_batch(rows, keys=keys)
     except BaseException:
         fleet_ids.update(zip(range(first, engine._next_id), rids))
+        _forget_dropped(engine, fleet_ids)
         raise
     fleet_ids.update(zip(issued, rids))
     return _shard_results(fleet, shard)
@@ -167,8 +180,12 @@ def _shard_feed(
 
 def _shard_flush(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     engine = _SHARD_ENGINES[(fleet, shard)]
-    engine.flush()
-    engine.join()
+    try:
+        engine.flush()
+        engine.join()
+    except BaseException:
+        _forget_dropped(engine, _SHARD_RIDS[(fleet, shard)])
+        raise
     return _shard_results(fleet, shard)
 
 
@@ -177,7 +194,11 @@ def _shard_poll(
 ) -> tuple[int, float | None, list[tuple[int, int, float]]]:
     """Fire overdue deadline flushes; returns (fired, next_deadline, ready)."""
     engine = _SHARD_ENGINES[(fleet, shard)]
-    fired = engine.poll()
+    try:
+        fired = engine.poll()
+    except BaseException:
+        _forget_dropped(engine, _SHARD_RIDS[(fleet, shard)])
+        raise
     return fired, engine.next_deadline(), _shard_results(fleet, shard)
 
 

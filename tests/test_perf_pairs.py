@@ -171,3 +171,51 @@ def test_paired_decision_deltas_are_printed_not_judged(capsys):
             "median), q1 -1.25, q3 +4.25, negative on 3/10 pairs") in printed
     assert ("paired delta revenue_ratio (change - parent): median +0 (+0.0000% of the parent's median), "
             "q1 +0, q3 +0, negative on 0/10 pairs") in printed
+
+
+def traced(calls: dict[str, float], shares: dict[str, float], wall_s: float, counts: dict[str, float]) -> dict:
+    """A made-up ``--trace 1`` JSON result."""
+    metrics = {}
+    for layer, n in calls.items():
+        metrics[f"{layer}.share"] = {"value": shares[layer], "unit": "ratio"}
+        metrics[f"{layer}.calls"] = {"value": n, "unit": "count"}
+    metrics["trace.wall_s"] = {"value": wall_s, "unit": "s"}
+    metrics.update({name: {"value": v, "unit": "count"} for name, v in counts.items()})
+    metrics["model.rows_per_s"] = {"value": 1e6, "unit": "1/s"}
+    return {"metrics": metrics, "failed": 0, "attempted": 1000}
+
+
+def test_ledger_lines_compare_calls_and_self_seconds():
+    parent = traced({"engine": 102275.0, "deadline": 141279.0}, {"engine": 0.25, "deadline": 0.125},
+                    2.0, {"model.rows": 20000.0, "pacer.refreshes": 308.0})
+    change = traced({"engine": 102275.0, "deadline": 141280.0}, {"engine": 0.3, "deadline": 0.1},
+                    1.5, {"model.rows": 20000.0, "pacer.refreshes": 309.0})
+    lines = perf_pairs.ledger_lines(parent, change)
+    assert lines[1].split() == ["engine", "102275", "102275", "0.5000", "0.4500"]
+    assert lines[2].split() == ["deadline", "141279", "141280", "0.2500", "0.1500", "calls", "differ"]
+    assert lines[3].split() == ["model.rows", "20000", "20000"]
+    assert lines[4].split() == ["pacer.refreshes", "308", "309", "differs"]
+    assert len(lines) == 5  # rates and times are not counts
+
+
+def test_ledger_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 20, "end_to_end": list(METRICS.values())}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run_once(root, workload, seed, seconds, trace=0):
+        calls.append((root.name, seed, trace))
+        if trace:
+            return traced({"engine": 10.0}, {"engine": 0.5}, 1.0, {})
+        return result(100.0 + seed, 1.0)
+
+    monkeypatch.setattr(perf_pairs, "run_once", run_once)
+    assert perf_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                            "--workloads", "w", "--ledger", "7"]) == 0
+    assert calls[-2:] == [("parent", 7, 1), ("change", 7, 1)]
+    assert all(trace == 0 for _root, _seed, trace in calls[:-2])
+    printed = capsys.readouterr().out
+    assert "ledger on seed 7" in printed
+    assert printed.rstrip().endswith("verdict: all rules hold")

@@ -9,8 +9,12 @@ guarantees the runtime refactor exists for: chunked generation on a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ab.experiment import ABTest
 from repro.ab.platform import Platform
@@ -195,6 +199,172 @@ class TestDeadlineLoop:
             clock.advance(1.0)
             loop.poll()
         assert ticks == [1.0, 2.0, 3.0]
+
+
+    @pytest.mark.parametrize("call", ["schedule", "schedule_in"])
+    def test_nan_deadline_is_refused_before_anything_is_stored(self, call):
+        """Regression: a NaN delay passed the ``delay < 0`` check and
+        stored a key that never fires; ``next_deadline`` then read NaN
+        or a real time depending on insertion order."""
+        clock = ManualClock(10.0)
+        loop = DeadlineLoop(clock)
+        loop.schedule("real", 50.0, lambda: None)
+        with pytest.raises(ValueError, match="NaN|delay"):
+            if call == "schedule":
+                loop.schedule("nan", math.nan, lambda: None)
+            else:
+                loop.schedule_in("nan", math.nan, lambda: None)
+        assert len(loop) == 1
+        assert loop.next_deadline() == 50.0
+        clock.advance(100.0)
+        assert loop.poll() == 1
+        assert len(loop) == 0 and loop.next_deadline() is None
+
+    def test_idle_poll_reads_the_clock_once(self):
+        reads = []
+
+        class CountingClock(ManualClock):
+            def now(self):
+                reads.append(1)
+                return super().now()
+
+        loop = DeadlineLoop(CountingClock())
+        for key in range(3):
+            loop.schedule(key, 5.0 + key, lambda: None)
+        reads.clear()
+        assert loop.poll() == 0
+        assert len(reads) == 1
+
+
+class ScanningLoop:
+    """The deadline loop as it was before it cached its earliest
+    deadline: every ``poll`` and ``next_deadline`` scans the dict.  The
+    reference :class:`DeadlineLoop` must match call for call."""
+
+    def __init__(self, clock, epsilon: float = 1e-9) -> None:
+        self.clock = clock
+        self.epsilon = float(epsilon)
+        self._deadlines: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._deadlines)
+
+    def schedule(self, key, at, callback) -> None:
+        self._deadlines[key] = (float(at), callback)
+
+    def schedule_in(self, key, delay, callback) -> None:
+        if delay < 0:
+            raise ValueError(f"delay must be >= 0, got {delay}")
+        self.schedule(key, self.clock.now() + float(delay), callback)
+
+    def cancel(self, key) -> bool:
+        return self._deadlines.pop(key, None) is not None
+
+    def next_deadline(self):
+        if not self._deadlines:
+            return None
+        return min(at for at, _cb in self._deadlines.values())
+
+    def poll(self) -> int:
+        fired = 0
+        while self._deadlines:
+            now = self.clock.now() + self.epsilon
+            due = [(at, key) for key, (at, _cb) in self._deadlines.items() if at <= now]
+            if not due:
+                break
+            due.sort(key=lambda pair: pair[0])
+            for _at, key in due:
+                entry = self._deadlines.pop(key, None)
+                if entry is None:
+                    continue
+                entry[1]()
+                fired += 1
+        return fired
+
+
+# a callback: (kind, other key, delay); "resched" re-arms its own key,
+# "cancel" drops another key, "new" schedules another key (plain)
+_KEYS = st.integers(0, 4)
+_OFFSETS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 3.0])
+_CALLBACKS = st.tuples(
+    st.sampled_from(["plain", "resched", "cancel", "new"]),
+    _KEYS,
+    st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("schedule"), _KEYS, _OFFSETS, _CALLBACKS),
+    st.tuples(st.just("schedule_in"), _KEYS, st.sampled_from([0.0, 0.5, 1.0, 2.0]), _CALLBACKS),
+    st.tuples(st.just("cancel"), _KEYS),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5])),
+    st.tuples(st.just("poll")),
+)
+
+
+def _drive(loop_cls, ops) -> list:
+    """Run ``ops`` on a fresh ``loop_cls`` and return everything observable."""
+    clock = ManualClock()
+    loop = loop_cls(clock)
+    seen: list = []
+
+    def callback(key, spec):
+        kind, other, delay = spec
+
+        def fire():
+            # what the loop shows from inside a callback counts too
+            seen.append(("fired", key, clock.now(), len(loop), loop.next_deadline()))
+            if kind == "resched":
+                loop.schedule(key, clock.now() + delay, callback(key, spec))
+            elif kind == "cancel":
+                seen.append(("cancelled", loop.cancel(other)))
+            elif kind == "new":
+                loop.schedule_in(other, delay, callback(other, ("plain", other, delay)))
+
+        return fire
+
+    for op in ops:
+        name = op[0]
+        if name == "schedule":
+            _name, key, offset, spec = op
+            loop.schedule(key, clock.now() + offset, callback(key, spec))
+        elif name == "schedule_in":
+            _name, key, delay, spec = op
+            loop.schedule_in(key, delay, callback(key, spec))
+        elif name == "cancel":
+            seen.append(("cancel", loop.cancel(op[1])))
+        elif name == "advance":
+            clock.advance(op[1])
+        else:
+            seen.append(("poll", loop.poll()))
+        seen.append(("state", len(loop), loop.next_deadline()))
+    return seen
+
+
+class TestDeadlineLoopMatchesScan:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    def test_cached_earliest_matches_the_scanning_loop(self, ops):
+        """Schedules that replace an earlier or later deadline, cancels,
+        clock advances and polls whose callbacks re-arm themselves,
+        cancel another key or schedule a new one: the fired order,
+        return values, ``len`` and ``next_deadline`` (also read from
+        inside callbacks) equal the scanning loop's."""
+        assert _drive(DeadlineLoop, ops) == _drive(ScanningLoop, ops)
+
+    def test_replacing_the_earliest_with_a_later_deadline(self):
+        ops = [
+            ("schedule", 0, 1.0, ("plain", 0, 1.0)),
+            ("schedule", 1, 2.0, ("plain", 1, 1.0)),
+            ("schedule", 0, 3.0, ("plain", 0, 1.0)),  # the earliest moves later
+            ("advance", 1.5),
+            ("poll",),
+            ("advance", 1.0),
+            ("poll",),
+            ("advance", 1.0),
+            ("poll",),
+        ]
+        seen = _drive(DeadlineLoop, ops)
+        assert seen == _drive(ScanningLoop, ops)
+        assert seen[2] == ("state", 2, 2.0)
 
 
 # ---------------------------------------------------------------------------

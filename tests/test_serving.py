@@ -994,6 +994,45 @@ class TestSubmitBatch:
         with pytest.raises(KeyError):
             engine.version_of(ids[0])  # released by the take
 
+    class FailsOnCall:
+        """Stub scorer: row ``[v, ...]`` scores ``v``; call ``fail`` raises."""
+
+        def __init__(self, fail: int) -> None:
+            self.fail = fail
+            self.calls = 0
+
+        def predict_roi(self, x):
+            self.calls += 1
+            if self.calls == self.fail:
+                raise RuntimeError("model down")
+            return np.atleast_2d(x)[:, 0].astype(float)
+
+    @pytest.mark.parametrize("batch_size, fail", [(4, 2), (4, 1), (3, 3), (1, 2), (5, 2)])
+    def test_slab_raise_books_like_per_row_submits(self, batch_size, fail):
+        """Regression: the slab path (cache off, static routing) issued a
+        block's ids and counted its requests up front, so a batch-full
+        flush raising inside the block left later rows holding ids and
+        the next request's id skipped past them.  Ids, ``requests`` and
+        ``cache_misses`` now move per flush segment, as N submits do."""
+        rows = np.arange(30.0).reshape(10, 3)
+        block = ScoringEngine(self.FailsOnCall(fail), batch_size=batch_size, cache_size=0)
+        per_row = ScoringEngine(self.FailsOnCall(fail), batch_size=batch_size, cache_size=0)
+        raised = []
+        for engine, feed in (
+            (block, lambda: block.submit_batch(rows)),
+            (per_row, lambda: [per_row.submit(row) for row in rows]),
+        ):
+            try:
+                feed()
+            except RuntimeError:
+                raised.append(engine)
+        assert raised == [block, per_row]
+        assert block.submit(rows[9] + 100.0) == per_row.submit(rows[9] + 100.0)
+        assert block.stats == per_row.stats
+        block.flush()
+        per_row.flush()
+        assert block.drain() == per_row.drain()
+
     # -- the row walk, pinned against per-row submits ------------------
     @staticmethod
     def _counting_engine(split=0.0, **kwargs) -> ScoringEngine:

@@ -32,7 +32,7 @@ from repro.serving import (
     ShardedBudgetPacer,
     ShardedScoringEngine,
 )
-from repro.serving.sharding import _SHARD_ENGINES
+from repro.serving.sharding import _SHARD_ENGINES, _SHARD_RIDS
 
 
 class LinearROI:
@@ -399,6 +399,41 @@ class TestFleetFailurePaths:
         # (8-10) never resolve, as a dropped batch's ids do on one engine
         assert not any(fleet.has_result(rid) for rid in range(second[1], last[0]))
         assert fleet.drain() == []
+        fleet.close()
+
+    def test_raising_flushes_leave_no_id_map_entries(self):
+        """Regression: the shard worker kept the engine-to-fleet id
+        entries of every row a raising flush dropped (those ids never
+        drain), one batch per failure.  Once every result is taken the
+        map is empty, whichever shard call raised."""
+        fleet = ShardedScoringEngine(
+            FailingSecondCall(), n_shards=1, batch_size=4, cache_size=64
+        )
+        first = fleet.submit_batch(valued_rows([0, 1, 2, 3]))
+        second = fleet.submit_batch(valued_rows([0, 4, 5, 6]))
+        with pytest.raises(RuntimeError, match="model down"):
+            fleet.submit_batch(valued_rows([7, 8, 9, 10]))
+        last = fleet.submit_batch(valued_rows([20, 21, 22, 23]))
+        fleet.flush()
+        fleet.take_block(first)
+        fleet.take(second[0])
+        fleet.take_block(last)
+        assert fleet.drain() == []
+        assert _SHARD_RIDS[(fleet._fleet_id, 0)] == {}
+        fleet.close()
+
+    def test_raising_manual_flush_leaves_no_id_map_entries(self):
+        fleet = ShardedScoringEngine(
+            FailingSecondCall(), n_shards=1, batch_size=8, cache_size=0
+        )
+        first = fleet.submit_batch(valued_rows(range(8)))
+        pending = fleet.submit_batch(valued_rows(range(10, 13)))
+        with pytest.raises(RuntimeError, match="model down"):
+            fleet.flush()  # the shard's manual flush scores the 3 pending rows
+        assert fleet.take_block(first).tolist() == [float(v) for v in range(8)]
+        assert not any(fleet.has_result(rid) for rid in pending)
+        assert fleet.drain() == []
+        assert _SHARD_RIDS[(fleet._fleet_id, 0)] == {}
         fleet.close()
 
     @pytest.mark.parametrize("call", ["submit", "submit_batch"])
