@@ -7,7 +7,11 @@ Each layer implements
 * ``backward(grad_out)`` — given dL/d(output), accumulate parameter
   gradients and return dL/d(input);
 * ``parameters()`` / ``gradients()`` — flat lists consumed by the
-  optimizers in :mod:`repro.nn.optimizers`.
+  optimizers in :mod:`repro.nn.optimizers`;
+* ``rebind(params, grads)`` — adopt same-shaped replacement arrays,
+  which :meth:`~repro.nn.network.Network.fit` uses to move a layer's
+  parameters into its flat training buffers (a layer with parameters
+  must implement it to be trained by ``fit``).
 
 Gradient correctness for every layer is verified by finite differences
 in ``tests/test_nn_gradcheck.py``.
