@@ -43,6 +43,10 @@ per workload on that seed, parent first, and prints each layer's calls
 on both sides (flagging any that differ) and its self seconds per
 replay (``<layer>.share`` x ``trace.wall_s``), followed by the other
 per-layer counts.  It locates a saving and judges nothing.
+
+Before the first pair it prints each checkout's ``src/**/*.py`` line
+total and the net change, the figure a change reports; it judges
+nothing either.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ def load_spec(parent: Path, change: Path) -> dict:
     if json.loads((change / "BENCHMARK.json").read_text()) != spec:
         raise ValueError(f"{change / 'BENCHMARK.json'} differs from the parent's {parent / 'BENCHMARK.json'}")
     return spec
+
+
+def src_lines(root: Path) -> int:
+    """Lines in the checkout's ``src/**/*.py`` files (0 without ``src``)."""
+    return sum(len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -244,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     claimed_on = set(args.workloads if args.claim_on is None else args.claim_on)
 
     print(f"{args.pairs} pairs at {seconds:g} s, seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")
+    lines = {side: src_lines(roots[side]) for side in SIDES}
+    print(f"src/**/*.py lines: parent {lines['parent']}, change {lines['change']}, "
+          f"net {lines['change'] - lines['parent']:+d} (informative, judges nothing)")
     runs: dict[str, dict[str, list[dict]]] = {w: {s: [] for s in SIDES} for w in args.workloads}
     for k in range(args.pairs):
         seed = args.first_seed + k

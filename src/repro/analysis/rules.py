@@ -256,23 +256,19 @@ def _is_resource_ctor(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and (
-            (node.func.id.endswith("Backend") and not node.func.id.startswith("_"))
-            or node.func.id == "SharedTensorPool"
-        )
+        and node.func.id.endswith("Backend")
+        and not node.func.id.startswith("_")
     )
 
 
 class RPR003(Rule):
-    """Resource ownership: whoever constructs a backend or a shared
-    tensor pool shuts it down — on *all* paths — and nobody shuts down
-    a resource they merely borrowed.
+    """Resource ownership: whoever constructs a backend shuts it down —
+    on *all* paths — and nobody shuts down a backend they merely
+    borrowed.
 
-    A leaked ``ProcessBackend`` is a stranded worker pool; a leaked
-    ``SharedTensorPool`` is a named shared-memory segment that outlives
-    the process (the exact failure ``tests/test_shm.py`` hunts).  The
-    rule's construction half flags a locally constructed resource that
-    neither escapes the function (returned, stored on an object,
+    A leaked ``ProcessBackend`` is a stranded worker pool.  The rule's
+    construction half flags a locally constructed backend that neither
+    escapes the function (returned, stored on an object,
     passed onward — ownership transferred) nor is guaranteed release
     via ``with`` / ``try‑finally``.  The borrowing half flags
     ``shutdown()``/``close()`` called on a bare function parameter:
@@ -282,8 +278,8 @@ class RPR003(Rule):
     code = "RPR003"
     name = "resource-ownership"
     description = (
-        "constructed *Backend/SharedTensorPool must reach shutdown()/"
-        "close() on all paths (with/try-finally); borrowed ones never"
+        "constructed *Backend must reach shutdown()/close() on all "
+        "paths (with/try-finally); borrowed ones never"
     )
 
     def check(self, module: Module) -> Iterator[Finding]:

@@ -15,11 +15,9 @@ scaling feature kept reinventing privately:
   deadlines that make latency guarantees (flush at ``max_latency_ms``)
   testable under simulated time.
 
-:class:`SharedTensorPool` / :class:`SharedTensor`
-(``repro.runtime.shm``) are named ref-counted shared-memory numpy
-segments with an explicit create/attach/release lifecycle.  How bytes
-cross a process boundary is not decided here: the serving fleet passes
-plain arrays over its lanes, and no serving path uses the pool.
+How bytes cross a process boundary is not decided here: the serving
+fleet passes plain arrays over its lanes, so the library creates no
+shared-memory segment (:func:`live_segment_count` reads 0).
 
 Everything here depends only on ``repro.obs`` (itself stdlib-only),
 so any layer may build on it.
@@ -33,7 +31,6 @@ from repro.runtime.backend import (
     resolve_n_workers,
 )
 from repro.runtime.clock import Clock, DeadlineLoop, ManualClock, SystemClock
-from repro.runtime.shm import SharedTensor, SharedTensorPool, live_segment_count
 
 __all__ = [
     "Clock",
@@ -42,10 +39,18 @@ __all__ = [
     "ManualClock",
     "ProcessBackend",
     "SerialBackend",
-    "SharedTensor",
-    "SharedTensorPool",
     "SystemClock",
     "ThreadBackend",
     "live_segment_count",
     "resolve_n_workers",
 ]
+
+
+def live_segment_count() -> int:
+    """Shared-memory segments this process holds open: always 0.
+
+    The library creates no shared-memory segment (the serving fleet
+    passes plain arrays over its lanes); the name stays because
+    perfbench's fleet workload imports it for its leak check.
+    """
+    return 0

@@ -42,12 +42,11 @@ stateless fan-out but useless for a sharded serving fleet where shard
 long-lived process.  ``submit_to(lane, fn, *args)`` pins work to a
 numbered **lane**: a lazily created single-worker executor that
 processes its tasks FIFO, so state a task installs in its process (or
-thread) is still there for every later task on the same lane.  Lanes
-accept an optional ``initializer(lane_index, *initargs)`` run once per
-lane start — the hook a sharded engine uses to build its per-process
-shard before the first request lands.  ``submit`` and ``submit_to``
-coexist on one backend: the shared pool and the lanes are separate
-executors, and ``shutdown`` releases both.
+thread) is still there for every later task on the same lane.  The
+sharded engine builds each shard this way: its first task on a lane
+installs the shard, and every later task on that lane finds it.
+``submit`` and ``submit_to`` coexist on one backend: the shared pool
+and the lanes are separate executors, and ``shutdown`` releases both.
 """
 
 from __future__ import annotations
@@ -110,17 +109,9 @@ class SerialBackend:
     propagation points — it had before the runtime layer existed.
     """
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
         self.start_count = 0  # no pool ever starts
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._initialized_lanes: set[int] = set()
         self._c_submitted = self.metrics.counter("backend.tasks_submitted")
         self._c_completed = self.metrics.counter("backend.tasks_completed")
 
@@ -143,22 +134,16 @@ class SerialBackend:
     ) -> Future:
         """Lane-pinned submit; inline, every lane is this thread.
 
-        Lanes are purely logical here (any non-negative index), but the
-        per-lane initializer contract still holds: ``initializer(lane,
-        *initargs)`` runs once before the lane's first task, so code
+        Lanes are purely logical here (any non-negative index), so code
         written against lane affinity behaves identically on the serial
-        backend — same process, same FIFO order, same init hook.
+        backend — same process, same FIFO order.
         """
         if lane < 0:
             raise ValueError(f"lane must be >= 0, got {lane}")
-        if self._initializer is not None and lane not in self._initialized_lanes:
-            self._initialized_lanes.add(lane)
-            self._initializer(lane, *self._initargs)
         return self.submit(fn, *args, **kwargs)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Nothing to release; lanes re-initialize on next use."""
-        self._initialized_lanes.clear()
+        """Nothing to release."""
 
     def __enter__(self) -> "SerialBackend":
         return self
@@ -174,29 +159,18 @@ class _PoolBackend:
     """Shared machinery of the thread/process backends: a lazily
     created, reusable ``concurrent.futures`` pool."""
 
-    def __init__(
-        self,
-        n_workers: int | None = None,
-        metrics: MetricsRegistry | None = None,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, n_workers: int | None = None, metrics: MetricsRegistry | None = None) -> None:
         self._n_workers = resolve_n_workers(n_workers)
         self._pool: Executor | None = None
         self._lanes: dict[int, Executor] = {}
         self.start_count = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._instrumented = metrics is not None
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
         self._c_submitted = self.metrics.counter("backend.tasks_submitted")
         self._c_completed = self.metrics.counter("backend.tasks_completed")
         self._c_pool_starts = self.metrics.counter("backend.pool_starts")
 
-    def _make_pool(self) -> Executor:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _make_lane(self, lane: int) -> Executor:  # pragma: no cover - overridden
+    def _make_pool(self, max_workers: int) -> Executor:  # pragma: no cover - overridden
         raise NotImplementedError
 
     @property
@@ -210,7 +184,7 @@ class _PoolBackend:
 
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
         if self._pool is None:
-            self._pool = self._make_pool()
+            self._pool = self._make_pool(self._n_workers)
             self.start_count += 1
             self._c_pool_starts.inc()
         self._c_submitted.inc()
@@ -225,11 +199,11 @@ class _PoolBackend:
         """Pin work to lane ``lane``: one long-lived single worker.
 
         The lane executor starts lazily on its first task (counted in
-        ``start_count`` / ``backend.pool_starts`` like any pool start)
-        and runs ``initializer(lane, *initargs)`` in its worker first,
-        so per-lane state — a scoring shard, a warmed cache — exists
-        before the task does.  Tasks on one lane execute FIFO; distinct
-        lanes run concurrently.
+        ``start_count`` / ``backend.pool_starts`` like any pool start).
+        Tasks on one lane execute FIFO in that one worker, so per-lane
+        state a task installs — a scoring shard, a warmed cache — is
+        there for the lane's later tasks; distinct lanes run
+        concurrently.
         """
         if not 0 <= lane < self._n_workers:
             raise ValueError(
@@ -237,7 +211,7 @@ class _PoolBackend:
             )
         pool = self._lanes.get(lane)
         if pool is None:
-            pool = self._lanes[lane] = self._make_lane(lane)
+            pool = self._lanes[lane] = self._make_pool(1)
             self.start_count += 1
             self._c_pool_starts.inc()
         self._c_submitted.inc()
@@ -274,15 +248,8 @@ class ThreadBackend(_PoolBackend):
     so scoring-engine flushes genuinely overlap with the caller.
     """
 
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(max_workers=self._n_workers)
-
-    def _make_lane(self, lane: int) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=1,
-            initializer=self._initializer,
-            initargs=(lane, *self._initargs) if self._initializer else (),
-        )
+    def _make_pool(self, max_workers: int) -> Executor:
+        return ThreadPoolExecutor(max_workers=max_workers)
 
 
 class ProcessBackend(_PoolBackend):
@@ -295,12 +262,5 @@ class ProcessBackend(_PoolBackend):
     across every day of a run instead of per call.
     """
 
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self._n_workers)
-
-    def _make_lane(self, lane: int) -> Executor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            initializer=self._initializer,
-            initargs=(lane, *self._initargs) if self._initializer else (),
-        )
+    def _make_pool(self, max_workers: int) -> Executor:
+        return ProcessPoolExecutor(max_workers=max_workers)

@@ -26,6 +26,12 @@ from typing import Callable, Protocol, runtime_checkable
 
 __all__ = ["Clock", "DeadlineLoop", "ManualClock", "SystemClock"]
 
+# how far past ``now`` a deadline still counts as due: a ManualClock
+# advanced in repeated float increments drifts by ~1e-15, which would
+# otherwise push a poll landing exactly on a deadline to the next poll.
+# One nanosecond is far below any latency bound and far above the drift
+_EPSILON = 1e-9
+
 
 @runtime_checkable
 class Clock(Protocol):
@@ -67,16 +73,12 @@ class DeadlineLoop:
     ``schedule`` registers (or replaces) a callback under a key with an
     absolute deadline; ``poll`` fires every callback whose deadline has
     passed, in deadline order, and returns how many fired.  Callbacks
-    may re-schedule themselves.  No threads, no signals: the owner
-    decides when to look at the clock, which is what makes the loop
-    exact under simulated time.
-
-    ``epsilon`` (default one nanosecond) widens the firing comparison
-    to ``at <= now + epsilon``: a :class:`ManualClock` advanced in
-    repeated float increments accumulates ~1e-15 of drift, which would
-    otherwise push a poll landing exactly on the deadline to the
-    *next* poll.  One nanosecond is far below any meaningful latency
-    bound and far above any double-precision drift.
+    may re-schedule themselves or other keys; a key a callback moved
+    later is no longer due and stays scheduled.  No threads, no
+    signals: the owner decides when to look at the clock, which is what
+    makes the loop exact under simulated time.  A deadline within one
+    nanosecond past ``now`` counts as due, so float drift of a
+    :class:`ManualClock` never defers a poll that lands on it.
 
     The earliest deadline is cached (``schedule``, ``cancel`` and
     ``poll`` keep it current), so ``next_deadline`` reads it and a
@@ -85,11 +87,8 @@ class DeadlineLoop:
     would never fire, and no earliest deadline is defined beside it.
     """
 
-    def __init__(self, clock: Clock, epsilon: float = 1e-9) -> None:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    def __init__(self, clock: Clock) -> None:
         self.clock = clock
-        self.epsilon = float(epsilon)
         self._deadlines: dict[object, tuple[float, Callable[[], None]]] = {}
         self._earliest = math.inf  # min deadline in _deadlines, inf when empty
 
@@ -138,11 +137,11 @@ class DeadlineLoop:
 
     def poll(self) -> int:
         """Fire every overdue callback (deadline order); return the count."""
-        if self._earliest > self.clock.now() + self.epsilon:
+        if self._earliest > self.clock.now() + _EPSILON:
             return 0  # nothing due: the idle path
         fired = 0
         while self._deadlines:
-            now = self.clock.now() + self.epsilon
+            now = self.clock.now() + _EPSILON
             due = [(at, key) for key, (at, _cb) in self._deadlines.items() if at <= now]
             if not due:
                 break
@@ -150,9 +149,10 @@ class DeadlineLoop:
             # by deadline only, ties in insertion order
             due.sort(key=lambda pair: pair[0])
             for _at, key in due:
-                entry = self._deadlines.pop(key, None)
-                if entry is None:  # an earlier callback cancelled it
-                    continue
+                entry = self._deadlines.get(key)
+                if entry is None or entry[0] > now:
+                    continue  # an earlier callback cancelled it or moved it later
+                del self._deadlines[key]
                 if entry[0] == self._earliest:
                     self._reset_earliest()
                 entry[1]()

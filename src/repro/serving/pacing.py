@@ -318,8 +318,9 @@ class BudgetPacer:
             return False
         # same boundary as the _refresh trigger above: the arrival that
         # completes warmup fits the first threshold and is already
-        # gated by it (a fresh fit must never be ignored)
-        if self.n_seen >= self.warmup and score < self.threshold_:
+        # gated by it (a fresh fit must never be ignored).  A NaN score
+        # is never admitted, warmup included
+        if math.isnan(score) or (self.n_seen >= self.warmup and score < self.threshold_):
             return False
         self.n_admitted += 1
         self.spent += cost
@@ -375,11 +376,12 @@ class BudgetPacer:
         self.offered_cost = float(offered[-1])
         self._c_offers.inc(m)
 
-        # a prefix is all warmup (score-blind) or all threshold-gated
+        # a prefix is all warmup or all threshold-gated; a NaN score
+        # fails both, as in offer()
         if first >= self.warmup:
-            admits = ~(scores < self.threshold_)  # NaN passes, as in offer()
+            admits = scores >= self.threshold_
         else:
-            admits = np.ones(m, dtype=bool)
+            admits = ~np.isnan(scores)
         spend = np.cumsum(np.concatenate(([self.spent], np.where(admits, costs, 0.0))))
         cap = self._cap(first)
         # arrivals before the first running spend above the smallest

@@ -31,15 +31,13 @@ keeps accumulating toward the next):
   refit is cheap insurance whether the cause turns out to be benign
   (covariate shift) or malignant (concept drift).
 
-Refits run off the serving path: the clone is fitted via
-:func:`~repro.causal.base.refit_model` on an
-:class:`~repro.runtime.ExecutionBackend` future (fresh forest/meta
-fits fan out to workers; warm-startable linear models make the fit
-itself cheap), and :meth:`Retrainer.poll` collects the result on a
-later tick.  While an experiment is already running the fitted model is
-*held*, not staged — registering over a live challenger would archive
-it mid-ramp and poison the experiment — and the freshest held fit wins
-once the slot frees up.
+Refits run between arrivals, off the scoring hot path: the trigger
+fits the clone inline via :func:`~repro.causal.base.refit_model` and
+stages it at once.  While an experiment is already running the fitted
+model is *held*, not staged — registering over a live challenger would
+archive it mid-ramp and poison the experiment — and
+:meth:`Retrainer.poll` stages it once the slot frees up; triggers
+decline while a fit is held.
 """
 
 from __future__ import annotations
@@ -51,18 +49,13 @@ import numpy as np
 
 from repro.causal.base import TrainableModel, refit_model
 from repro.obs import NULL_REGISTRY, MetricsRegistry
-from repro.runtime import Clock, DeadlineLoop, ExecutionBackend, SystemClock
+from repro.runtime import Clock, DeadlineLoop, SystemClock
 from repro.serving.registry import ModelRegistry
 
 __all__ = ["RetrainEvent", "Retrainer"]
 
 _TIMER_KEY = "retrain-timer"
 _DAY_S = 86_400.0
-
-
-def _fit_clone(model: TrainableModel, x, t, y_r, y_c) -> TrainableModel:
-    """Module-level so a ProcessBackend can pickle the work item."""
-    return refit_model(model, x, t, y_r, y_c)
 
 
 @dataclass(frozen=True)
@@ -115,11 +108,6 @@ class Retrainer:
         ``|mean_window - mean_reference| / std_reference``; the
         reference freezes at construction time's first full window and
         at every refit launch.
-    backend:
-        :class:`~repro.runtime.ExecutionBackend` the fit runs on;
-        ``None`` fits inline (still off the scoring hot path — fits
-        happen inside :meth:`poll`/:meth:`observe`, between arrivals).
-        The retrainer never shuts a passed backend down.
     name:
         Stem for staged versions (``"<name>-<k>"``).
     metrics:
@@ -139,7 +127,6 @@ class Retrainer:
         every_n_days: float | None = None,
         every_outcomes: int | None = None,
         drift_threshold: float | None = None,
-        backend: ExecutionBackend | None = None,
         name: str = "retrained",
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -172,7 +159,6 @@ class Retrainer:
         self.drift_threshold = (
             None if drift_threshold is None else float(drift_threshold)
         )
-        self.backend = backend
         self.name = name
 
         self._buffer: deque[tuple[np.ndarray, int, float, float]] = deque(
@@ -183,8 +169,6 @@ class Retrainer:
             self._loop.schedule_in(_TIMER_KEY, self.every_s, self._on_timer)
         self._since_count_trigger = 0
         self._reference: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std)
-        self._fit_future = None
-        self._fit_reason: str | None = None
         self._held: TrainableModel | None = None
         self._held_reason: str | None = None
         self._n_staged = 0
@@ -213,8 +197,8 @@ class Retrainer:
 
     @property
     def refit_pending(self) -> bool:
-        """A fit is in flight or a finished fit awaits the challenger slot."""
-        return self._fit_future is not None or self._held is not None
+        """A finished fit awaits the challenger slot."""
+        return self._held is not None
 
     def next_deadline(self) -> float | None:
         """Clock time of the next periodic trigger, or None."""
@@ -277,19 +261,18 @@ class Retrainer:
         self.poll()
 
     def poll(self) -> int:
-        """Advance the retrainer: fire due periodic triggers, collect a
-        finished fit, stage a held refit once the challenger slot frees.
-        Returns the number of deadline callbacks fired (call once per
-        arrival, like :meth:`AutoPromoter.poll`)."""
+        """Advance the retrainer: fire due periodic triggers, stage a
+        held refit once the challenger slot frees.  Returns the number
+        of deadline callbacks fired (call once per arrival, like
+        :meth:`AutoPromoter.poll`)."""
         fired = self._loop.poll()
-        self._collect_fit()
         self._stage_if_free()
         return fired
 
     def refit_now(self, reason: str = "manual") -> bool:
-        """Force a refit launch (same window/min-outcome rules).
+        """Force a refit (same window/min-outcome rules).
 
-        Returns True when a fit was actually launched.
+        Returns True when a fit actually ran.
         """
         return self._trigger(reason)
 
@@ -321,8 +304,8 @@ class Retrainer:
         if len(self._buffer) < self.min_outcomes:
             return False
         if self.refit_pending:
-            # one refit in flight at a time; the window keeps rolling
-            # and the next trigger sees fresher data anyway
+            # one refit waits for the slot at a time; the window keeps
+            # rolling and the next trigger sees fresher data anyway
             return False
         self._event("trigger", reason)
         x = np.stack([row[0] for row in self._buffer])
@@ -330,39 +313,23 @@ class Retrainer:
         y_r = np.array([row[2] for row in self._buffer])
         y_c = np.array([row[3] for row in self._buffer])
         clone = self._template().clone_unfit()
-        self._fit_reason = reason
         self._freeze_reference(x)  # drift is now measured against this window
-        if self.backend is not None:
-            self._fit_future = self.backend.submit(_fit_clone, clone, x, t, y_r, y_c)
-        else:
-            fitted = _fit_clone(clone, x, t, y_r, y_c)
-            self._finish_fit(fitted)
-        return True
-
-    def _collect_fit(self) -> None:
-        if self._fit_future is None or not self._fit_future.done():
-            return
-        future, self._fit_future = self._fit_future, None
-        self._finish_fit(future.result())
-
-    def _finish_fit(self, fitted: TrainableModel) -> None:
+        fitted = refit_model(clone, x, t, y_r, y_c)
         self.n_refits += 1
         self._c_refits.inc()
-        reason = self._fit_reason or "manual"
-        self._fit_reason = None
         self._event("fit", reason)
-        # freshest fit wins a held slot: it saw strictly newer outcomes
         self._held = fitted
         self._held_reason = reason
         self._stage_if_free()
         if self._held is not None:
             self._event("hold", reason)
+        return True
 
     def _stage_if_free(self) -> None:
         if self._held is None or self.registry.challenger is not None:
             return
         fitted, self._held = self._held, None
-        reason, self._held_reason = self._held_reason or "manual", None
+        reason, self._held_reason = self._held_reason, None
         self._n_staged += 1
         version = self.registry.register(fitted, name=f"{self.name}-{self._n_staged}")
         self._c_staged.inc()

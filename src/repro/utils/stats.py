@@ -105,13 +105,22 @@ def betainc(a: float, b: float, x: float) -> float:
 
 
 def t_cdf(x: float, df: float) -> float:
-    """CDF of Student's t with ``df`` degrees of freedom."""
+    """CDF of Student's t with ``df`` degrees of freedom.
+
+    Near the median (``x² < df``) the CDF is ``0.5 ± 0.5·I_z(1/2, df/2)``
+    with ``z = x²/(df + x²)`` formed directly: the tail form's
+    ``df/(df + x²)`` rounds ``x²/df`` away at large ``df``.
+    """
     if df <= 0:
         raise ValueError(f"df must be > 0, got {df}")
     x = float(x)
     if x == 0.0:
         return 0.5
-    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + x * x))
+    x2 = x * x
+    if x2 < df:
+        half = 0.5 * betainc(0.5, 0.5 * df, x2 / (df + x2))
+        return 0.5 + half if x > 0 else 0.5 - half
+    tail = 0.5 * betainc(0.5 * df, 0.5, df / (df + x2))
     return 1.0 - tail if x > 0 else tail
 
 
@@ -167,8 +176,7 @@ def t_ppf(q: float, df: float) -> float:
     midpoint.  The solve stops once a step falls below
     ``1e-12·max(1, x)``, or when steps stop shrinking below
     ``1e-9·x`` or overshoot a bracket that narrow: there the rounding
-    of ``t_cdf`` outweighs the step (near ``df = 1e6`` it moves in
-    steps of a few 1e-12).
+    of ``t_cdf`` outweighs the step.
 
     Exact symmetry ``t_ppf(1-q) = -t_ppf(q)`` is enforced, so two-sided
     intervals are perfectly symmetric.

@@ -20,16 +20,3 @@ def leak(n: int) -> int:
     backend = ProcessBackend(n)  # finding: never shut down
     rid = backend.submit(work, 1)
     return rid
-
-
-def leak_pool() -> None:
-    pool = SharedTensorPool()  # finding: never closed
-    pool.offer(b"x")
-
-
-class SharedTensorPool:
-    def offer(self, payload) -> None:
-        pass
-
-    def close(self) -> None:
-        pass

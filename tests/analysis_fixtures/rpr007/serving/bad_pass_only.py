@@ -1,5 +1,5 @@
 """RPR007 bad (serving segment): pass-only handlers swallow failures —
-the pre-suppression engine.py/shm.py shapes."""
+a removal and an already-unlinked cleanup that ignore their error."""
 
 
 def reap(ranges, record):

@@ -27,8 +27,11 @@ from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
 from repro.serving.registry import ModelRegistry
+from repro.serving.retraining import Retrainer
 from repro.serving.sharding import ShardedBudgetPacer, ShardedScoringEngine
 from repro.serving.simulator import ReplayResult, TrafficReplay
+
+from test_retraining import TreatedNetRidge
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,34 @@ class TestCostValidation:
         with pytest.raises(ValueError, match="equal-length"):
             pacer.observe_outcome(np.ones(3), np.ones(2), np.ones(3))
         assert len(pacer._outcomes) == 0
+
+
+# ---------------------------------------------------------------------------
+# the NaN-score bugfix
+# ---------------------------------------------------------------------------
+class TestNanScores:
+    """Regression: ``score < threshold_`` is False for NaN and warmup
+    admits every score, so a pacer admitted a NaN score whenever its
+    cost fit: a model that fails to score spent budget on those users."""
+
+    def test_offer_never_admits_a_nan_score(self):
+        pacer = BudgetPacer(100.0, 1000, warmup=4)
+        assert pacer.offer(math.nan, 1.0) is False  # in warmup
+        for _ in range(3):
+            pacer.offer(0.5, 1.0)
+        assert pacer.offer(math.nan, 1.0) is False  # past warmup
+        # a NaN arrival still counts as seen and offered
+        assert (pacer.n_seen, pacer.offered_cost, pacer.spent) == (5, 5.0, 2.0)
+
+    def test_offer_batch_never_admits_a_nan_score(self):
+        warm = BudgetPacer(100.0, 1000, warmup=4)
+        assert warm.offer_batch(np.array([math.nan, 0.5, math.nan]), np.ones(3)).tolist() == [False, True, False]
+        assert (warm.n_seen, warm.spent) == (3, 1.0)
+        gated = BudgetPacer(100.0, 1000, warmup=4)
+        for _ in range(4):
+            gated.offer(0.5, 1.0)
+        assert gated.offer_batch(np.array([math.nan, -1.0, math.nan]), np.ones(3)).tolist() == [False] * 3
+        assert (gated.n_seen, gated.offered_cost, gated.spent) == (7, 7.0, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +332,8 @@ class TestOfferBatchNamedCases:
         assert_same_state(block.current, scalar.current)
 
     def test_nan_scores_follow_offers_own_threshold_test(self):
-        """``score < threshold_`` is False for NaN: offer() admits a NaN
-        score whenever the cap allows, lockout included."""
+        """offer() never admits a NaN score, in warmup or past it, and
+        offer_batch decides NaN scores the same way."""
         scores, costs = traffic(300, seed=9)
         scores[::7] = np.nan
         admits, _ = run_twins(
@@ -311,7 +342,8 @@ class TestOfferBatchNamedCases:
             costs,
             [64, 1, 235],
         )
-        assert admits[np.isnan(scores)].any()
+        assert not admits[np.isnan(scores)].any()
+        assert admits[~np.isnan(scores)].any()
 
     def test_blocks_of_length_one(self):
         scores, costs = traffic(250, seed=10)
@@ -871,4 +903,56 @@ class TestReplayMatchesPerArrivalReference:
         assert events[0] == events[1]
         assert len(events[0]) > 1  # the ramp really ran
         versions = [[(v.version, v.ledger.n) for v in r.engine.registry.versions()] for r in (block, reference)]
+        assert versions[0] == versions[1]
+
+    def test_planned_campaign_with_a_promoter_and_a_retrainer(self):
+        """Deadline flushes on a ManualClock, a promoter ramping and
+        killing each staged challenger, and a retrainer refitting every
+        0.5 simulated seconds: where each refit stages, or is held and
+        staged once the slot frees, repeats too."""
+        probe = criteo_uplift_v2(2000, random_state=6)
+
+        def build(cls):
+            registry = ModelRegistry(random_state=0)
+            registry.register(TreatedNetRidge().fit(probe.x, probe.roi, np.ones(probe.n)), name="champion")
+            clock = ManualClock()
+            engine = ScoringEngine(registry, batch_size=256, max_latency_ms=20.0, clock=clock)
+            promoter = AutoPromoter(
+                registry,
+                clock=clock,
+                ramp=(0.1, 0.5, 0.95),
+                step_every_s=0.4,
+                metric="revenue",
+                min_decided=200,
+                check_every=50,
+            )
+            retrainer = Retrainer(registry, clock=clock, window=1000, min_outcomes=200, every_n_days=0.5 / 86_400)
+            return cls(
+                Platform(dataset="criteo", random_state=5, drift_day=2),
+                engine,
+                interarrival_s=0.001,
+                promoter=promoter,
+                retrainer=retrainer,
+                feedback=True,
+                paired_outcomes=True,
+                random_state=11,
+            )
+
+        def run(replay):
+            return replay.replay_days(3, 1200, budget_fraction=0.3, plan_budgets=True)
+
+        got, want, (block, reference) = both_replays(build, run)
+        for day_got, day_want in zip(got.days, want.days):
+            assert_same_decisions(day_got, day_want)
+        assert got.ledger == want.ledger
+        events = [[(e.kind, e.at, e.traffic_split) for e in r.promoter.events] for r in (block, reference)]
+        assert events[0] == events[1]
+        refits = [[(e.kind, e.at, e.version) for e in r.retrainer.events] for r in (block, reference)]
+        assert refits[0] == refits[1]
+        fitted_at = {at for kind, at, _version in refits[0] if kind == "fit"}
+        assert any(kind == "hold" for kind, _at, _version in refits[0])
+        # a held refit staged by a later poll, once a kill freed the slot
+        assert any(kind == "stage" and at not in fitted_at for kind, at, _version in refits[0])
+        assert any(kind == "kill" for kind, _at, _split in events[0])
+        versions = [[(v.version, v.name, v.ledger.n) for v in r.engine.registry.versions()] for r in (block, reference)]
         assert versions[0] == versions[1]

@@ -219,3 +219,26 @@ def test_ledger_runs_one_traced_run_per_side_after_the_pairs(tmp_path, monkeypat
     printed = capsys.readouterr().out
     assert "ledger on seed 7" in printed
     assert printed.rstrip().endswith("verdict: all rules hold")
+
+
+def test_src_line_totals_are_printed_before_the_first_pair(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 20, "end_to_end": list(METRICS.values())}
+    files = {
+        "parent": {"src/a.py": "1\n2\n3\n", "src/pkg/b.py": "x = 1\ny = 2\n", "src/notes.txt": "1\n2\n"},
+        "change": {"src/a.py": "1\n", "src/pkg/c.py": "a\nb\nc\nd\ne", "tests/t.py": "1\n" * 9},
+    }
+    for side, tree in files.items():
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+        for name, text in tree.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    assert [perf_pairs.src_lines(tmp_path / side) for side in files] == [5, 6]
+    assert perf_pairs.src_lines(tmp_path / "no-such-checkout") == 0
+
+    monkeypatch.setattr(perf_pairs, "run_once", lambda root, workload, seed, seconds: result(100.0, 1.0))
+    assert perf_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                            "--workloads", "w"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1] == "src/**/*.py lines: parent 5, change 6, net +1 (informative, judges nothing)"
+    assert printed[2].startswith("pair 1 ")

@@ -16,7 +16,7 @@ import pytest
 
 from repro.causal.base import TrainableModel
 from repro.linear import RidgeRegression
-from repro.runtime import ManualClock, SerialBackend, ThreadBackend
+from repro.runtime import ManualClock
 from repro.serving import ModelRegistry, Retrainer
 from repro.serving.retraining import RetrainEvent
 
@@ -26,8 +26,7 @@ DAY_S = 86_400.0
 class TreatedNetRidge(TrainableModel):
     """Minimal serving-ready TrainableModel: ridge on treated rows' net.
 
-    Module-level so backend futures (and the registry snapshot path)
-    can pickle it.
+    Module-level so the registry snapshot path can pickle it.
     """
 
     def __init__(self, alpha: float = 1.0):
@@ -255,34 +254,6 @@ class TestHoldAndStage:
         assert event.reason == "because"
         stage = [e for e in retrainer.events if e.kind == "stage"][0]
         assert stage.version == registry.challenger.version
-
-
-class TestBackendFits:
-    @pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend])
-    def test_fit_collected_via_poll(self, backend_cls):
-        registry = _registry_with_champion()
-        backend = backend_cls() if backend_cls is SerialBackend else backend_cls(2)
-        try:
-            retrainer = Retrainer(
-                registry,
-                every_outcomes=40,
-                window=64,
-                min_outcomes=16,
-                backend=backend,
-            )
-            import time
-
-            _feed(retrainer, 40)
-            for _ in range(400):
-                retrainer.poll()
-                if retrainer.n_staged:
-                    break
-                time.sleep(0.005)
-            assert retrainer.n_staged == 1
-            assert registry.challenger is not None
-        finally:
-            if hasattr(backend, "shutdown"):
-                backend.shutdown()
 
     def test_metrics_wiring(self):
         from repro.obs import MetricsRegistry

@@ -220,6 +220,29 @@ class TestDeadlineLoop:
         assert loop.poll() == 1
         assert len(loop) == 0 and loop.next_deadline() is None
 
+    def test_a_key_moved_later_by_a_callback_stays_scheduled(self):
+        """Regression: ``poll`` popped each key of its due list in turn,
+        so when ``a``'s callback moved ``b`` (due in the same round) to
+        100.0, the poll at 1.0 fired ``b``'s new callback at once, its
+        old one never ran, and ``next_deadline()`` read None."""
+        clock = ManualClock(1.0)
+        loop = DeadlineLoop(clock)
+        fired = []
+
+        def move_b():
+            fired.append(("a", clock.now()))
+            loop.schedule("b", 100.0, lambda: fired.append(("b-new", clock.now())))
+
+        loop.schedule("a", 1.0, move_b)
+        loop.schedule("b", 1.0, lambda: fired.append(("b-old", clock.now())))
+        assert loop.poll() == 1
+        assert fired == [("a", 1.0)]
+        assert len(loop) == 1 and loop.next_deadline() == 100.0
+        clock.advance(99.0)
+        assert loop.poll() == 1
+        assert fired == [("a", 1.0), ("b-new", 100.0)]
+        assert len(loop) == 0 and loop.next_deadline() is None
+
     def test_idle_poll_reads_the_clock_once(self):
         reads = []
 
@@ -241,9 +264,8 @@ class ScanningLoop:
     deadline: every ``poll`` and ``next_deadline`` scans the dict.  The
     reference :class:`DeadlineLoop` must match call for call."""
 
-    def __init__(self, clock, epsilon: float = 1e-9) -> None:
+    def __init__(self, clock) -> None:
         self.clock = clock
-        self.epsilon = float(epsilon)
         self._deadlines: dict = {}
 
     def __len__(self) -> int:
@@ -268,15 +290,16 @@ class ScanningLoop:
     def poll(self) -> int:
         fired = 0
         while self._deadlines:
-            now = self.clock.now() + self.epsilon
+            now = self.clock.now() + 1e-9
             due = [(at, key) for key, (at, _cb) in self._deadlines.items() if at <= now]
             if not due:
                 break
             due.sort(key=lambda pair: pair[0])
             for _at, key in due:
-                entry = self._deadlines.pop(key, None)
-                if entry is None:
+                entry = self._deadlines.get(key)
+                if entry is None or entry[0] > now:  # cancelled or moved later
                     continue
+                del self._deadlines[key]
                 entry[1]()
                 fired += 1
         return fired

@@ -17,6 +17,10 @@ The load-bearing guarantees of :mod:`repro.serving.sharding`:
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -74,6 +78,21 @@ class FailingSecondCall:
 
 def valued_rows(values):
     return np.array([[float(v), 1.0] for v in values])
+
+
+def installed_shards() -> list:
+    """The ``(fleet, shard)`` keys installed in the calling worker."""
+    return sorted(_SHARD_ENGINES)
+
+
+def shards_left(backend, fleet) -> list:
+    """The fleet's shards still installed in their lane workers."""
+    return [
+        key
+        for lane in range(fleet.n_shards)
+        for key in backend.submit_to(lane, installed_shards).result()
+        if key[0] == fleet._fleet_id
+    ]
 
 
 W_CHAMPION = [1.0, -0.5, 0.25, 2.0]
@@ -436,6 +455,39 @@ class TestFleetFailurePaths:
         assert _SHARD_RIDS[(fleet._fleet_id, 0)] == {}
         fleet.close()
 
+    def test_mid_flight_exception_closes_the_fleet(self, rows, process_pool):
+        """An exception inside the ``with`` block, with rows in flight
+        and never flushed, still closes the fleet and drops its shards."""
+        with pytest.raises(RuntimeError, match="mid-flight"):
+            with ShardedScoringEngine(
+                make_registry(), n_shards=2, cache_size=32, backend=process_pool
+            ) as fleet:
+                for i, row in enumerate(rows[:120]):
+                    fleet.submit(row, key=i)  # in-flight, never flushed
+                raise RuntimeError("mid-flight failure")
+        assert fleet._closed
+        assert shards_left(process_pool, fleet) == []
+
+    def test_close_returns_after_a_sigkilled_worker(self, rows):
+        """SIGKILLing a shard's worker leaves ``close()`` able to return
+        (the broken lane may raise) with the fleet closed."""
+        backend = ProcessBackend(n_workers=2)
+        try:
+            fleet = ShardedScoringEngine(
+                make_registry(), n_shards=2, cache_size=64, backend=backend
+            )
+            for i, row in enumerate(rows[:40]):
+                fleet.submit(row, key=i)
+            fleet.flush()
+            victim = backend.submit_to(0, os.getpid).result()
+            os.kill(victim, signal.SIGKILL)
+            with contextlib.suppress(Exception):  # broken lane may raise
+                fleet.close()
+            assert fleet._closed
+        finally:
+            with contextlib.suppress(Exception):
+                backend.shutdown()
+
     @pytest.mark.parametrize("call", ["submit", "submit_batch"])
     def test_wrong_width_row_leaves_no_trace(self, rows, call):
         """A row of another width is refused, naming both widths,
@@ -692,6 +744,23 @@ class TestBackends:
         finally:
             backend.shutdown()
 
+    def test_process_fleet_counts_every_request_and_closes(self, rows):
+        backend = ProcessBackend(n_workers=2)
+        try:
+            fleet = ShardedScoringEngine(
+                make_registry(), n_shards=2, cache_size=128, backend=backend
+            )
+            for i, row in enumerate(rows[:120]):
+                fleet.submit(row, key=i)
+            fleet.flush()
+            assert fleet.stats["requests"] == 120
+            assert len(shards_left(backend, fleet)) == 2
+            fleet.close()
+            assert fleet._closed
+            assert shards_left(backend, fleet) == []
+        finally:
+            backend.shutdown()
+
     def test_thread_backend_fleet(self, rows):
         backend = ThreadBackend(n_workers=2)
         try:
@@ -743,17 +812,6 @@ class TestBackends:
 
 class TestLaneAffinity:
     """The runtime layer underneath: submit_to pins work to one worker."""
-
-    def test_serial_lane_initializer_once_per_lane(self):
-        seen = []
-        backend = SerialBackend(initializer=lambda lane: seen.append(lane))
-        for _ in range(3):
-            backend.submit_to(0, lambda: None)
-            backend.submit_to(1, lambda: None)
-        assert seen == [0, 1]
-        backend.shutdown()  # lanes re-initialize after shutdown
-        backend.submit_to(0, lambda: None)
-        assert seen == [0, 1, 0]
 
     def test_serial_lane_validation(self):
         backend = SerialBackend()

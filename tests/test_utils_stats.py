@@ -1,6 +1,7 @@
 """Tests for the numpy-only inference primitives (``repro.utils.stats``)."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ class TestTCdf:
     def test_invalid_df(self):
         with pytest.raises(ValueError, match="df"):
             t_cdf(1.0, 0)
+
+    def test_keeps_its_precision_near_the_median_at_large_df(self):
+        """Regression: ``df / (df + x²)`` rounded ``x²/df`` away, so at
+        df = 1e6 ``t_cdf(1e-6)`` read exactly 0.5 and ``t_ppf(0.5000001)``
+        returned 7.63e-6, 30x the normal limit."""
+        normal = NormalDist()
+        assert t_cdf(1e-6, 1e6) - 0.5 == pytest.approx(1e-6 * normal.pdf(0.0), rel=1e-6)
+        assert 0.5 - t_cdf(-1e-6, 1e6) == pytest.approx(1e-6 * normal.pdf(0.0), rel=1e-6)
+        assert t_ppf(0.5000001, 1e6) == pytest.approx(normal.inv_cdf(0.5000001), rel=1e-6)
+
+    @pytest.mark.parametrize("df", [0.5, 1.0, 5.0, 200.0, 1e6])
+    def test_median_and_tail_forms_meet_at_x_squared_equal_df(self, df):
+        edge = math.sqrt(df)
+        for x in (edge, -edge):
+            below, above = t_cdf(x * (1 - 1e-10), df), t_cdf(x * (1 + 1e-10), df)
+            assert abs(above - below) < 1e-9
 
 
 class TestTPpf:
