@@ -6,7 +6,9 @@ numbers quantify the two serving levers the subsystem exists for:
 
 * batching — one vectorised DRP forward pass per flush amortises the
   Python dispatch overhead, so requests/sec must grow sharply with the
-  batch size (the ISSUE acceptance bar: >= 10x from batch 1 to 256);
+  batch size (full runs assert >= 10x from batch 1 to 256; the
+  trajectory gates batch 256 against the model called once per row
+  with no engine, a reference that a cheaper flush does not move);
 * caching — repeat feature rows (retargeted users) skip the model
   entirely, stacking on top of the batching gain;
 * observability — a live :class:`~repro.obs.MetricsRegistry` must cost
@@ -34,7 +36,7 @@ from repro.serving.sharding import ShardedScoringEngine
 BATCH_SIZES = (1, 32, 256)
 N_REQUESTS = 2048
 N_UNIQUE = 256  # unique rows in the cache-on stream (87.5% hit rate)
-OVERHEAD_ROUNDS = 5  # best-of rounds for the null-vs-live comparison
+OVERHEAD_ROUNDS = 5  # best-of rounds for the gated same-machine ratios
 N_BULK = 1 << 19  # submit_batch rows (the >= 2M scores/s target)
 N_SCALAR_REF = 1 << 15  # per-row reference stream for the bulk ratio
 
@@ -77,12 +79,20 @@ def _requests_per_second(
     return len(rows) / elapsed, engine.cache_hit_rate
 
 
+def _model_rows_per_second(model, rows) -> float:
+    """Rows/sec calling ``predict_roi`` once per row, with no engine."""
+    start = time.perf_counter()
+    for row in rows:
+        model.predict_roi(row[None, :])
+    return len(rows) / (time.perf_counter() - start)
+
+
 def test_throughput_batch_and_cache(benchmark, smoke) -> None:
     """requests/sec over the batch-size x cache grid."""
     n_requests = SMOKE_N_REQUESTS if smoke else N_REQUESTS
     n_unique = SMOKE_N_UNIQUE if smoke else N_UNIQUE
 
-    def run() -> dict[tuple[int, str], tuple[float, float]]:
+    def run() -> tuple[dict[tuple[int, str], tuple[float, float]], float, float]:
         data = get_setting("criteo", "SuNo")
         model = get_rdrp("criteo", "SuNo").drp  # single-pass DRP scorer
         unique = data.test.x[:n_unique]
@@ -94,9 +104,17 @@ def test_throughput_batch_and_cache(benchmark, smoke) -> None:
             out[(batch, "on")] = _requests_per_second(
                 model, repeated, batch, 4 * n_unique, n_unique
             )
-        return out
+        # the gated ratio: best-of rounds on each side, since one
+        # preempted batch-256 flush would sink a single smoke timing
+        best_256 = best_model = 0.0
+        for _ in range(OVERHEAD_ROUNDS):
+            best_256 = max(
+                best_256, _requests_per_second(model, distinct, 256, 0, n_unique)[0]
+            )
+            best_model = max(best_model, _model_rows_per_second(model, distinct))
+        return out, best_256, best_model
 
-    grid = benchmark.pedantic(run, rounds=1, iterations=1)
+    grid, best_256, best_model = benchmark.pedantic(run, rounds=1, iterations=1)
     print_header(f"serving throughput — requests/sec ({n_requests} requests)")
     print(f"  {'batch':>6s} {'cache':>6s} {'req/s':>12s} {'hit rate':>9s}")
     for (batch, cache), (rps, hit_rate) in sorted(grid.items()):
@@ -105,6 +123,7 @@ def test_throughput_batch_and_cache(benchmark, smoke) -> None:
     rps_1 = grid[(1, "off")][0]
     rps_256 = grid[(256, "off")][0]
     print(f"  batching leverage: {rps_256 / rps_1:.1f}x (bar: >= 10x)")
+    print(f"  batch 256 over per-row model calls: {best_256 / best_model:.1f}x")
     # the stream really did hit the cache (smoke sizes land exactly on
     # 0.8: 256 hot requests over 64 warmed rows = 256/320 lookups hit)
     assert grid[(256, "on")][1] >= 0.8
@@ -115,15 +134,26 @@ def test_throughput_batch_and_cache(benchmark, smoke) -> None:
 
     _SERVING_METRICS.update(
         {
+            # context, not gated: batch 1 pays a flush's fixed cost per
+            # request, so this ratio falls whenever that cost falls
             "batching_leverage": {
                 "value": rps_256 / rps_1,
                 "unit": "x",
                 "direction": "higher",
+            },
+            # batch-256 engine throughput over the same model called once
+            # per row with no engine: falls when batching or the batched
+            # path breaks (below 1x if each request flushes alone), not when
+            # flushes get cheaper
+            "batched_over_per_row_model": {
+                "value": best_256 / best_model,
+                "unit": "x",
+                "direction": "higher",
                 "gated": True,
-                # a ratio of same-machine rates, but CI runners vary;
-                # the band still catches batching breaking (~1x)
+                # a ratio of same-machine rates, but CI runners vary
                 "tolerance": 0.4,
             },
+            "rps_model_per_row": {"value": best_model, "unit": "req/s"},
             "cache_hit_rate_256": {
                 "value": grid[(256, "on")][1],
                 "direction": "higher",
