@@ -37,13 +37,13 @@ policy's revenue against the offline greedy oracle.
 
 Execution runtime (``repro.runtime``)
 -------------------------------------
-One execution layer under everything above: pluggable
-:class:`ExecutionBackend` pools (:class:`SerialBackend`,
-:class:`ThreadBackend`, :class:`ProcessBackend` — lazily started,
-reused across a whole run) fan out chunked cohort generation and make
-scoring-engine flushes asynchronous, while :class:`Clock` /
-:class:`ManualClock` / ``DeadlineLoop`` put latency deadlines
-(``max_latency_ms`` flushing) under exact, simulator-controlled time.
+One execution layer under everything above: work runs inline on a
+:class:`SerialBackend` or in worker processes on a
+:class:`ProcessBackend` (lazily started, reused across a whole run),
+which fans out chunked cohort generation and the serving fleet's
+shards, while :class:`Clock` / :class:`ManualClock` /
+``DeadlineLoop`` put latency deadlines (``max_latency_ms`` flushing)
+under exact, simulator-controlled time.
 :class:`MultiDayPacer` chains pacing across days with under/over-spend
 carryover, and ``TrafficReplay.replay_days`` replays whole campaigns.
 
@@ -115,7 +115,6 @@ from repro.runtime import (
     ProcessBackend,
     SerialBackend,
     SystemClock,
-    ThreadBackend,
 )
 from repro.serving import (
     AutoPromoter,
@@ -156,7 +155,6 @@ __all__ = [
     "ScoringEngine",
     "SerialBackend",
     "SystemClock",
-    "ThreadBackend",
     "TrafficReplay",
     "pav_isotonic",
     "Platform",

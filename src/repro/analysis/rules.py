@@ -494,9 +494,9 @@ class RPR004(Rule):
     ``submit``/``submit_to`` must be a module-level callable, and model
     instances must not grow lambda-valued attributes.
 
-    A lambda or nested function pickles on ``SerialBackend`` and
-    ``ThreadBackend`` (no pickling happens) and then explodes the first
-    time someone passes ``ProcessBackend`` — code written against
+    A lambda or nested function works on ``SerialBackend`` (no
+    pickling happens) and then explodes the first time someone passes
+    ``ProcessBackend`` — code written against
     :class:`~repro.runtime.ExecutionBackend` must be backend-agnostic,
     so the static rule is backend-blind too.  The same logic covers the
     18 public models: every one of them pickle-round-trips bit-identical

@@ -145,8 +145,7 @@ def iter_dataset_chunks(
 
     The ``backend`` is borrowed, so the pool it wraps is *reused*
     across calls (one startup per run, however many days' cohorts
-    stream through it), and a :class:`~repro.runtime.ThreadBackend`
-    sidesteps chunk pickling entirely.
+    stream through it).
 
     Parameters
     ----------

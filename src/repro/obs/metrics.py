@@ -18,12 +18,13 @@ module is the common currency instead:
   returns a value within ``relative_error`` of the exact order
   statistic — the guarantee the latency-quantile claims are made on.
 
-All three are thread-safe (one small lock per metric; the engine's
-asynchronous backends complete futures on worker threads) and all
-three produce immutable **snapshots** that support ``merge`` (counters
-and histograms add, gauges sum, min/max combine — commutative and
-associative, so N shards' snapshots fold in any order) and ``delta``
-(new minus old: the per-day accounting the traffic replay reports).
+All three are thread-safe (one small lock per metric; an instrumented
+:class:`~repro.runtime.ProcessBackend` counts completions from its
+executor's result thread) and all three produce immutable
+**snapshots** that support ``merge`` (counters and histograms add,
+gauges sum, min/max combine — commutative and associative, so N
+shards' snapshots fold in any order) and ``delta`` (new minus old: the
+per-day accounting the traffic replay reports).
 
 A :class:`MetricsRegistry` is just a named collection of metrics with
 a one-call :meth:`MetricsRegistry.snapshot`; the

@@ -3,13 +3,12 @@
 ``repro.runtime`` owns the two cross-cutting concerns that every
 scaling feature kept reinventing privately:
 
-* **Where work runs** — :class:`ExecutionBackend` and its three
-  implementations (:class:`SerialBackend`, :class:`ThreadBackend`,
-  :class:`ProcessBackend`): lazily started, reusable, context-managed
-  pools.  Chunked cohort generation, multi-day A/B runs, and the
-  scoring engine's flushes all submit to the same abstraction, so one
-  process pool serves a whole experiment instead of being rebuilt per
-  day.
+* **Where work runs** — :class:`ExecutionBackend`: work runs inline
+  (:class:`SerialBackend`) or in worker processes
+  (:class:`ProcessBackend`: a lazily started, reusable pool).  Chunked
+  cohort generation, multi-day A/B runs, and the serving fleet's
+  shards all submit to the same abstraction, so one process pool
+  serves a whole experiment instead of being rebuilt per day.
 * **When work runs** — :class:`Clock` (:class:`SystemClock` /
   :class:`ManualClock`) and :class:`DeadlineLoop`: pull-based keyed
   deadlines that make latency guarantees (flush at ``max_latency_ms``)
@@ -27,7 +26,6 @@ from repro.runtime.backend import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     resolve_n_workers,
 )
 from repro.runtime.clock import Clock, DeadlineLoop, ManualClock, SystemClock
@@ -40,7 +38,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "SystemClock",
-    "ThreadBackend",
     "live_segment_count",
     "resolve_n_workers",
 ]

@@ -2,25 +2,21 @@
 
 Before this layer existed, each subsystem owned a private execution
 mechanism — chunked cohort generation spun up a fresh
-``ProcessPoolExecutor`` per :meth:`Platform.daily_cohort` call, the
-scoring engine only ever ran synchronously in-process, and nothing
-could share workers across a multi-day run.  An
+``ProcessPoolExecutor`` per :meth:`Platform.daily_cohort` call, and
+nothing could share workers across a multi-day run.  An
 :class:`ExecutionBackend` is the common currency instead: a lazily
 started, reusable, context-managed pool with the two operations the
 library actually needs (``submit`` a callable, ``shutdown`` the
-workers), implemented three ways:
+workers), implemented two ways — work runs inline or in worker
+processes:
 
 * :class:`SerialBackend` — runs everything inline and returns
   already-resolved futures.  Zero concurrency, zero overhead, and
   bit-identical to the historical single-process behaviour; the
   default everywhere.
-* :class:`ThreadBackend` — a shared ``ThreadPoolExecutor``.  Dodges
-  pickling entirely (useful for chunk generation of non-picklable
-  consumers and for truly asynchronous scoring-engine flushes, where
-  the GIL is released inside the vectorised numpy calls).
 * :class:`ProcessBackend` — a shared ``ProcessPoolExecutor`` for
-  CPU-bound fan-out (cohort generation).  Submitted callables must be
-  module-level picklables, as usual.
+  CPU-bound fan-out (cohort generation, the serving fleet's shards).
+  Submitted callables must be module-level picklables, as usual.
 
 Pools start on the first ``submit`` (constructing a backend costs
 nothing), survive across calls — *one* pool serves all days of an
@@ -41,18 +37,18 @@ stateless fan-out but useless for a sharded serving fleet where shard
 ``i``'s cache, pacer slice, and model registry must live in one
 long-lived process.  ``submit_to(lane, fn, *args)`` pins work to a
 numbered **lane**: a lazily created single-worker executor that
-processes its tasks FIFO, so state a task installs in its process (or
-thread) is still there for every later task on the same lane.  The
-sharded engine builds each shard this way: its first task on a lane
-installs the shard, and every later task on that lane finds it.
-``submit`` and ``submit_to`` coexist on one backend: the shared pool
-and the lanes are separate executors, and ``shutdown`` releases both.
+processes its tasks FIFO, so state a task installs in its process is
+still there for every later task on the same lane.  The sharded engine
+builds each shard this way: its first task on a lane installs the
+shard, and every later task on that lane finds it.  ``submit`` and
+``submit_to`` coexist on one backend: the shared pool and the lanes
+are separate executors, and ``shutdown`` releases both.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -61,7 +57,6 @@ __all__ = [
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ThreadBackend",
     "resolve_n_workers",
 ]
 
@@ -155,23 +150,26 @@ class SerialBackend:
         return f"{type(self).__name__}()"
 
 
-class _PoolBackend:
-    """Shared machinery of the thread/process backends: a lazily
-    created, reusable ``concurrent.futures`` pool."""
+class ProcessBackend:
+    """A reusable ``ProcessPoolExecutor`` behind the backend interface.
+
+    The CPU-bound fan-out workhorse (chunked cohort generation, the
+    serving fleet's shards).  Submitted callables and their arguments
+    must be picklable module-level objects.  Starting worker processes
+    is the expensive part — which is exactly why the pool is created
+    once and reused across every day of a run instead of per call.
+    """
 
     def __init__(self, n_workers: int | None = None, metrics: MetricsRegistry | None = None) -> None:
         self._n_workers = resolve_n_workers(n_workers)
-        self._pool: Executor | None = None
-        self._lanes: dict[int, Executor] = {}
+        self._pool: ProcessPoolExecutor | None = None
+        self._lanes: dict[int, ProcessPoolExecutor] = {}
         self.start_count = 0
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self._instrumented = metrics is not None
         self._c_submitted = self.metrics.counter("backend.tasks_submitted")
         self._c_completed = self.metrics.counter("backend.tasks_completed")
         self._c_pool_starts = self.metrics.counter("backend.pool_starts")
-
-    def _make_pool(self, max_workers: int) -> Executor:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     @property
     def n_workers(self) -> int:
@@ -184,7 +182,7 @@ class _PoolBackend:
 
     def submit(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Future:
         if self._pool is None:
-            self._pool = self._make_pool(self._n_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
             self.start_count += 1
             self._c_pool_starts.inc()
         self._c_submitted.inc()
@@ -196,7 +194,7 @@ class _PoolBackend:
     def submit_to(
         self, lane: int, fn: Callable[..., Any], /, *args: Any, **kwargs: Any
     ) -> Future:
-        """Pin work to lane ``lane``: one long-lived single worker.
+        """Pin work to lane ``lane``: one long-lived worker process.
 
         The lane executor starts lazily on its first task (counted in
         ``start_count`` / ``backend.pool_starts`` like any pool start).
@@ -211,7 +209,7 @@ class _PoolBackend:
             )
         pool = self._lanes.get(lane)
         if pool is None:
-            pool = self._lanes[lane] = self._make_pool(1)
+            pool = self._lanes[lane] = ProcessPoolExecutor(max_workers=1)
             self.start_count += 1
             self._c_pool_starts.inc()
         self._c_submitted.inc()
@@ -229,7 +227,7 @@ class _PoolBackend:
             pool.shutdown(wait=wait, cancel_futures=True)
         self._lanes.clear()
 
-    def __enter__(self) -> "_PoolBackend":
+    def __enter__(self) -> "ProcessBackend":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -238,29 +236,3 @@ class _PoolBackend:
     def __repr__(self) -> str:
         state = "running" if self.running else "idle"
         return f"{type(self).__name__}(n_workers={self._n_workers}, {state})"
-
-
-class ThreadBackend(_PoolBackend):
-    """A reusable ``ThreadPoolExecutor`` behind the backend interface.
-
-    Threads share the interpreter: submitted callables need no
-    pickling, and numpy releases the GIL inside its vectorised kernels,
-    so scoring-engine flushes genuinely overlap with the caller.
-    """
-
-    def _make_pool(self, max_workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-
-class ProcessBackend(_PoolBackend):
-    """A reusable ``ProcessPoolExecutor`` behind the backend interface.
-
-    The CPU-bound fan-out workhorse (chunked cohort generation).
-    Submitted callables and their arguments must be picklable
-    module-level objects.  Starting worker processes is the expensive
-    part — which is exactly why the pool is created once and reused
-    across every day of a run instead of per call.
-    """
-
-    def _make_pool(self, max_workers: int) -> Executor:
-        return ProcessPoolExecutor(max_workers=max_workers)

@@ -48,20 +48,26 @@ class SystemClock:
 
 
 class ManualClock:
-    """A clock that only moves when told to — the simulator's time source."""
+    """A clock that only moves when told to — the simulator's time source.
+
+    Its time stays finite: a non-finite ``start``, or an ``advance`` to
+    a non-finite time, raises ValueError before the clock moves."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
+        if not math.isfinite(self._now):
+            raise ValueError(f"start must be a finite time, got {start}")
 
     def now(self) -> float:
         return self._now
 
     def advance(self, seconds: float) -> float:
         """Move time forward by ``seconds`` (never backward); returns now."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance by a negative duration, got {seconds}")
-        self._now += float(seconds)
-        return self._now
+        now = self._now + float(seconds)
+        if not (seconds >= 0 and math.isfinite(now)):
+            raise ValueError(f"cannot advance by a negative duration or to a non-finite time, got {seconds}")
+        self._now = now
+        return now
 
     def __repr__(self) -> str:
         return f"ManualClock(t={self._now:.6f})"

@@ -39,9 +39,9 @@ has to survive until midnight.  This package is that online half:
   and incremental revenue against the offline greedy oracle; its
   multi-day mode exercises the cross-day carryover.
 
-Execution concerns — on which workers a flush runs, whose clock a
-deadline reads — live in :mod:`repro.runtime`; every component here
-takes a backend/clock rather than owning one.
+Execution concerns — on which workers a fleet's shards run, whose
+clock a deadline reads — live in :mod:`repro.runtime`; every component
+here takes a backend/clock rather than owning one.
 
 Quickstart
 ----------

@@ -19,15 +19,10 @@ flush happens for one of three reasons, tallied in
   behaviour is exact and simulator-testable;
 * **manual** — an explicit :meth:`flush` call (stream end).
 
-Where the scoring itself runs is delegated to an
-:class:`~repro.runtime.ExecutionBackend`: the default
-:class:`~repro.runtime.SerialBackend` keeps the historical synchronous
-semantics bit-identical (same scores, same stats, same exception
-points), while a :class:`~repro.runtime.ThreadBackend` makes flushes
-genuinely asynchronous — ``flush`` dispatches the policy call to a
-worker and returns; results land via :meth:`poll`/:meth:`join` (numpy
-releases the GIL inside the vectorised call, so scoring overlaps the
-caller).
+Every flush scores inline: the policy runs on the caller's thread,
+one batch after another, and each batch's scores (or its exception)
+are booked before the next batch is scored, so results are ready by
+the time ``flush`` returns.
 
 Identical feature rows — retargeted users, bot bursts —
 short-circuit through an LRU cache keyed by the feature hash and the
@@ -36,13 +31,12 @@ model version, skipping the model entirely.
 The request lifecycle is ``submit → (auto)flush → take``; ``score``
 wraps it for synchronous single-request use.  When a clock is present
 the engine also records every *scored* request's submit→score latency
-in ``latency_hist`` (asynchronous batches stamp the moment scoring
-*completed*, not when the caller reaped the result), which is what the
-latency benchmarks and the deadline acceptance tests read.  Cache hits
-never enter the latency record: they are tallied in ``cache_hits``
-instead, so the p95 the deadline-bound claims are measured on reflects
-requests the model actually scored rather than being silently deflated
-by zero-cost replays.
+in ``latency_hist`` (read off the clock once its batch is scored),
+which is what the latency benchmarks and the deadline acceptance tests
+read.  Cache hits never enter the latency record: they are tallied in
+``cache_hits`` instead, so the p95 the deadline-bound claims are
+measured on reflects requests the model actually scored rather than
+being silently deflated by zero-cost replays.
 
 For outcome attribution the engine remembers which registry version's
 score serves each request — :meth:`version_of` — until the result is
@@ -52,14 +46,14 @@ the right :class:`~repro.serving.registry.OutcomeLedger`.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from repro.obs import NULL_REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
-from repro.runtime import Clock, DeadlineLoop, ExecutionBackend, SerialBackend, SystemClock
+from repro.runtime import Clock, DeadlineLoop, SystemClock
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
 
@@ -82,11 +76,6 @@ _STAT_NAMES = (
 )
 
 
-def _score_rows(policy: DecisionPolicy, model: object, rows: np.ndarray) -> np.ndarray:
-    """The unit of backend work: one vectorised policy call."""
-    return policy.score_batch(model, rows)
-
-
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """Each row's ``tobytes()`` (its cache key), from one ``np.void``
     view of a C-contiguous ``(n, d)`` block."""
@@ -102,17 +91,17 @@ class _PendingBlock:
     A preallocated ``(cap, d)`` feature block plus aligned request-id
     and submit-stamp vectors, grown geometrically — the flush slices
     **one contiguous array** instead of stacking a deque of per-row
-    copies.  The block object travels whole into the in-flight queue
-    when dispatched (a fresh block starts the next batch), so the view
-    handed to the backend can never alias rows appended later.
+    copies.  A flush pops the block whole (a fresh block starts the
+    next batch), so the view handed to the policy can never alias rows
+    appended later.
 
     ``record`` is the slab path's bookkeeping: a block fed only by
     ``submit_batch`` slab slices carries one :class:`_RidRange`
-    covering its (contiguous) ids, letting the reap skip per-rid dict
+    covering its (contiguous) ids, letting the flush skip per-rid dict
     writes entirely.  The block is *pure* while ``record.stop -
     record.start == n``: a record's rows are always buffered, so any
     other row landing on the block (a scalar ``submit`` or a row walk)
-    makes the count exceed the run's length, and the reap books every
+    makes the count exceed the run's length, and the flush books every
     row per rid.
     """
 
@@ -160,8 +149,8 @@ class _PendingBlock:
 class _RidRange:
     """One contiguous run of slab-path request ids, bookkept as a range.
 
-    ``submit_batch``'s slab path never touches the per-rid dicts
-    on submit *or* on reap: the block's ids are ``[start, stop)``, the
+    ``submit_batch``'s slab path never touches the per-rid dicts on
+    submit *or* when scored: the block's ids are ``[start, stop)``, the
     version is single, and once scored the whole result array hangs
     off :attr:`scores`.  ``take_block`` then pops an entire record in
     O(1); only callers probing individual ids (``take``/``version_of``)
@@ -185,8 +174,8 @@ class EngineCore:
     Everything a fresh process needs to rebuild this engine's hot path
     — the registry (models and lifecycle pointers included), the
     decision policy, and the micro-batch/cache geometry — with none of
-    the process-bound machinery (clock, backend, metrics registry with
-    its locks, live buffers).  ``pickle(engine.core())`` is how
+    the process-bound machinery (clock, metrics registry with its
+    locks, live buffers).  ``pickle(engine.core())`` is how
     :class:`~repro.serving.sharding.ShardedScoringEngine` ships a shard
     to a worker; :meth:`build` reconstitutes an engine around the core
     on the other side.  Models must round-trip through pickle with
@@ -203,7 +192,6 @@ class EngineCore:
         *,
         max_latency_ms: float | None = None,
         clock: Clock | None = None,
-        backend: ExecutionBackend | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> "ScoringEngine":
         """Reconstitute a live engine around this core."""
@@ -214,7 +202,6 @@ class EngineCore:
             cache_size=self.cache_size,
             max_latency_ms=max_latency_ms,
             clock=clock,
-            backend=backend,
             metrics=metrics,
         )
 
@@ -247,12 +234,6 @@ class ScoringEngine:
         set; pass a :class:`~repro.runtime.ManualClock` to drive time
         explicitly (simulation/tests).  When present, submit→score
         latencies are recorded in :attr:`latency_hist`.
-    backend:
-        Execution backend for the flush's policy call.  The default
-        :class:`~repro.runtime.SerialBackend` is bit-identical to the
-        pre-runtime engine; :class:`~repro.runtime.ThreadBackend`
-        makes flushes truly asynchronous (reap results with
-        :meth:`poll`, :meth:`join`, or blocking :meth:`score`).
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to export this engine's
         metrics into (counters ``engine.<stat>``, gauge
@@ -276,7 +257,6 @@ class ScoringEngine:
         cache_size: int = 4096,
         max_latency_ms: float | None = None,
         clock: Clock | None = None,
-        backend: ExecutionBackend | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if isinstance(models, ModelRegistry):
@@ -297,7 +277,6 @@ class ScoringEngine:
         if clock is None and max_latency_ms is not None:
             clock = SystemClock()
         self.clock = clock
-        self.backend: ExecutionBackend = backend if backend is not None else SerialBackend()
         self._deadlines = (
             DeadlineLoop(clock) if (clock is not None and max_latency_ms is not None) else None
         )
@@ -306,13 +285,8 @@ class ScoringEngine:
         # version -> _PendingBlock (rows + rids, one contiguous slab)
         self._pending: dict[int, _PendingBlock] = {}
         self._n_pending = 0
-        # dispatched-but-unreaped batches, in dispatch order; the dict
-        # holds the clock time the batch's scoring completed (stamped
-        # by a done-callback, so async batches measure true completion
-        # rather than whenever the caller happens to reap)
-        self._inflight: deque[tuple[object, int, _PendingBlock, dict]] = deque()
         self._ready: dict[int, float] = {}
-        # slab-path id runs (pending, in-flight, or scored), oldest
+        # slab-path id runs (pending or scored, not yet taken), oldest
         # first; scan is linear but the list holds one entry per
         # undrained submit_batch block, not per request
         self._ranges: list[_RidRange] = []
@@ -492,7 +466,7 @@ class ScoringEngine:
             else:
                 # the block already holds other rows (or ids that are no
                 # longer contiguous) — bookkeep this slice per-rid so
-                # the reap's per-rid booking covers everything
+                # the flush's per-rid booking covers everything
                 slice_ids = range(slice_rid0, slice_rid0 + take)
                 self._version_by_rid.update(zip(slice_ids, repeat(vid)))
             was_empty = self._n_pending == 0
@@ -584,60 +558,35 @@ class ScoringEngine:
         self.flush(reason="deadline")
 
     def flush(self, reason: str = "manual") -> int:
-        """Dispatch every pending request (one policy call per version).
+        """Score every pending request (one policy call per version).
 
-        Returns the number of requests dispatched.  On the serial
-        backend scoring happens inline, so results are ready (and any
-        model failure raises) before ``flush`` returns — the
-        historical semantics.  On an asynchronous backend the policy
-        calls run on workers; results (and deferred failures) surface
-        once the worker finishes, at the next :meth:`poll` or a
-        blocking :meth:`join` (non-blocking probes like
-        :meth:`has_result` / :meth:`take` only see batches that have
-        already completed).
+        Returns the number of requests scored.  Scoring runs inline,
+        batch by batch, and each batch is booked before the next is
+        scored, so every result is ready when ``flush`` returns.  A
+        model failure raises out of ``flush``: the failing batch is
+        dropped (its ids never resolve), and the batches not yet scored
+        stay pending.
         """
         if reason not in self._c_flush_reason:
             raise ValueError(
                 f"reason must be 'manual', 'batch_full' or 'deadline', got {reason!r}"
             )
-        dispatched = 0
+        scored = 0
         if self._n_pending:
             self._c_flushes.inc()
             self._c_flush_reason[reason].inc()
         if self._deadlines is not None:
             self._deadlines.cancel(_FLUSH_KEY)
-        # pop each batch before dispatching so a raising policy/model
-        # leaves the engine consistent (the failed batch is dropped,
-        # not re-run)
         try:
             with self.metrics.span("engine.flush", clock=self.clock):
                 while self._pending:
+                    # pop each batch before scoring it, so a raising
+                    # policy/model leaves the engine consistent (the
+                    # failed batch is dropped, not re-run)
                     version_id, batch = self._pending.popitem()
                     self._n_pending -= batch.n
-                    model = self.registry.get(version_id).model
-                    # one contiguous slice of the columnar block — the
-                    # block is retired with this dispatch, so the view
-                    # cannot alias later appends
-                    rows = batch.view()
-                    future = self.backend.submit(_score_rows, self.policy, model, rows)
-                    done_stamp: dict = {}
-                    if self.clock is not None:
-                        clock = self.clock
-
-                        def _stamp(_f, _d=done_stamp, _c=clock):
-                            _d["at"] = _c.now()
-
-                        # serial futures are already done: fires inline now,
-                        # preserving the historical flush-time measurement
-                        future.add_done_callback(_stamp)  # type: ignore[attr-defined]
-                    self._inflight.append((future, version_id, batch, done_stamp))
-                    dispatched += rows.shape[0]
-                    if future.done():  # type: ignore[attr-defined]
-                        # serial backend: score (or raise) per batch, exactly
-                        # the pre-runtime sequence — a failing batch stops the
-                        # flush with the remaining batches pending and unscored
-                        self._reap(wait=False)
-                self._reap(wait=False)
+                    self._score(version_id, batch)
+                    scored += batch.n
         finally:
             self._g_queue.set(self._n_pending)
             if self._n_pending and self._deadlines is not None:
@@ -646,72 +595,51 @@ class ScoringEngine:
                 # re-arm to fire at the very next poll (never leave
                 # survivors without a deadline)
                 self._deadlines.schedule_in(_FLUSH_KEY, 0.0, self._flush_on_deadline)
-        return dispatched
+        return scored
 
-    def _reap(self, wait: bool) -> None:
-        """Collect finished backend futures into ``_ready`` (dispatch order).
-
-        ``wait=True`` blocks until every in-flight batch has resolved.
-        A failed batch re-raises here and is dropped; later in-flight
-        batches stay queued and resolve on subsequent reaps.
-        """
-        while self._inflight:
-            future, version_id, batch, done_stamp = self._inflight[0]
-            if not wait and not future.done():  # type: ignore[attr-defined]
-                break
-            self._inflight.popleft()
-            nb = batch.n
-            try:
-                scores = np.asarray(
-                    future.result(), dtype=float  # type: ignore[attr-defined]
-                ).ravel()
-                if scores.shape[0] != nb:
-                    raise ValueError(
-                        f"policy returned {scores.shape[0]} scores for {nb} rows"
-                    )
-            except BaseException:
-                # the failed batch is dropped whole — forget its version
-                # attribution and its id run (those ids never resolve;
-                # an unscored run is still listed, since only scored
-                # runs ever leave ``_ranges`` early)
-                if batch.record is not None:
-                    self._ranges.remove(batch.record)
-                for rid in batch.rids[:nb].tolist():
-                    self._version_by_rid.pop(rid, None)
-                raise
-            self._c_model_calls.inc()
-            self._c_rows_scored.inc(nb)
-            # the model really scored these rows — credit the version
-            # (cache hits were credited separately at submit)
-            self.registry.get(version_id).requests += nb
-            if self.clock is not None:
-                # scoring-completion time from the done-callback; the
-                # tiny race where done() flips before callbacks run
-                # falls back to the reap time
-                now = done_stamp.get("at", self.clock.now())
-            else:
-                now = None
-            rec = batch.record
-            if now is None and self.cache_size <= 0 and rec is not None and rec.stop - rec.start == nb:
-                # pure slab block: the scores array *is* the
-                # bookkeeping — O(1) reap, served by take_block (or
-                # lazily materialised if someone probes single ids)
-                rec.scores = scores
-                continue
-            # every other block books its rows in one pass
-            if rec is not None:
-                self._ranges.remove(rec)
-                self._version_by_rid.update(
-                    zip(range(rec.start, rec.stop), repeat(version_id))
-                )
-            score_list = scores.tolist()
-            self._ready.update(zip(batch.rids[:nb].tolist(), score_list))
-            if now is not None:
-                record = self.latency_hist.record
-                for wait in np.maximum(now - batch.stamps[:nb], 0.0).tolist():
-                    record(wait)
-            if self.cache_size > 0:
-                self._remember_block(version_id, batch.view(), score_list)
+    def _score(self, version_id: int, batch: _PendingBlock) -> None:
+        """Score one popped batch with one policy call and book it."""
+        nb = batch.n
+        model = self.registry.get(version_id).model
+        try:
+            # one contiguous slice of the columnar block — the block
+            # is popped, so the view cannot alias later appends
+            scores = np.asarray(self.policy.score_batch(model, batch.view()), dtype=float).ravel()
+            if scores.shape[0] != nb:
+                raise ValueError(f"policy returned {scores.shape[0]} scores for {nb} rows")
+        except BaseException:
+            # the failed batch is dropped whole — forget its version
+            # attribution and its id run (those ids never resolve)
+            if batch.record is not None:
+                self._ranges.remove(batch.record)
+            for rid in batch.rids[:nb].tolist():
+                self._version_by_rid.pop(rid, None)
+            raise
+        self._c_model_calls.inc()
+        self._c_rows_scored.inc(nb)
+        # the model really scored these rows — credit the version
+        # (cache hits were credited separately at submit)
+        self.registry.get(version_id).requests += nb
+        now = self.clock.now() if self.clock is not None else None
+        rec = batch.record
+        if now is None and self.cache_size <= 0 and rec is not None and rec.stop - rec.start == nb:
+            # pure slab block: the scores array *is* the bookkeeping —
+            # served by take_block in O(1) (or lazily materialised if
+            # someone probes single ids)
+            rec.scores = scores
+            return
+        # every other block books its rows in one pass
+        if rec is not None:
+            self._ranges.remove(rec)
+            self._version_by_rid.update(zip(range(rec.start, rec.stop), repeat(version_id)))
+        score_list = scores.tolist()
+        self._ready.update(zip(batch.rids[:nb].tolist(), score_list))
+        if now is not None:
+            record = self.latency_hist.record
+            for wait in np.maximum(now - batch.stamps[:nb], 0.0).tolist():
+                record(wait)
+        if self.cache_size > 0:
+            self._remember_block(version_id, batch.view(), score_list)
 
     def latency_quantile(self, q: float) -> float:
         """Submit→score latency quantile (clock seconds) over **every**
@@ -727,23 +655,19 @@ class ScoringEngine:
 
     def poll(self) -> int:
         """Advance the engine without submitting: fire any overdue
-        deadline flush and reap finished asynchronous batches.
+        deadline flush.
 
         Returns the number of deadline flushes fired.  The idle-stream
         hook: callers with their own event loop (the traffic
         simulator, a server's timer tick) call this between arrivals
         so a quiet stream still honours ``max_latency_ms``.
         """
-        fired = self._deadlines.poll() if self._deadlines is not None else 0
-        self._reap(wait=False)
-        return fired
+        return self._deadlines.poll() if self._deadlines is not None else 0
 
     def join(self) -> None:
-        """Block until every dispatched batch has been scored.
-
-        No-op on the serial backend (nothing is ever left in flight).
-        """
-        self._reap(wait=True)
+        """Wait for every flushed batch: a no-op, since a flush scores
+        before it returns.  A sharded fleet's ``join`` does wait, and
+        :class:`~repro.serving.simulator.TrafficReplay` joins either."""
 
     def next_deadline(self) -> float | None:
         """Clock time of the pending flush deadline, or None.
@@ -759,14 +683,11 @@ class ScoringEngine:
         """True once the request's score is available.
 
         Advances the engine like :meth:`poll` does — overdue deadline
-        flushes fire and finished asynchronous batches are reaped — so
-        a waiter spinning on ``has_result`` alone still gets the
-        ``max_latency_ms`` guarantee.
+        flushes fire — so a waiter spinning on ``has_result`` alone
+        still gets the ``max_latency_ms`` guarantee.
         """
         if self._deadlines is not None:
             self._deadlines.poll()
-        if self._inflight:
-            self._reap(wait=False)
         if request_id in self._ready:
             return True
         rec = self._find_range(request_id)
@@ -790,13 +711,11 @@ class ScoringEngine:
         return self._version_by_rid[request_id]  # KeyError with the rid
 
     def _open_ids(self) -> set[int]:
-        """Ids a later take or drain can still resolve: buffered, in
-        flight, or scored and not yet taken (a dropped batch's are not)."""
+        """Ids a later take or drain can still resolve: buffered, or
+        scored and not yet taken (a dropped batch's are not)."""
         ids = set(self._ready)
         for block in self._pending.values():
             ids.update(block.rids[: block.n].tolist())
-        for _future, _version_id, batch, _stamp in self._inflight:
-            ids.update(batch.rids[: batch.n].tolist())
         for rec in self._ranges:
             ids.update(range(rec.start, rec.stop))
         return ids
@@ -821,8 +740,6 @@ class ScoringEngine:
         if request_id not in self._ready:
             if self._deadlines is not None:
                 self._deadlines.poll()
-            if self._inflight:
-                self._reap(wait=False)
             if request_id not in self._ready:
                 rec = self._find_range(request_id)
                 if rec is not None and rec.scores is not None:
@@ -841,7 +758,7 @@ class ScoringEngine:
         nothing popped and no version attribution released, when any
         id is still pending or unknown.  When the ids are a slab run
         whose scored records tile the span, this is O(1) per
-        dispatched block (array slices, no per-rid dicts); otherwise
+        scored block (array slices, no per-rid dicts); otherwise
         any scored run overlapping the ids is materialised first and
         the ids are checked, then popped, in bulk.
         """
@@ -883,10 +800,10 @@ class ScoringEngine:
     def drain(self) -> list[tuple[int, int, float]]:
         """Pop every finished result as ``(request_id, version_id, score)``.
 
-        Advances the engine first (deadline flushes, finished async
-        batches), then empties the ready set in request-id order.  The
+        Advances the engine first (overdue deadline flushes), then
+        empties the ready set in request-id order.  The
         bulk companion to :meth:`take` for callers that track requests
-        themselves — a sharded routing layer reaps a whole dispatch in
+        themselves — a fleet's shard drains a whole feed's results in
         one call instead of probing ids one by one.
         """
         self.poll()
@@ -916,7 +833,6 @@ class ScoringEngine:
         rid = self.submit(x_row, key=key)
         if rid not in self._ready:
             self.flush()
-            self.join()
         return self.take(rid)
 
     def score_batch(self, x: np.ndarray, key: str | int | None = None) -> np.ndarray:
@@ -980,13 +896,8 @@ class ScoringEngine:
 
     @property
     def n_pending(self) -> int:
-        """Requests buffered and not yet dispatched."""
+        """Requests buffered and not yet scored."""
         return self._n_pending
-
-    @property
-    def n_inflight(self) -> int:
-        """Dispatched batches not yet reaped (asynchronous backends)."""
-        return len(self._inflight)
 
     @property
     def cache_hit_rate(self) -> float:

@@ -56,6 +56,7 @@ all of this when given a ``promoter``::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -290,7 +291,12 @@ class AutoPromoter:
 
     def observe(self, version: int, treated: bool, y_r: float, y_c: float) -> None:
         """Record one decided request's realised outcome and, every
-        ``check_every`` observations, run the significance gate."""
+        ``check_every`` observations, run the significance gate.  A
+        non-finite ``y_r`` or ``y_c`` raises ValueError before anything
+        moves (in a ledger it would fail every later gate check)."""
+        y_r, y_c = float(y_r), float(y_c)
+        if not (math.isfinite(y_r) and math.isfinite(y_c)):
+            raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
         if self._state == IDLE and self.auto_start:
             # start (and reset the ledgers) *before* recording, so the
             # observation that opens the experiment is not discarded by

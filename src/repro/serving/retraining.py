@@ -42,6 +42,7 @@ decline while a fit is held.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -236,10 +237,14 @@ class Retrainer:
         consumes, with the arrival's feature row alongside — treated
         rows carry their realised incremental revenue/cost, skipped
         rows are the zero-outcome control the uplift refit contrasts
-        against.
+        against.  A non-finite ``y_r`` or ``y_c`` raises ValueError
+        before anything moves (in the window it would fail every refit).
         """
+        y_r, y_c = float(y_r), float(y_c)
+        if not (math.isfinite(y_r) and math.isfinite(y_c)):
+            raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
         x_row = np.asarray(x_row, dtype=float).ravel()
-        self._buffer.append((x_row, int(bool(treated)), float(y_r), float(y_c)))
+        self._buffer.append((x_row, int(bool(treated)), y_r, y_c))
         self.n_observed += 1
         self._since_count_trigger += 1
         self._c_outcomes.inc()

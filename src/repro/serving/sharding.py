@@ -7,7 +7,7 @@ live wherever ``submit`` is called, so one CPU serves the whole stream.
 request API (``submit``/``take``/``score``/``score_batch``/``flush``/
 ``poll``/``stats``/``latency_quantile``/``version_of``) routed across
 ``n_shards`` complete per-shard engines, each pinned to its own
-:meth:`~repro.runtime.backend._PoolBackend.submit_to` lane of an
+:meth:`~repro.runtime.ProcessBackend.submit_to` lane of an
 :class:`~repro.runtime.ExecutionBackend`.  On a
 :class:`~repro.runtime.ProcessBackend` every shard is a long-lived
 worker process with its own cache and registry replica; on the
@@ -95,8 +95,8 @@ _LATENCY_METRIC = "engine.latency_seconds"
 # ---------------------------------------------------------------------------
 # worker-side shard operations (module-level: picklable by reference)
 # ---------------------------------------------------------------------------
-# Each worker process (or thread, or the parent itself on the serial
-# backend) holds its shards here, keyed by (fleet_id, shard_index).
+# Each worker process (or the parent itself on the serial backend)
+# holds its shards here, keyed by (fleet_id, shard_index).
 # FIFO lane ordering guarantees _shard_install runs before any other op
 # on the lane, so both dicts are populated when traffic arrives.
 _SHARD_ENGINES: dict[tuple[int, int], ScoringEngine] = {}
@@ -124,10 +124,7 @@ def _shard_install(
     """
     core: EngineCore = pickle.loads(core_blob)
     _SHARD_ENGINES[(fleet, shard)] = core.build(
-        max_latency_ms=max_latency_ms,
-        clock=clock,
-        backend=SerialBackend(),
-        metrics=MetricsRegistry(),
+        max_latency_ms=max_latency_ms, clock=clock, metrics=MetricsRegistry()
     )
     _SHARD_RIDS[(fleet, shard)] = {}
     return shard
@@ -182,7 +179,6 @@ def _shard_flush(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     engine = _SHARD_ENGINES[(fleet, shard)]
     try:
         engine.flush()
-        engine.join()
     except BaseException:
         _forget_dropped(engine, _SHARD_RIDS[(fleet, shard)])
         raise
@@ -324,11 +320,11 @@ class ShardedScoringEngine:
         shard (and its deadline loop) at once, one row per feed.
     clock:
         Shared time source for deadline/latency accounting.  Only
-        meaningful on in-process backends (serial/thread) — a clock
-        cannot cross a process boundary, so on a
-        :class:`ProcessBackend` pass ``None`` (shards fall back to
-        their own :class:`~repro.runtime.SystemClock` when
-        ``max_latency_ms`` is set).
+        meaningful on the :class:`SerialBackend` — a clock cannot
+        cross a process boundary, so on a :class:`ProcessBackend` pass
+        ``None`` (shards fall back to their own
+        :class:`~repro.runtime.SystemClock` when ``max_latency_ms`` is
+        set).
     backend:
         Where shards live: one :meth:`submit_to` lane per shard.
         Defaults to a private :class:`SerialBackend` (shut down by
@@ -376,7 +372,7 @@ class ShardedScoringEngine:
         if clock is not None and isinstance(self.backend, ProcessBackend):
             raise ValueError(
                 "a shared clock cannot cross a process boundary; use a "
-                "Serial/ThreadBackend for clocked fleets (process shards "
+                "SerialBackend for clocked fleets (process shards "
                 "default to their own SystemClock when max_latency_ms is set)"
             )
         self.n_shards = int(n_shards)

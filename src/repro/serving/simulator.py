@@ -192,9 +192,10 @@ class TrafficReplay:
         the pacer (:meth:`BudgetPacer.observe_outcome`), enabling its
         ``roi*`` profitability floor.
     interarrival_s:
-        Simulated gap between consecutive arrivals.  Requires the
-        engine's clock to be a :class:`~repro.runtime.ManualClock`;
-        the replay advances it by this gap before each submit.
+        Simulated gap between consecutive arrivals (finite, >= 0).
+        Requires the engine's clock to be a :class:`~repro.runtime
+        .ManualClock`; the replay advances it by this gap before each
+        submit.
     promoter:
         An :class:`~repro.serving.promotion.AutoPromoter` operating the
         engine's registry.  Every decided arrival's realised outcome is
@@ -239,8 +240,8 @@ class TrafficReplay:
         random_state: int | np.random.Generator | None = None,
     ) -> None:
         if interarrival_s is not None:
-            if not interarrival_s >= 0:
-                raise ValueError(f"interarrival_s must be >= 0, got {interarrival_s}")
+            if not 0 <= interarrival_s < np.inf:  # refuses NaN too
+                raise ValueError(f"interarrival_s must be finite and >= 0, got {interarrival_s}")
             if not isinstance(engine.clock, ManualClock):
                 raise ValueError(
                     "interarrival_s needs an engine with a ManualClock "
@@ -511,8 +512,7 @@ class TrafficReplay:
                 # arrival after a step boundary sees the widened split
                 self.promoter.poll()
             if self.retrainer is not None:
-                # periodic refit triggers + async fit collection run at
-                # the same arrival granularity
+                # periodic refit triggers run at the same granularity
                 self.retrainer.poll()
             wait_rids.append(self.engine.submit(x_row))
             wait_idx.append(i)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.ab.platform import Platform
 from repro.core.roi_star import binary_search_roi_star, bisect_monotone
 from repro.data import criteo_uplift_v2
-from repro.runtime import ManualClock, ThreadBackend
+from repro.runtime import ManualClock
 from repro.serving import pacing
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
@@ -833,16 +833,6 @@ class TestReplayMatchesPerArrivalReference:
         got, want, _ = both_replays(build, lambda r: r.replay_day(1500))
         assert_same_decisions(got, want)
         assert got.engine_stats["cache_hits"] > 300
-
-    def test_thread_backend_engine(self, weights):
-        with ThreadBackend(2) as backend:
-
-            def build(cls):
-                engine = ScoringEngine(LinearROI(weights), batch_size=32, cache_size=0, backend=backend)
-                return cls(Platform(dataset="criteo", random_state=2), engine, feedback=True, random_state=5)
-
-            got, want, _ = both_replays(build, lambda r: r.replay_day(1500))
-        assert_same_decisions(got, want)
 
     def test_sharded_budget_pacer(self, weights):
         def build(cls):

@@ -35,7 +35,7 @@ from repro.obs.trajectory import (
     main as trajectory_main,
     validate,
 )
-from repro.runtime import ManualClock, SerialBackend, ThreadBackend
+from repro.runtime import ManualClock, ProcessBackend, SerialBackend
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer
 from repro.serving.simulator import TrafficReplay
@@ -58,6 +58,11 @@ class LinearROI:
 def stub_model():
     rng = np.random.default_rng(3)
     return LinearROI(rng.normal(size=12) * 0.05)
+
+
+def _plus_one(v):
+    """Module-level, so a ProcessBackend can pickle it."""
+    return v + 1
 
 
 # ---------------------------------------------------------------------------
@@ -791,19 +796,23 @@ class TestComponentInstrumentation:
         assert snap["backend.tasks_submitted"].value == 5
         assert snap["backend.tasks_completed"].value == 5
 
-    def test_thread_backend_counters(self):
+    def test_process_backend_counters(self):
         reg = MetricsRegistry()
-        with ThreadBackend(2, metrics=reg) as backend:
-            futures = [backend.submit(lambda v=i: v + 1) for i in range(8)]
-            assert sorted(f.result() for f in futures) == list(range(1, 9))
+        with ProcessBackend(2, metrics=reg) as backend:
+            futures = [backend.submit(_plus_one, i) for i in range(8)]
+            futures.append(backend.submit_to(1, _plus_one, 8))
+            assert sorted(f.result() for f in futures) == list(range(1, 10))
+        # the completions are counted on the executor's result thread;
+        # the shutdown above waited for it
         snap = reg.snapshot()
-        assert snap["backend.pool_starts"].value == 1
-        assert snap["backend.tasks_submitted"].value == 8
-        assert snap["backend.tasks_completed"].value == 8
+        assert snap["backend.pool_starts"].value == 2  # the pool and lane 1
+        assert snap["backend.tasks_submitted"].value == 9
+        assert snap["backend.tasks_completed"].value == 9
 
     def test_uninstrumented_backend_attaches_no_callbacks(self):
-        backend = ThreadBackend(2)
-        future = backend.submit(lambda: 1)
+        backend = ProcessBackend(2)
+        future = backend.submit(_plus_one, 0)
         assert future.result() == 1
         backend.shutdown()
         assert backend.metrics is NULL_REGISTRY
+        assert future._done_callbacks == []

@@ -206,6 +206,29 @@ class TestSignificanceGate:
         # the new champion starts its hold window fresh
         assert reg.get(v2).ledger.n == 0
 
+    @pytest.mark.parametrize("y_r, y_c", [(float("nan"), 0.0), (1.0, float("inf"))])
+    def test_non_finite_outcome_is_refused_before_recording(self, y_r, y_c):
+        """One NaN revenue used to land in the version's ledger, and every
+        later gate check then raised, so the experiment could never end."""
+        reg, v1, v2 = make_pair()
+        idle = AutoPromoter(reg, clock=ManualClock())  # auto-starts on observe
+        with pytest.raises(ValueError, match="must be finite"):
+            idle.observe(v2, True, y_r, y_c)
+        assert idle.state == "idle" and idle.events == []
+        promoter = self._promoter(reg)
+        promoter.start()
+        with pytest.raises(ValueError, match="must be finite"):
+            promoter.observe(v2, True, y_r, y_c)
+        assert reg.get(v2).ledger.n == 0
+        gen = np.random.default_rng(1)
+        for _ in range(40):  # the gate still reaches its verdict
+            feed(promoter, gen, v1, 25, p=0.30)
+            feed(promoter, gen, v2, 25, p=0.50)
+            if promoter.state != "ramping":
+                break
+        assert promoter.state == "holding"
+        assert reg.champion.version == v2
+
     def test_worse_challenger_is_killed(self):
         reg, v1, v2 = make_pair()
         promoter = self._promoter(reg)

@@ -120,6 +120,21 @@ class TestRetrainerTriggers:
         assert retrainer.n_buffered == 32  # oldest dropped out
         assert retrainer.n_observed == 50
 
+    @pytest.mark.parametrize("y_r, y_c", [(float("nan"), 0.1), (1.0, float("-inf"))])
+    def test_non_finite_outcome_is_refused_before_buffering(self, y_r, y_c):
+        """A NaN outcome used to be buffered, and every refit then raised
+        for as long as the row stayed in the window."""
+        retrainer = Retrainer(
+            _registry_with_champion(), every_outcomes=40, window=64, min_outcomes=16
+        )
+        _feed(retrainer, 20)
+        with pytest.raises(ValueError, match="must be finite"):
+            retrainer.observe(np.zeros(4), True, y_r, y_c)
+        assert retrainer.n_observed == 20 and retrainer.n_buffered == 20
+        _feed(retrainer, 20, seed=1)  # the 40th accepted outcome triggers
+        assert retrainer.n_refits == 1
+        assert retrainer.n_staged == 1
+
     def test_every_outcomes_trigger_stages_challenger(self):
         registry = _registry_with_champion()
         retrainer = Retrainer(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ab.platform import Platform
 from repro.core.roi_star import bisect_monotone
-from repro.runtime import ManualClock, SerialBackend, ThreadBackend
+from repro.runtime import ManualClock, SerialBackend
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, MultiDayPacer
 from repro.serving.policy import ConformalGatedPolicy
@@ -408,12 +408,18 @@ class TestScoringEngine:
         with pytest.raises(TypeError, match="latency_log_size"):
             ScoringEngine(stub_model, latency_log_size=10)
         assert not hasattr(ScoringEngine(stub_model), "latencies")
+        # every flush scores inline: no backend to choose, nothing in flight
+        with pytest.raises(TypeError, match="backend"):
+            ScoringEngine(stub_model, backend=SerialBackend())
+        with pytest.raises(TypeError, match="backend"):
+            ScoringEngine(stub_model).core().build(backend=SerialBackend())
+        assert not hasattr(ScoringEngine(stub_model), "n_inflight")
 
     def test_serial_pinned_behaviour(self, rng):
-        """The pre-runtime engine spec, pinned: on the default serial
-        backend, a mixed stream (batch flushes, cache hits, manual
-        tail flush) produces exactly the direct model scores and
-        exactly these stats — the refactor must be bit-invisible."""
+        """The pre-runtime engine spec, pinned: a mixed stream (batch
+        flushes, cache hits, manual tail flush) produces exactly the
+        direct model scores and exactly these stats — the refactor
+        must be bit-invisible."""
         calls: list[int] = []
         model = LinearROI(np.ones(6) * 0.04, calls=calls)
         engine = ScoringEngine(model, batch_size=4, cache_size=64)
@@ -436,7 +442,7 @@ class TestScoringEngine:
         assert engine.stats["flush_deadline"] == 0
         assert engine.stats["model_calls"] == 2
         assert engine.stats["rows_scored"] == 6
-        assert engine.n_pending == 0 and engine.n_inflight == 0
+        assert engine.n_pending == 0
 
     def test_failing_batch_leaves_other_versions_pending(self, rng):
         """Pre-runtime exception semantics, pinned: when one version's
@@ -577,17 +583,6 @@ class TestScoringEngine:
         assert engine.stats == clean.stats
         assert engine.take(1) == clean.take(1)
 
-    def test_explicit_serial_backend_matches_default(self, stub_model, rng):
-        x = rng.normal(size=(20, 12))
-        default = ScoringEngine(stub_model, batch_size=8, cache_size=0)
-        explicit = ScoringEngine(
-            stub_model, batch_size=8, cache_size=0, backend=SerialBackend()
-        )
-        got_d = np.array([default.score(row) for row in x])
-        got_e = np.array([explicit.score(row) for row in x])
-        np.testing.assert_array_equal(got_d, got_e)
-        assert default.stats == explicit.stats
-
 
 # ---------------------------------------------------------------------------
 # deadline-driven flushing (runtime clock integration)
@@ -705,6 +700,17 @@ class TestDeadlineFlush:
         with pytest.raises(ValueError, match="ManualClock"):
             TrafficReplay(platform, engine, interarrival_s=0.001)
 
+    @pytest.mark.parametrize("gap", [float("inf"), float("nan"), -0.001])
+    def test_simulator_refuses_a_non_finite_or_negative_interarrival(self, platform, gap):
+        """An infinite gap used to construct, and the day then died after
+        rows were scored, on a NaN latency; it is refused up front."""
+        engine = ScoringEngine(
+            LinearROI(np.full(12, 0.02)), batch_size=8, cache_size=0, clock=ManualClock()
+        )
+        with pytest.raises(ValueError, match="interarrival_s must be finite"):
+            TrafficReplay(platform, engine, interarrival_s=gap)
+        assert engine.stats["requests"] == 0
+
     def test_unknown_flush_reason_rejected_before_counting(self, stub_model, rng):
         engine = ScoringEngine(stub_model, batch_size=8, cache_size=0)
         engine.submit(rng.normal(size=12))
@@ -756,80 +762,6 @@ class TestDeadlineFlush:
         clock.advance(2.0)
         assert loop.poll() == 2  # would TypeError if keys were compared
         assert sorted(fired) == ["i", "s"]
-
-
-# ---------------------------------------------------------------------------
-# asynchronous flushing on a thread backend
-# ---------------------------------------------------------------------------
-class TestAsyncFlush:
-    class SlowROI(LinearROI):
-        """Scorer that takes real wall time, to expose asynchrony."""
-
-        def predict_roi(self, x):
-            import time
-
-            time.sleep(0.05)
-            return super().predict_roi(x)
-
-    def test_flush_returns_before_scores_land(self, rng):
-        model = self.SlowROI(np.ones(6) * 0.02)
-        with ThreadBackend(1) as backend:
-            engine = ScoringEngine(model, batch_size=4, cache_size=0, backend=backend)
-            ids = [engine.submit(row) for row in rng.normal(size=(3, 6))]
-            import time
-
-            start = time.perf_counter()
-            engine.flush()
-            dispatch_time = time.perf_counter() - start
-            assert dispatch_time < 0.04  # did not wait for the 50ms model
-            assert engine.n_inflight == 1
-            engine.join()
-            assert engine.n_inflight == 0
-            assert all(engine.has_result(rid) for rid in ids)
-
-    def test_thread_backend_scores_match_serial(self, rng):
-        w = np.ones(6) * 0.03
-        x = rng.normal(size=(40, 6))
-        serial = ScoringEngine(LinearROI(w), batch_size=8, cache_size=16)
-        got_serial = np.array([serial.score(row) for row in x])
-        with ThreadBackend(2) as backend:
-            threaded = ScoringEngine(
-                LinearROI(w), batch_size=8, cache_size=16, backend=backend
-            )
-            got_threaded = np.array([threaded.score(row) for row in x])
-        np.testing.assert_array_equal(got_serial, got_threaded)
-        assert serial.stats == threaded.stats
-
-    def test_async_latency_measured_at_completion_not_reap(self, rng):
-        """On an async backend the latency sketch must stamp when scoring
-        *completed*, not whenever the caller got around to reaping —
-        else a late join() fabricates huge waits."""
-        import time
-
-        model = LinearROI(np.ones(6) * 0.02)
-        clock = ManualClock()
-        with ThreadBackend(1) as backend:
-            engine = ScoringEngine(
-                model, batch_size=4, cache_size=0, backend=backend, clock=clock
-            )
-            engine.submit(rng.normal(size=6))
-            engine.flush()  # dispatches at simulated t=0
-            time.sleep(0.2)  # let the worker finish (stamps t=0)
-            clock.advance(100.0)  # simulated time passes before the reap
-            engine.join()
-        assert engine.latency_hist.count == 1
-        assert engine.latency_hist.max == 0.0  # not 100.0
-
-    def test_replay_end_to_end_on_thread_backend(self, platform):
-        probe = TestTrafficReplay()._probe_weights()
-        with ThreadBackend(2) as backend:
-            engine = ScoringEngine(
-                LinearROI(probe), batch_size=64, cache_size=0, backend=backend
-            )
-            result = TrafficReplay(platform, engine).replay_day(1500, budget_fraction=0.3)
-        assert result.n_events == 1500
-        assert result.spend <= result.budget + 1e-9
-        assert result.revenue_ratio > 0.0
 
 
 # ---------------------------------------------------------------------------

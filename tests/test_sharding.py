@@ -28,7 +28,6 @@ from repro.runtime import (
     ManualClock,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from repro.serving import (
     ModelRegistry,
@@ -78,6 +77,17 @@ class FailingSecondCall:
 
 def valued_rows(values):
     return np.array([[float(v), 1.0] for v in values])
+
+
+# a lane worker's own log: every lane is one process, so a lane's log
+# holds that lane's tasks alone, in the order they ran
+_LANE_LOG: list = []
+
+
+def _lane_log(value):
+    """Append ``value`` to this worker's log and return the log so far."""
+    _LANE_LOG.append(value)
+    return list(_LANE_LOG)
 
 
 def installed_shards() -> list:
@@ -256,23 +266,22 @@ class TestFleetSubmitBatch:
         assert fleet.stats == ref_stats
         fleet.close()
 
-    def test_thread_and_process_backends_match_serial(self, rows):
+    def test_process_backend_matches_serial(self, rows):
         keys = list(range(120))
         expected, _ = self._per_row_reference(
             rows[:120], keys, n_shards=2, batch_size=32
         )
-        for backend_cls in (ThreadBackend, ProcessBackend):
-            backend = backend_cls(n_workers=2)
-            try:
-                with ShardedScoringEngine(
-                    make_registry(), n_shards=2, batch_size=32, backend=backend
-                ) as fleet:
-                    ids = fleet.submit_batch(rows[:120], keys=keys)
-                    fleet.flush()
-                    assert [fleet.take(rid) for rid in ids] == expected
-                    assert fleet.stats["requests"] == 120
-            finally:
-                backend.shutdown()
+        backend = ProcessBackend(n_workers=2)
+        try:
+            with ShardedScoringEngine(
+                make_registry(), n_shards=2, batch_size=32, backend=backend
+            ) as fleet:
+                ids = fleet.submit_batch(rows[:120], keys=keys)
+                fleet.flush()
+                assert [fleet.take(rid) for rid in ids] == expected
+                assert fleet.stats["requests"] == 120
+        finally:
+            backend.shutdown()
 
     def test_shard_count_does_not_change_scores(self, rows):
         """With a deterministic champion, 1-shard and 4-shard fleets
@@ -761,20 +770,6 @@ class TestBackends:
         finally:
             backend.shutdown()
 
-    def test_thread_backend_fleet(self, rows):
-        backend = ThreadBackend(n_workers=2)
-        try:
-            with ShardedScoringEngine(
-                make_registry(), n_shards=2, batch_size=16, backend=backend
-            ) as fleet:
-                for i, row in enumerate(rows[:100]):
-                    fleet.submit(row, key=i)
-                fleet.flush()
-                assert sum(fleet.has_result(r) for r in range(100)) == 100
-                assert fleet.stats["requests"] == 100
-        finally:
-            backend.shutdown()
-
     def test_clock_rejected_on_process_backend(self):
         backend = ProcessBackend(n_workers=2)
         try:
@@ -819,32 +814,38 @@ class TestLaneAffinity:
             backend.submit_to(-1, lambda: None)
 
     def test_pool_lane_bounds(self):
-        backend = ThreadBackend(n_workers=2)
+        backend = ProcessBackend(n_workers=2)
         with pytest.raises(ValueError, match="lane"):
-            backend.submit_to(2, lambda: None)
+            backend.submit_to(2, os.getpid)
+        with pytest.raises(ValueError, match="lane"):
+            backend.submit_to(-1, os.getpid)
+        assert not backend.running  # a refused lane starts no worker
         backend.shutdown()
 
     def test_lanes_count_as_pool_starts(self):
-        backend = ThreadBackend(n_workers=3)
-        assert backend.start_count == 0
-        backend.submit_to(0, lambda: 1).result()
-        backend.submit_to(0, lambda: 2).result()
-        backend.submit_to(2, lambda: 3).result()
-        assert backend.start_count == 2  # one per distinct lane
-        assert backend.running
-        backend.shutdown()
+        backend = ProcessBackend(n_workers=3)
+        try:
+            assert backend.start_count == 0
+            assert backend.submit_to(0, _lane_log, 1).result() == [1]
+            assert backend.submit_to(0, _lane_log, 2).result() == [1, 2]
+            assert backend.submit_to(2, _lane_log, 3).result() == [3]
+            assert backend.start_count == 2  # one per distinct lane
+            assert backend.running
+        finally:
+            backend.shutdown()
         assert not backend.running
 
     def test_lane_fifo_order(self):
-        backend = ThreadBackend(n_workers=1)
-        order = []
-        futures = [
-            backend.submit_to(0, lambda i=i: order.append(i)) for i in range(20)
-        ]
-        for f in futures:
-            f.result()
-        assert order == list(range(20))
-        backend.shutdown()
+        """Tasks queued on one lane run in submission order, in one
+        worker: each sees exactly the entries logged before it."""
+        backend = ProcessBackend(n_workers=2)
+        try:
+            futures = [backend.submit_to(1, _lane_log, i) for i in range(20)]
+            assert [f.result() for f in futures] == [
+                list(range(i + 1)) for i in range(20)
+            ]
+        finally:
+            backend.shutdown()
 
     def test_process_lane_pid_affinity(self):
         import os
