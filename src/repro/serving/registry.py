@@ -145,8 +145,8 @@ class ModelVersion:
         ``"champion"``, ``"challenger"`` or ``"archived"``.
     requests:
         Requests whose score this version's **model actually computed**
-        (counted when the scoring engine reaps the batch).  Cache-hit
-        serves are deliberately excluded — they land in
+        (counted when the scoring engine's flush scores the batch).
+        Cache-hit serves are deliberately excluded — they land in
         :attr:`cache_hits` instead — so per-version online metrics
         normalised by ``requests`` measure what the model did, not what
         the cache replayed.

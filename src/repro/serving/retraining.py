@@ -237,13 +237,19 @@ class Retrainer:
         consumes, with the arrival's feature row alongside — treated
         rows carry their realised incremental revenue/cost, skipped
         rows are the zero-outcome control the uplift refit contrasts
-        against.  A non-finite ``y_r`` or ``y_c`` raises ValueError
-        before anything moves (in the window it would fail every refit).
+        against.  A non-finite ``y_r``, ``y_c`` or feature raises
+        ValueError before anything moves (in the window it would fail
+        every refit, and a feature would make the drift reference NaN).
         """
         y_r, y_c = float(y_r), float(y_c)
         if not (math.isfinite(y_r) and math.isfinite(y_c)):
             raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
         x_row = np.asarray(x_row, dtype=float).ravel()
+        # the sum is non-finite when a feature is (or when it overflows,
+        # which the exact test then clears); on this once-per-arrival path
+        # it costs a fraction of np.isfinite(...).all()
+        if not math.isfinite(sum(x_row.tolist())) and not np.isfinite(x_row).all():
+            raise ValueError(f"x_row must be finite, got {x_row}")
         self._buffer.append((x_row, int(bool(treated)), y_r, y_c))
         self.n_observed += 1
         self._since_count_trigger += 1

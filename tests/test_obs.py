@@ -815,4 +815,4 @@ class TestComponentInstrumentation:
         assert future.result() == 1
         backend.shutdown()
         assert backend.metrics is NULL_REGISTRY
-        assert future._done_callbacks == []
+        assert backend._instrumented is False

@@ -120,20 +120,42 @@ class TestRetrainerTriggers:
         assert retrainer.n_buffered == 32  # oldest dropped out
         assert retrainer.n_observed == 50
 
-    @pytest.mark.parametrize("y_r, y_c", [(float("nan"), 0.1), (1.0, float("-inf"))])
-    def test_non_finite_outcome_is_refused_before_buffering(self, y_r, y_c):
-        """A NaN outcome used to be buffered, and every refit then raised
-        for as long as the row stayed in the window."""
+    @pytest.mark.parametrize(
+        "x0, y_r, y_c",
+        [
+            (0.0, float("nan"), 0.1),
+            (0.0, 1.0, float("-inf")),
+            (float("nan"), 1.0, 0.1),
+            (float("inf"), 1.0, 0.1),
+        ],
+    )
+    def test_non_finite_input_is_refused_before_buffering(self, x0, y_r, y_c):
+        """A NaN or inf outcome or feature used to be buffered: every refit
+        over the window then raised, and a bad feature among the first
+        ``min_outcomes`` froze a NaN drift reference."""
+        retrainer = Retrainer(
+            _registry_with_champion(),
+            every_outcomes=40,
+            window=64,
+            min_outcomes=16,
+            drift_threshold=0.5,
+        )
+        _feed(retrainer, 10)
+        with pytest.raises(ValueError, match="must be finite"):
+            retrainer.observe(np.array([x0, 0.0, 0.0, 0.0]), True, y_r, y_c)
+        assert retrainer.n_observed == 10 and retrainer.n_buffered == 10
+        _feed(retrainer, 30, seed=1)  # the 40th accepted outcome triggers
+        assert retrainer.n_refits == 1
+        assert retrainer.n_staged == 1
+        assert np.isfinite(retrainer.drift_score())
+
+    def test_huge_finite_feature_row_is_buffered(self):
+        """The row's sum overflows to inf, but every feature is finite."""
         retrainer = Retrainer(
             _registry_with_champion(), every_outcomes=40, window=64, min_outcomes=16
         )
-        _feed(retrainer, 20)
-        with pytest.raises(ValueError, match="must be finite"):
-            retrainer.observe(np.zeros(4), True, y_r, y_c)
-        assert retrainer.n_observed == 20 and retrainer.n_buffered == 20
-        _feed(retrainer, 20, seed=1)  # the 40th accepted outcome triggers
-        assert retrainer.n_refits == 1
-        assert retrainer.n_staged == 1
+        retrainer.observe(np.array([1e308, 1e308, 0.0, 0.0]), True, 1.0, 0.1)
+        assert retrainer.n_observed == 1 and retrainer.n_buffered == 1
 
     def test_every_outcomes_trigger_stages_challenger(self):
         registry = _registry_with_champion()
