@@ -41,7 +41,7 @@ One execution layer under everything above: work runs inline on a
 :class:`SerialBackend` or in worker processes on a
 :class:`ProcessBackend` (lazily started, reused across a whole run),
 which fans out chunked cohort generation and the serving fleet's
-shards, while :class:`Clock` / :class:`ManualClock` /
+shards, while :class:`Clock` / :class:`ManualClock` / a one-deadline
 ``DeadlineLoop`` put latency deadlines (``max_latency_ms`` flushing)
 under exact, simulator-controlled time.
 :class:`MultiDayPacer` chains pacing across days with under/over-spend

@@ -22,8 +22,8 @@ import numpy as np
 from repro.causal.base import TrainableModel
 
 from repro.nn.activations import sigmoid, sigmoid_grad
-from repro.nn.mc_dropout import mc_dropout_statistics
-from repro.nn.network import Network, mlp
+from repro.nn.mc_dropout import mc_dropout_moments
+from repro.nn.network import Network, mlp, stochastic_passes
 from repro.nn.optimizers import Adam
 from repro.utils.rng import as_generator
 from repro.utils.validation import (
@@ -170,10 +170,6 @@ class DirectRank(TrainableModel):
     ) -> tuple[np.ndarray, np.ndarray]:
         """MC-dropout mean/std of ``σ(ŝ)`` — the 'DR w/ MC' ablation arm."""
         x = self._checked(x)
-        return mc_dropout_statistics(
-            self.network_.forward_stochastic,
-            x,
-            n_samples=n_samples,
-            transform=sigmoid,
-            std_floor=std_floor,
+        return mc_dropout_moments(
+            lambda: sigmoid(stochastic_passes([self.network_], x, n_samples)), n_samples, std_floor
         )

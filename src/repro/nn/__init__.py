@@ -15,9 +15,10 @@ Design notes
 * Losses return ``(value, grad_wrt_predictions)`` so composite causal
   losses (Eq. 2 of the paper, DragonNet's targeted regularisation, the
   Direct Rank ratio loss) plug in uniformly.
-* ``MCDropoutPredictor`` keeps dropout active at inference to produce
-  the per-sample std ``r(x)`` used by the rDRP conformal score;
-  ``stochastic_passes`` runs DRP's ``T`` passes as one stacked pass.
+* ``stochastic_passes`` keeps dropout active at inference and runs a
+  model's ``T`` Monte Carlo passes as one stacked pass;
+  ``mc_dropout_moments`` reduces them to the per-sample mean and the
+  std ``r(x)`` used by the rDRP conformal score.
 """
 
 from repro.nn.activations import (
@@ -42,7 +43,7 @@ from repro.nn.losses import (
     MeanSquaredError,
 )
 from repro.nn.gradcheck import check_network_gradients, numeric_gradient
-from repro.nn.mc_dropout import MCDropoutPredictor, mc_dropout_moments, mc_dropout_statistics
+from repro.nn.mc_dropout import mc_dropout_moments
 from repro.nn.network import Network, TrainingHistory, mlp, stochastic_passes
 from repro.nn.optimizers import SGD, Adam, Optimizer
 
@@ -54,7 +55,6 @@ __all__ = [
     "Dropout",
     "Layer",
     "Loss",
-    "MCDropoutPredictor",
     "MeanSquaredError",
     "Network",
     "Optimizer",
@@ -70,7 +70,6 @@ __all__ = [
     "identity",
     "log_sigmoid",
     "mc_dropout_moments",
-    "mc_dropout_statistics",
     "relu",
     "relu_grad",
     "sigmoid",

@@ -149,9 +149,9 @@ class Dropout(Layer):
 
     During training, each unit is kept with probability ``1 - rate`` and
     scaled by ``1/(1-rate)``.  During plain inference the layer is the
-    identity, but :class:`repro.nn.mc_dropout.MCDropoutPredictor` forces
-    ``training=True`` paths to realise Gal & Ghahramani's Bayesian
-    approximation — the mechanism rDRP uses for ``r(x)``.
+    identity, but :func:`repro.nn.network.stochastic_passes` keeps it
+    sampling to realise Gal & Ghahramani's Bayesian approximation — the
+    mechanism rDRP uses for ``r(x)``.
     """
 
     def __init__(self, rate: float, rng: int | np.random.Generator | None = None) -> None:

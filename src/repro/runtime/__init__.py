@@ -10,9 +10,9 @@ scaling feature kept reinventing privately:
   shards all submit to the same abstraction, so one process pool
   serves a whole experiment instead of being rebuilt per day.
 * **When work runs** — :class:`Clock` (:class:`SystemClock` /
-  :class:`ManualClock`) and :class:`DeadlineLoop`: pull-based keyed
-  deadlines that make latency guarantees (flush at ``max_latency_ms``)
-  testable under simulated time.
+  :class:`ManualClock`) and :class:`DeadlineLoop`: one pull-based
+  deadline per owner, which makes latency guarantees (flush at
+  ``max_latency_ms``) testable under simulated time.
 
 How bytes cross a process boundary is not decided here: the serving
 fleet passes plain arrays over its lanes, so the library creates no

@@ -9,13 +9,13 @@ explicitly — the simulator steps it by the inter-arrival gap, so a
 whole simulated day of deadline-driven flushing runs in microseconds
 and asserts exact waiting-time bounds.
 
-:class:`DeadlineLoop` is the scheduling primitive on top: keyed
-callbacks with absolute deadlines, fired in deadline order whenever
-``poll()`` observes that the clock has passed them.  It is
-deliberately *pull*-based — no background timer thread — so behaviour
-is deterministic under a :class:`ManualClock` and adds zero overhead
-when nothing is due: the loop caches its earliest deadline, so a poll
-that finds nothing due costs one clock read and one comparison.
+:class:`DeadlineLoop` is the scheduling primitive on top: one
+deadline and the callback its owner gave it, fired whenever ``poll()``
+observes that the clock has passed the deadline.  It is deliberately
+*pull*-based — no background timer thread — so behaviour is
+deterministic under a :class:`ManualClock` and adds zero overhead when
+nothing is due: a poll that finds nothing due costs at most one clock
+read and one comparison.
 """
 
 from __future__ import annotations
@@ -74,93 +74,65 @@ class ManualClock:
 
 
 class DeadlineLoop:
-    """Keyed deadlines against a :class:`Clock`, fired on ``poll()``.
+    """One deadline against a :class:`Clock`, fired on ``poll()``.
 
-    ``schedule`` registers (or replaces) a callback under a key with an
-    absolute deadline; ``poll`` fires every callback whose deadline has
-    passed, in deadline order, and returns how many fired.  Callbacks
-    may re-schedule themselves or other keys; a key a callback moved
-    later is no longer due and stays scheduled.  No threads, no
-    signals: the owner decides when to look at the clock, which is what
-    makes the loop exact under simulated time.  A deadline within one
-    nanosecond past ``now`` counts as due, so float drift of a
-    :class:`ManualClock` never defers a poll that lands on it.
-
-    The earliest deadline is cached (``schedule``, ``cancel`` and
-    ``poll`` keep it current), so ``next_deadline`` reads it and a
-    ``poll`` with nothing due returns after one clock read.  A NaN
-    deadline or delay raises ValueError before anything is stored: it
-    would never fire, and no earliest deadline is defined beside it.
+    The owner passes its callback once; ``schedule`` arms (or re-arms)
+    the deadline at an absolute time and ``poll`` fires the callback
+    once the clock has passed it, returning how many times it fired.
+    The callback may re-arm the loop: a later deadline that is already
+    due fires again in the same poll (so a late poll catches up), one
+    at or before the deadline just fired waits for the next poll (so a
+    period below the due slack, or one a large clock value absorbs,
+    never spins).  No threads, no signals: the owner decides when to
+    look at the clock, which is what makes the loop exact under
+    simulated time.  A deadline within one nanosecond past ``now``
+    counts as due, so float drift of a :class:`ManualClock` never
+    defers a poll that lands on it.  A ``poll`` with nothing due
+    returns after at most one clock read.  A NaN deadline or delay
+    raises ValueError and leaves the armed deadline as it was.
     """
 
-    def __init__(self, clock: Clock) -> None:
+    def __init__(self, clock: Clock, callback: Callable[[], None]) -> None:
         self.clock = clock
-        self._deadlines: dict[object, tuple[float, Callable[[], None]]] = {}
-        self._earliest = math.inf  # min deadline in _deadlines, inf when empty
+        self._callback = callback
+        self._at: float | None = None  # the armed deadline
 
-    def __len__(self) -> int:
-        return len(self._deadlines)
+    def schedule(self, at: float) -> None:
+        """Arm the deadline at ``at``, replacing any armed one.
 
-    def _reset_earliest(self) -> None:
-        # the loops hold one to three keys: a scan per change is enough
-        self._earliest = min((at for at, _cb in self._deadlines.values()), default=math.inf)
-
-    def schedule(self, key: object, at: float, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to fire once ``clock.now() >= at``.
-
-        A second ``schedule`` under the same key replaces the first —
-        the scoring engine re-arms its single ``"flush"`` deadline this
-        way.  A NaN ``at`` raises ValueError.
+        A NaN ``at`` raises ValueError.
         """
         at = float(at)
         if at != at:
-            raise ValueError(f"deadline must not be NaN, got {at} for key {key!r}")
-        old = self._deadlines.get(key)
-        self._deadlines[key] = (at, callback)
-        if at < self._earliest:
-            self._earliest = at
-        elif old is not None and old[0] == self._earliest and at > old[0]:
-            self._reset_earliest()  # the earliest moved later
+            raise ValueError(f"deadline must not be NaN, got {at}")
+        self._at = at
 
-    def schedule_in(self, key: object, delay: float, callback: Callable[[], None]) -> None:
-        """Relative-time convenience: fire ``delay`` seconds from now."""
+    def schedule_in(self, delay: float) -> None:
+        """Relative-time convenience: arm ``delay`` seconds from now."""
         if not delay >= 0:  # rejects NaN too
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self.schedule(key, self.clock.now() + float(delay), callback)
+        self.schedule(self.clock.now() + float(delay))
 
-    def cancel(self, key: object) -> bool:
-        """Drop a scheduled deadline; True when one existed."""
-        entry = self._deadlines.pop(key, None)
-        if entry is None:
-            return False
-        if entry[0] == self._earliest:
-            self._reset_earliest()
-        return True
+    def cancel(self) -> None:
+        """Disarm the deadline (a no-op when none is armed)."""
+        self._at = None
 
     def next_deadline(self) -> float | None:
-        """The earliest scheduled time, or None when nothing is pending."""
-        return self._earliest if self._deadlines else None
+        """The armed deadline, or None."""
+        return self._at
 
     def poll(self) -> int:
-        """Fire every overdue callback (deadline order); return the count."""
-        if self._earliest > self.clock.now() + _EPSILON:
+        """Fire the callback while the armed deadline is due; return
+        how many times it fired."""
+        at = self._at
+        if at is None or at > self.clock.now() + _EPSILON:
             return 0  # nothing due: the idle path
         fired = 0
-        while self._deadlines:
-            now = self.clock.now() + _EPSILON
-            due = [(at, key) for key, (at, _cb) in self._deadlines.items() if at <= now]
-            if not due:
-                break
-            # keys are arbitrary objects (possibly non-comparable): order
-            # by deadline only, ties in insertion order
-            due.sort(key=lambda pair: pair[0])
-            for _at, key in due:
-                entry = self._deadlines.get(key)
-                if entry is None or entry[0] > now:
-                    continue  # an earlier callback cancelled it or moved it later
-                del self._deadlines[key]
-                if entry[0] == self._earliest:
-                    self._reset_earliest()
-                entry[1]()
-                fired += 1
-        return fired
+        while True:
+            self._at = None
+            self._callback()
+            fired += 1
+            rearmed = self._at
+            if rearmed is None or rearmed <= at or rearmed > self.clock.now() + _EPSILON:
+                return fired
+            at = rearmed

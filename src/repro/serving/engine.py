@@ -59,8 +59,6 @@ from repro.serving.registry import ModelRegistry
 
 __all__ = ["EngineCore", "ScoringEngine"]
 
-_FLUSH_KEY = "flush"  # the engine's single deadline-loop slot
-
 # the engine's counter vocabulary; ``stats`` renders these, and a real
 # registry exports them as ``engine.<name>``
 _STAT_NAMES = (
@@ -278,7 +276,7 @@ class ScoringEngine:
             clock = SystemClock()
         self.clock = clock
         self._deadlines = (
-            DeadlineLoop(clock) if (clock is not None and max_latency_ms is not None) else None
+            DeadlineLoop(clock, self._flush_on_deadline) if max_latency_ms is not None else None
         )
         self._cache: OrderedDict[tuple[int, bytes], float] = OrderedDict()
         # pending rows grouped by model version, stored columnar:
@@ -362,9 +360,7 @@ class ScoringEngine:
         self._n_pending += 1
         self._g_queue.set(self._n_pending)
         if self._n_pending == 1 and self._deadlines is not None:
-            self._deadlines.schedule_in(
-                _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
-            )
+            self._deadlines.schedule_in(self.max_latency_ms / 1000.0)
         if self._n_pending >= self.batch_size:
             self.flush(reason="batch_full")
         return rid
@@ -478,9 +474,7 @@ class ScoringEngine:
             self._n_pending += take
             start += take
             if was_empty and self._deadlines is not None:
-                self._deadlines.schedule_in(
-                    _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
-                )
+                self._deadlines.schedule_in(self.max_latency_ms / 1000.0)
             if self._n_pending >= self.batch_size:
                 self.flush(reason="batch_full")
 
@@ -547,9 +541,7 @@ class ScoringEngine:
                     block.append_block(rid0 + np.array(rows, dtype=np.int64), x[rows], now)
                 self._n_pending += n_miss
                 if was_empty and self._deadlines is not None:
-                    self._deadlines.schedule_in(
-                        _FLUSH_KEY, self.max_latency_ms / 1000.0, self._flush_on_deadline
-                    )
+                    self._deadlines.schedule_in(self.max_latency_ms / 1000.0)
                 if n_miss >= room:
                     self.flush(reason="batch_full")
             lo = hi
@@ -576,7 +568,7 @@ class ScoringEngine:
             self._c_flushes.inc()
             self._c_flush_reason[reason].inc()
         if self._deadlines is not None:
-            self._deadlines.cancel(_FLUSH_KEY)
+            self._deadlines.cancel()
         try:
             with self.metrics.span("engine.flush", clock=self.clock):
                 while self._pending:
@@ -594,7 +586,7 @@ class ScoringEngine:
                 # requests still buffered — they are already overdue, so
                 # re-arm to fire at the very next poll (never leave
                 # survivors without a deadline)
-                self._deadlines.schedule_in(_FLUSH_KEY, 0.0, self._flush_on_deadline)
+                self._deadlines.schedule_in(0.0)
         return scored
 
     def _score(self, version_id: int, batch: _PendingBlock) -> None:

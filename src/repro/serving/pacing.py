@@ -577,8 +577,8 @@ class MultiDayPacer:
       cumulative plan as fast as traffic allows.
 
     Drive it one day at a time: :meth:`start_day` → stream
-    ``offer``/``observe_outcome`` through the returned (or delegated)
-    pacer → :meth:`end_day`.  :class:`~repro.serving.simulator
+    ``offer``/``observe_outcome`` through the returned pacer →
+    :meth:`end_day`.  :class:`~repro.serving.simulator
     .TrafficReplay.replay_days` does exactly this.
 
     Parameters
@@ -701,9 +701,7 @@ class MultiDayPacer:
     # ------------------------------------------------------------------
     # day-ahead planning
     # ------------------------------------------------------------------
-    def plan_next_day(
-        self, budget_fraction: float, *, plan_curve: bool = True
-    ) -> DayPlan:
+    def plan_next_day(self, budget_fraction: float) -> DayPlan:
         """Size day *d+1* from day *d*'s observed traffic.
 
         The seed experiment sizes every day's budget from an oracle
@@ -711,9 +709,9 @@ class MultiDayPacer:
         the last completed day's demand instead: the planned base
         budget is ``budget_fraction`` of the total *offered* cost that
         day (what full treatment would have cost), the horizon is that
-        day's arrival count, and — when ``plan_curve`` and the day
-        refreshed at least once — the target curve is the day's
-        empirical within-day demand shape (:class:`EmpiricalCurve`).
+        day's arrival count, and — when the day refreshed at least
+        once — the target curve is the day's empirical within-day
+        demand shape (:class:`EmpiricalCurve`).
 
         Feed the result to :meth:`start_day`::
 
@@ -728,7 +726,7 @@ class MultiDayPacer:
         if last.n_seen == 0:
             raise RuntimeError("last completed day saw no traffic; cannot plan")
         curve = None
-        if plan_curve and last.offered_trace and last.offered_cost > 0:
+        if last.offered_trace and last.offered_cost > 0:
             curve = EmpiricalCurve.from_trace(
                 last.offered_trace, last.n_seen, last.offered_cost
             )
@@ -737,28 +735,6 @@ class MultiDayPacer:
             horizon=last.n_seen,
             target_curve=curve,
         )
-
-    # ------------------------------------------------------------------
-    # in-day delegation (so the pacer can stand in for a BudgetPacer)
-    # ------------------------------------------------------------------
-    def offer(self, score: float, cost: float) -> bool:
-        """Delegate one arrival to the open day's pacer."""
-        if self.current is None:
-            raise RuntimeError("no open day — call start_day() first")
-        return self.current.offer(score, cost)
-
-    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """Delegate a block of arrivals to the open day's pacer
-        (:meth:`BudgetPacer.offer_batch`)."""
-        if self.current is None:
-            raise RuntimeError("no open day — call start_day() first")
-        return self.current.offer_batch(scores, costs)
-
-    def observe_outcome(self, t, y_r, y_c) -> None:
-        """Delegate outcome feedback to the open day's pacer."""
-        if self.current is None:
-            raise RuntimeError("no open day — call start_day() first")
-        self.current.observe_outcome(t, y_r, y_c)
 
     # ------------------------------------------------------------------
     # campaign accounting

@@ -71,8 +71,6 @@ IDLE = "idle"
 RAMPING = "ramping"
 HOLDING = "holding"
 
-_RAMP_KEY = "ramp"  # the promoter's single deadline-loop slot
-
 #: every PromotionEvent.kind the promoter can emit — the per-kind event
 #: counters are pre-adopted from this set so the lifecycle path never
 #: touches the metrics registry (the obs hot-path contract, RPR005)
@@ -208,7 +206,7 @@ class AutoPromoter:
         self.hold_decided = int(hold_decided)
         self.auto_start = bool(auto_start)
 
-        self._loop = DeadlineLoop(self.clock)
+        self._loop = DeadlineLoop(self.clock, self._advance_ramp)
         self._state = IDLE
         self._ramp_idx = 0
         self._next_ramp_at: float | None = None  # absolute boundary time
@@ -285,25 +283,28 @@ class AutoPromoter:
         self.registry.traffic_split = self.ramp[0]
         if len(self.ramp) > 1:
             self._next_ramp_at = self.clock.now() + self.step_every_s
-            self._loop.schedule(_RAMP_KEY, self._next_ramp_at, self._advance_ramp)
+            self._loop.schedule(self._next_ramp_at)
         self._event("start", challenger.version)
         return True
 
     def observe(self, version: int, treated: bool, y_r: float, y_c: float) -> None:
         """Record one decided request's realised outcome and, every
         ``check_every`` observations, run the significance gate.  A
-        non-finite ``y_r`` or ``y_c`` raises ValueError before anything
-        moves (in a ledger it would fail every later gate check)."""
+        non-finite ``y_r`` or ``y_c`` raises ValueError, and a version
+        the registry does not hold raises KeyError, before anything
+        moves (in a ledger a non-finite outcome would fail every later
+        gate check)."""
         y_r, y_c = float(y_r), float(y_c)
         if not (math.isfinite(y_r) and math.isfinite(y_c)):
             raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
+        ledger = self.registry.get(version).ledger
         if self._state == IDLE and self.auto_start:
             # start (and reset the ledgers) *before* recording, so the
             # observation that opens the experiment is not discarded by
             # the reset one line later
             self.start()
         self._c_observations.inc()
-        self.registry.record_outcome(version, treated, y_r, y_c)
+        ledger.record(bool(treated), y_r, y_c)
         if self._state == IDLE:
             return
         self._since_check += 1
@@ -398,7 +399,7 @@ class AutoPromoter:
             # poll arriving late must not push every later step out, or
             # sparse polling compounds into cumulative schedule drift
             self._next_ramp_at += self.step_every_s
-            self._loop.schedule(_RAMP_KEY, self._next_ramp_at, self._advance_ramp)
+            self._loop.schedule(self._next_ramp_at)
 
     def _promote(self, ci: MeanCI) -> None:
         promoted = self._watching
@@ -410,7 +411,7 @@ class AutoPromoter:
         self.registry.promote(promoted)
         self.registry.get(promoted).ledger.reset()
         self.registry.traffic_split = 0.0
-        self._loop.cancel(_RAMP_KEY)
+        self._loop.cancel()
         self._state = HOLDING
         self._baseline = displaced
         self._since_check = 0
@@ -436,7 +437,7 @@ class AutoPromoter:
     def _finish(self) -> None:
         """Common experiment teardown: park the split, clear the watch."""
         self.registry.traffic_split = 0.0
-        self._loop.cancel(_RAMP_KEY)
+        self._loop.cancel()
         self._next_ramp_at = None
         self._state = IDLE
         self._watching = None

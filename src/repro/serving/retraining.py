@@ -55,7 +55,6 @@ from repro.serving.registry import ModelRegistry
 
 __all__ = ["RetrainEvent", "Retrainer"]
 
-_TIMER_KEY = "retrain-timer"
 _DAY_S = 86_400.0
 
 
@@ -165,9 +164,9 @@ class Retrainer:
         self._buffer: deque[tuple[np.ndarray, int, float, float]] = deque(
             maxlen=self.window
         )
-        self._loop = DeadlineLoop(self.clock)
+        self._loop = DeadlineLoop(self.clock, self._on_timer)
         if self.every_s is not None:
-            self._loop.schedule_in(_TIMER_KEY, self.every_s, self._on_timer)
+            self._loop.schedule_in(self.every_s)
         self._since_count_trigger = 0
         self._reference: tuple[np.ndarray, np.ndarray] | None = None  # (mean, std)
         self._held: TrainableModel | None = None
@@ -293,7 +292,7 @@ class Retrainer:
     def _on_timer(self) -> None:
         # re-arm first: a trigger that declines (window too small) must
         # not silence the periodic policy forever
-        self._loop.schedule_in(_TIMER_KEY, self.every_s, self._on_timer)
+        self._loop.schedule_in(self.every_s)
         self._trigger("every_n_days")
 
     def _freeze_reference(self, x: np.ndarray) -> None:

@@ -856,8 +856,8 @@ class ShardedBudgetPacer:
             # asking for periodic rebalancing implies a clock to read;
             # wall time is the natural default outside simulations
             self.clock = clock if clock is not None else SystemClock()
-            self._loop = DeadlineLoop(self.clock)
-            self._loop.schedule_in("rebalance", rebalance_every, self._on_tick)
+            self._loop = DeadlineLoop(self.clock, self._on_tick)
+            self._loop.schedule_in(rebalance_every)
 
     # ------------------------------------------------------------------
     # routing + the pacer surface
@@ -904,8 +904,7 @@ class ShardedBudgetPacer:
     # ------------------------------------------------------------------
     def _on_tick(self) -> None:
         self.rebalance()
-        if self._loop is not None and self.rebalance_every is not None:
-            self._loop.schedule_in("rebalance", self.rebalance_every, self._on_tick)
+        self._loop.schedule_in(self.rebalance_every)
 
     def rebalance(self) -> list[float]:
         """Re-divide the unspent residual by remaining horizon share.

@@ -308,19 +308,19 @@ class TestOfferBatchNamedCases:
         )
 
     def test_early_tilted_curve_through_multiday_pacer(self):
-        """Day 2 of an ``"early"`` campaign paces on the tilted curve;
-        ``MultiDayPacer.offer_batch`` delegates to the open day."""
+        """Day 2 of an ``"early"`` campaign paces on the tilted curve of
+        the pacer ``MultiDayPacer.start_day`` returns."""
         scores, costs = traffic(900, seed=8)
 
         def make():
             multi = MultiDayPacer(20.0, 300, carryover_mode="early", pacer_params=dict(warmup=20, refresh_every=10))
-            multi.start_day()
+            day1 = multi.start_day()
             for s, c in zip(scores[:300], costs[:300] * 3.0):
-                multi.offer(s, c)
+                day1.offer(s, c)
             multi.end_day()
-            multi.start_day()
+            day2 = multi.start_day()
             assert multi.carry > 0.0
-            return multi
+            return day2
 
         block, scalar = make(), make()
         pos = 300
@@ -329,7 +329,7 @@ class TestOfferBatchNamedCases:
             for j, admit in enumerate(got.tolist()):
                 assert scalar.offer(scores[pos + j], costs[pos + j]) == admit
             pos += got.shape[0]
-        assert_same_state(block.current, scalar.current)
+        assert_same_state(block, scalar)
 
     def test_nan_scores_follow_offers_own_threshold_test(self):
         """offer() never admits a NaN score, in warmup or past it, and

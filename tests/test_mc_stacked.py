@@ -1,7 +1,8 @@
 """The stacked MC-dropout pass against the pass-by-pass loop it replaced.
 
-``DRPModel.predict_roi_mc`` and ``Network.forward_stochastic`` run
-through :func:`repro.nn.network.stochastic_passes`.  The references
+``DRPModel.predict_roi_mc``, ``DirectRank.predict_roi_mc`` and
+``Network.forward_stochastic`` run through
+:func:`repro.nn.network.stochastic_passes`.  The references
 below are the loops they replaced, kept verbatim: every mean, std and
 the generator's next draw must match them bit for bit.
 """
@@ -11,11 +12,13 @@ from __future__ import annotations
 import copy
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import repro.nn.network as network_module
+from repro.core.direct_rank import DirectRank
 from repro.core.drp import DRPModel
 from repro.core.rdrp import RobustDRP
 from repro.data.synthetic import SyntheticRCTConfig, generate_rct
@@ -149,6 +152,31 @@ class TestPredictRoiMc:
                 tracemalloc.stop()
         reference_peak, stacked_peak = peaks
         assert stacked_peak <= 2 * reference_peak
+
+
+class TestDirectRank:
+    """One network with one ``Dropout``: the stacked pass draws the
+    stream the pass-by-pass loop drew."""
+
+    @pytest.fixture(scope="class")
+    def direct_rank(self):
+        data = rct(400, 5)
+        return DirectRank(hidden=16, epochs=2, random_state=0).fit(data.x, data.t, data.y_r, data.y_c)
+
+    @pytest.mark.parametrize("pickled", [False, True])
+    @pytest.mark.parametrize("n", [1, 33, 600])
+    @pytest.mark.parametrize("n_samples", [2, 30])
+    def test_matches_the_pass_by_pass_loop(self, direct_rank, pickled, n, n_samples):
+        copies = (lambda m: pickle.loads(pickle.dumps(m))) if pickled else copy.deepcopy
+        stacked, reference = copies(direct_rank), copies(direct_rank)
+        x = np.random.default_rng(n).normal(size=(n, D))
+        mean, std = stacked.predict_roi_mc(x, n_samples=n_samples)
+        as_drp = SimpleNamespace(networks_=[reference.network_])
+        ref_mean, ref_std = reference_predict_roi_mc(as_drp, x, n_samples)
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(std, ref_std)
+        stacked_gen = shared_generator(SimpleNamespace(networks_=[stacked.network_]))
+        assert stacked_gen.random() == shared_generator(as_drp).random()
 
 
 class TestRobustDRP:

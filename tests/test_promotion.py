@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ab.platform import Platform
+from repro.obs import MetricsRegistry
 from repro.runtime import ManualClock
 from repro.serving.engine import ScoringEngine
 from repro.serving.promotion import AutoPromoter
@@ -228,6 +229,19 @@ class TestSignificanceGate:
                 break
         assert promoter.state == "holding"
         assert reg.champion.version == v2
+
+    def test_unknown_version_is_refused_before_anything_moves(self):
+        """Regression: an idle promoter auto-started the experiment and
+        counted the observation before the registry raised KeyError for
+        a version it does not hold."""
+        reg, _v1, _v2 = make_pair()
+        metrics = MetricsRegistry()
+        promoter = AutoPromoter(reg, clock=ManualClock(), metrics=metrics)
+        with pytest.raises(KeyError):
+            promoter.observe(99, True, 1.0, 0.0)
+        assert promoter.state == "idle" and promoter.events == []
+        assert reg.traffic_split == 0.0
+        assert metrics.counter("promoter.observations").value == 0
 
     def test_worse_challenger_is_killed(self):
         reg, v1, v2 = make_pair()

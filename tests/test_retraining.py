@@ -211,6 +211,38 @@ class TestRetrainerTriggers:
         assert retrainer.n_refits == 0
         assert retrainer.next_deadline() is not None  # policy not silenced
 
+    def test_a_period_inside_the_due_slack_does_not_spin(self):
+        """Regression: ``every_n_days=1e-15`` is 8.64e-11 s, inside the
+        deadline loop's 1 ns due slack, so the timer re-armed due on
+        every firing and the first due ``poll`` never returned.  The
+        clock raises once a spinning poll has read it a few hundred
+        times."""
+
+        class BoundedClock(ManualClock):
+            reads = 0
+
+            def now(self):
+                self.reads += 1
+                if self.reads > 300:
+                    raise RuntimeError("poll is spinning")
+                return super().now()
+
+        clock = BoundedClock()
+        retrainer = Retrainer(
+            _registry_with_champion(),
+            clock=clock,
+            every_n_days=1e-15,
+            window=64,
+            min_outcomes=60,
+        )
+        clock.advance(1.0)
+        # the overdue deadline fires, then the one re-armed from now
+        assert retrainer.poll() == 2
+        # re-armed at the deadline it just fired: left for the next poll
+        assert retrainer.next_deadline() == 1.0 + retrainer.every_s
+        assert retrainer.poll() == 1
+        assert retrainer.n_refits == 0  # every trigger declined: window empty
+
     def test_drift_trigger(self):
         registry = _registry_with_champion()
         retrainer = Retrainer(

