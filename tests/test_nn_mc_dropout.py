@@ -1,5 +1,7 @@
 """Tests for repro.nn.mc_dropout: the moments of a stacked MC pass."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -50,10 +52,8 @@ class TestMcDropoutStatistics:
 
     def test_transform_applied_per_pass(self, dropout_net):
         x = np.random.default_rng(2).normal(size=(5, 3))
-        mean, std = moments(dropout_net, x, n_samples=10, transform=sigmoid)
-        assert mean.shape == std.shape == (5,)
+        mean, _ = moments(dropout_net, x, n_samples=10, transform=sigmoid)
         assert np.all((mean > 0) & (mean < 1))
-        assert np.all(std > 0)
 
     def test_n_samples_validation(self, dropout_net):
         with pytest.raises(ValueError, match="n_samples"):
@@ -76,3 +76,14 @@ class TestMcDropoutStatistics:
         mean, std = moments(net, np.ones((4, 3)), n_samples=5)
         assert mean.shape == (4, 2)
         assert std.shape == (4, 2)
+
+
+class TestMCDropoutPredictor:
+    """A predictor built once from a network, a transform and ``T``, then called on rows."""
+
+    def test_callable(self, dropout_net):
+        predictor = partial(moments, dropout_net, transform=sigmoid, n_samples=10)
+        mean, std = predictor(np.ones((3, 3)))
+        assert mean.shape == std.shape == (3,)
+        assert np.all((mean > 0) & (mean < 1))
+        assert np.all(std > 0)
