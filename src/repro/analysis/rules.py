@@ -602,8 +602,9 @@ _SETUP_FUNCS = frozenset({"__init__", "__post_init__", "__new__", "__set_name__"
 _HOT_FUNCS = frozenset(
     {
         "submit", "submit_to", "submit_batch", "score", "score_batch",
-        "offer", "observe", "take", "poll", "drain", "flush", "has_result",
-        "version_of", "record",
+        "offer", "offer_batch", "observe", "observe_block", "take",
+        "take_block", "poll", "drain", "flush", "has_result", "version_of",
+        "record", "record_many",
     }
 )
 _REGISTRY_FACTORIES = frozenset({"adopt", "counter", "gauge", "histogram"})

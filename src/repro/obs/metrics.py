@@ -450,6 +450,39 @@ class Histogram:
                 idx = math.ceil(math.log(value) / self._log_gamma)
                 self._buckets[idx] = self._buckets.get(idx, 0) + 1
 
+    def record_many(self, values) -> None:
+        """:meth:`record` each of ``values`` in turn, under one lock.
+
+        The same state as one ``record`` call per value: ``sum`` adds
+        them in order, so its bits match too.  A NaN or negative value
+        raises ValueError with the values before it recorded, as the
+        ``record`` loop leaves it.
+        """
+        log, ceil = math.log, math.ceil
+        log_gamma, floor, buckets = self._log_gamma, self.min_trackable, self._buckets
+        with self._lock:
+            count, total, lo, hi, zero = self._count, self._sum, self._min, self._max, self._zero
+            try:
+                for value in values:
+                    value = float(value)
+                    if not value >= 0.0:  # negative or NaN
+                        raise ValueError(
+                            f"histogram {self.name!r} takes non-negative values, got {value}"
+                        )
+                    count += 1
+                    total += value
+                    if value < lo:
+                        lo = value
+                    if value > hi:
+                        hi = value
+                    if value <= floor:
+                        zero += 1
+                    else:
+                        idx = ceil(log(value) / log_gamma)
+                        buckets[idx] = buckets.get(idx, 0) + 1
+            finally:
+                self._count, self._sum, self._min, self._max, self._zero = count, total, lo, hi, zero
+
     @property
     def count(self) -> int:
         return self._count

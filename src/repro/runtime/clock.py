@@ -24,13 +24,14 @@ import math
 import time
 from typing import Callable, Protocol, runtime_checkable
 
-__all__ = ["Clock", "DeadlineLoop", "ManualClock", "SystemClock"]
+__all__ = ["DUE_SLACK", "Clock", "DeadlineLoop", "ManualClock", "SystemClock"]
 
 # how far past ``now`` a deadline still counts as due: a ManualClock
 # advanced in repeated float increments drifts by ~1e-15, which would
 # otherwise push a poll landing exactly on a deadline to the next poll.
-# One nanosecond is far below any latency bound and far above the drift
-_EPSILON = 1e-9
+# One nanosecond is far below any latency bound and far above the drift.
+# A deadline ``at`` is due at clock time ``t`` when ``at <= t + DUE_SLACK``
+DUE_SLACK = 1e-9
 
 
 @runtime_checkable
@@ -125,7 +126,7 @@ class DeadlineLoop:
         """Fire the callback while the armed deadline is due; return
         how many times it fired."""
         at = self._at
-        if at is None or at > self.clock.now() + _EPSILON:
+        if at is None or at > self.clock.now() + DUE_SLACK:
             return 0  # nothing due: the idle path
         fired = 0
         while True:
@@ -133,6 +134,6 @@ class DeadlineLoop:
             self._callback()
             fired += 1
             rearmed = self._at
-            if rearmed is None or rearmed <= at or rearmed > self.clock.now() + _EPSILON:
+            if rearmed is None or rearmed <= at or rearmed > self.clock.now() + DUE_SLACK:
                 return fired
             at = rearmed

@@ -46,6 +46,7 @@ the right :class:`~repro.serving.registry.OutcomeLedger`.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
@@ -54,6 +55,7 @@ import numpy as np
 
 from repro.obs import NULL_REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
 from repro.runtime import Clock, DeadlineLoop, SystemClock
+from repro.runtime.clock import DUE_SLACK
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
 
@@ -81,6 +83,26 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     if d == 0:  # a zero-width void view has no items to list
         return [b""] * n
     return rows.view(np.dtype((np.void, d * rows.itemsize))).ravel().tolist()
+
+
+def _checked_stamps(stamps, n: int, clock: "Clock | None") -> np.ndarray:
+    """A block's per-row submit stamps as a float array: one per row,
+    finite, non-decreasing and at most ``clock.now()``, on an engine
+    (or fleet) with a clock; ValueError otherwise."""
+    if clock is None:
+        raise ValueError("stamps need an engine with a clock")
+    stamps = np.asarray(stamps, dtype=float)
+    if stamps.shape != (n,):
+        raise ValueError(f"stamps must have shape ({n},), got {stamps.shape}")
+    # a NaN fails the order test, and ordered stamps with finite ends
+    # are finite throughout
+    if n and not (
+        math.isfinite(stamps[0]) and math.isfinite(stamps[-1]) and (stamps[1:] >= stamps[:-1]).all()
+    ):
+        raise ValueError("stamps must be finite and non-decreasing")
+    if n and stamps[-1] > clock.now():
+        raise ValueError(f"stamps must not be later than the clock, got {stamps[-1]} at {clock.now()}")
+    return stamps
 
 
 class _PendingBlock:
@@ -131,7 +153,8 @@ class _PendingBlock:
         self.stamps[self.n] = stamp
         self.n += 1
 
-    def append_block(self, rids: np.ndarray, block: np.ndarray, stamp: float) -> None:
+    def append_block(self, rids: np.ndarray, block: np.ndarray, stamp: "float | np.ndarray") -> None:
+        """Append rows with one shared stamp or one stamp per row."""
         take = block.shape[0]
         self._grow_to(self.n + take)
         self.rows[self.n : self.n + take] = block
@@ -366,7 +389,10 @@ class ScoringEngine:
         return rid
 
     def submit_batch(
-        self, x: np.ndarray, keys: "list[str | int] | None" = None
+        self,
+        x: np.ndarray,
+        keys: "list[str | int] | None" = None,
+        stamps: "np.ndarray | None" = None,
     ) -> "list[int] | range":
         """Enqueue a block of requests; returns their ids in row order
         as a ``range`` (``[]`` for an empty block) — hand it to
@@ -402,6 +428,20 @@ class ScoringEngine:
 
         A block whose width differs from the pending batch's raises
         ValueError before anything moves.
+
+        ``stamps`` gives each row its own submit time on the engine's
+        clock, for a caller that collected the rows over time (the
+        replay's runs between deadlines).  The block then equals N
+        ``submit`` calls made with the clock at ``stamps[i]``: ids,
+        versions, counters, the latency sketch and the armed deadline,
+        which the first row into an empty buffer arms from its own
+        stamp, and a batch-full flush reads the stamp of the row that
+        fills the batch.  The block polls no deadline, since none may
+        be due at any stamp.  ValueError, before anything moves, for an
+        engine without a clock, for stamps that are not one per row,
+        finite, non-decreasing and at most ``clock.now()``, and for a
+        block that reaches a flush deadline: neither the armed one nor
+        the one its first row would arm may be due at the last stamp.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -409,19 +449,59 @@ class ScoringEngine:
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {len(keys)} keys for {n} rows")
+        if stamps is not None:
+            stamps = _checked_stamps(stamps, n, self.clock)
         if n == 0:
             return []
-        if self._deadlines is not None:
-            self._deadlines.poll()
-        self._check_width(x.shape[1])
-        rid0 = self._next_id
-        now = self.clock.now() if self.clock is not None else 0.0
-        if self.cache_size > 0 or not self.registry.routing_is_static:
-            self._walk(x, keys, now)
+        if stamps is None:
+            if self._deadlines is not None:
+                self._deadlines.poll()
+            self._check_width(x.shape[1])
+            stamps = self.clock.now() if self.clock is not None else 0.0
         else:
-            self._slab(x, now)
+            self._check_width(x.shape[1])
+            self._check_reach(stamps)
+        rid0 = self._next_id
+        if self.cache_size > 0 or not self.registry.routing_is_static:
+            self._walk(x, keys, stamps)
+        else:
+            self._slab(x, stamps)
         self._g_queue.set(self._n_pending)
         return range(rid0, rid0 + n)
+
+    def _check_reach(self, stamps: np.ndarray) -> None:
+        """ValueError when a stamped block would meet a flush deadline:
+        the armed one, or the one its first row would arm, is due at the
+        last stamp.  A row that arms one after a batch fill arms it no
+        earlier than the first row would."""
+        if self._deadlines is None:
+            return
+        last = stamps[-1] + DUE_SLACK
+        armed = self._deadlines.next_deadline()
+        if (armed is not None and armed <= last) or stamps[0] + self.max_latency_ms / 1000.0 <= last:
+            raise ValueError(
+                "the block reaches a flush deadline by its last stamp; submit the rows "
+                "before the deadline, poll, then the rest"
+            )
+
+    def _arm(self, at: "float | None") -> None:
+        """Arm the flush deadline ``max_latency_ms`` after ``at``, the
+        stamp of the row entering an empty buffer (None: now)."""
+        delay = self.max_latency_ms / 1000.0
+        if at is None:
+            self._deadlines.schedule_in(delay)
+        else:
+            self._deadlines.schedule(at + delay)
+
+    def _flush_full(self, at: "float | None") -> None:
+        """The batch-full flush of a block: at the filling row's stamp
+        when the rows carry stamps, else through :meth:`flush`, the
+        entry point perfbench's tracer counts by name (so the traced
+        calls of unstamped replays stay as they were)."""
+        if at is None:
+            self.flush(reason="batch_full")
+        else:
+            self._flush("batch_full", at)
 
     def _check_width(self, d: int) -> None:
         """ValueError unless ``d`` matches the pending rows' width (every
@@ -432,9 +512,10 @@ class ScoringEngine:
                 f"got a row of width {d}, but the pending batch has width {block.rows.shape[1]}"
             )
 
-    def _slab(self, x: np.ndarray, now: float) -> None:
+    def _slab(self, x: np.ndarray, stamps: "float | np.ndarray") -> None:
         """``submit_batch``'s slab path: cache off, static routing."""
         n = x.shape[0]
+        per_row = isinstance(stamps, np.ndarray)
         vid = self.registry.route(None).version  # static: champion, no RNG
         rid0 = self._next_id
         start = 0
@@ -469,20 +550,23 @@ class ScoringEngine:
             block.append_block(
                 np.arange(slice_rid0, slice_rid0 + take, dtype=np.int64),
                 x[start : start + take],
-                now,
+                stamps[start : start + take] if per_row else stamps,
             )
             self._n_pending += take
-            start += take
             if was_empty and self._deadlines is not None:
-                self._deadlines.schedule_in(self.max_latency_ms / 1000.0)
+                self._arm(stamps[start] if per_row else None)
+            start += take
             if self._n_pending >= self.batch_size:
-                self.flush(reason="batch_full")
+                self._flush_full(stamps[start - 1] if per_row else None)
 
-    def _walk(self, x: np.ndarray, keys: "list[str | int] | None", now: float) -> None:
+    def _walk(
+        self, x: np.ndarray, keys: "list[str | int] | None", stamps: "float | np.ndarray"
+    ) -> None:
         """``submit_batch``'s row walk: N :meth:`submit` calls' effects,
         booked once per flush segment (the rows up to and including the
         one whose miss fills the batch)."""
         n = x.shape[0]
+        per_row = isinstance(stamps, np.ndarray)
         registry = self.registry
         # a live challenger routes each row at its turn, after any
         # flush before it, so the registry draws in submit's order
@@ -538,12 +622,18 @@ class ScoringEngine:
                         block = self._pending[vid] = _PendingBlock(
                             x.shape[1], min(self.batch_size, max(len(rows), 64))
                         )
-                    block.append_block(rid0 + np.array(rows, dtype=np.int64), x[rows], now)
+                    block.append_block(
+                        rid0 + np.array(rows, dtype=np.int64),
+                        x[rows],
+                        stamps[rows] if per_row else stamps,
+                    )
                 self._n_pending += n_miss
                 if was_empty and self._deadlines is not None:
-                    self._deadlines.schedule_in(self.max_latency_ms / 1000.0)
+                    # the segment's first miss is the row that arms it
+                    first = min(segment[0] for segment in misses.values())
+                    self._arm(stamps[first] if per_row else None)
                 if n_miss >= room:
-                    self.flush(reason="batch_full")
+                    self._flush_full(stamps[hi - 1] if per_row else None)
             lo = hi
 
     def _flush_on_deadline(self) -> None:
@@ -559,6 +649,10 @@ class ScoringEngine:
         dropped (its ids never resolve), and the batches not yet scored
         stay pending.
         """
+        return self._flush(reason, None)
+
+    def _flush(self, reason: str, at: "float | None") -> int:
+        """:meth:`flush` at clock time ``at`` (None: read the clock)."""
         if reason not in self._c_flush_reason:
             raise ValueError(
                 f"reason must be 'manual', 'batch_full' or 'deadline', got {reason!r}"
@@ -577,7 +671,7 @@ class ScoringEngine:
                     # failed batch is dropped, not re-run)
                     version_id, batch = self._pending.popitem()
                     self._n_pending -= batch.n
-                    self._score(version_id, batch)
+                    self._score(version_id, batch, at)
                     scored += batch.n
         finally:
             self._g_queue.set(self._n_pending)
@@ -586,11 +680,12 @@ class ScoringEngine:
                 # requests still buffered — they are already overdue, so
                 # re-arm to fire at the very next poll (never leave
                 # survivors without a deadline)
-                self._deadlines.schedule_in(0.0)
+                self._deadlines.schedule(self.clock.now() if at is None else at)
         return scored
 
-    def _score(self, version_id: int, batch: _PendingBlock) -> None:
-        """Score one popped batch with one policy call and book it."""
+    def _score(self, version_id: int, batch: _PendingBlock, at: "float | None") -> None:
+        """Score one popped batch with one policy call and book it; its
+        latencies end at ``at`` (None: the clock after scoring)."""
         nb = batch.n
         model = self.registry.get(version_id).model
         try:
@@ -612,7 +707,7 @@ class ScoringEngine:
         # the model really scored these rows — credit the version
         # (cache hits were credited separately at submit)
         self.registry.get(version_id).requests += nb
-        now = self.clock.now() if self.clock is not None else None
+        now = at if at is not None else self.clock.now() if self.clock is not None else None
         rec = batch.record
         if now is None and self.cache_size <= 0 and rec is not None and rec.stop - rec.start == nb:
             # pure slab block: the scores array *is* the bookkeeping —
@@ -627,9 +722,7 @@ class ScoringEngine:
         score_list = scores.tolist()
         self._ready.update(zip(batch.rids[:nb].tolist(), score_list))
         if now is not None:
-            record = self.latency_hist.record
-            for wait in np.maximum(now - batch.stamps[:nb], 0.0).tolist():
-                record(wait)
+            self.latency_hist.record_many(np.maximum(now - batch.stamps[:nb], 0.0).tolist())
         if self.cache_size > 0:
             self._remember_block(version_id, batch.view(), score_list)
 

@@ -81,6 +81,26 @@ class OutcomeLedger:
         self._net_sumsq += net * net
         self._revenue_sumsq += y_r * y_r
 
+    def record_many(self, treated, y_r, y_c) -> None:
+        """:meth:`record` each ``(treated[i], y_r[i], y_c[i])`` in turn.
+
+        Every float sum adds the rows in order, as the ``record`` loop
+        does, so the ledger is the same to the bit for any outcomes,
+        not only 0/1 ones.  ``y_r`` and ``y_c`` hold floats.
+        """
+        revenue, spend = self.revenue, self.spend
+        net_sumsq, revenue_sumsq = self._net_sumsq, self._revenue_sumsq
+        for r, c in zip(y_r, y_c):
+            revenue += r
+            spend += c
+            net = r - c
+            net_sumsq += net * net
+            revenue_sumsq += r * r
+        self.n += len(y_r)
+        self.n_treated += sum(map(int, treated))
+        self.revenue, self.spend = revenue, spend
+        self._net_sumsq, self._revenue_sumsq = net_sumsq, revenue_sumsq
+
     def reset(self) -> None:
         """Zero the ledger (a fresh comparison window)."""
         self.n = 0

@@ -75,7 +75,7 @@ from repro.runtime import (
     SerialBackend,
     SystemClock,
 )
-from repro.serving.engine import EngineCore, ScoringEngine, _STAT_NAMES
+from repro.serving.engine import EngineCore, ScoringEngine, _checked_stamps, _STAT_NAMES
 from repro.serving.pacing import BudgetPacer
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
@@ -151,9 +151,10 @@ def _shard_results(fleet: int, shard: int) -> list[tuple[int, int, float]]:
 
 
 def _shard_feed(
-    fleet: int, shard: int, rows: np.ndarray, keys: list, rids: list[int]
+    fleet: int, shard: int, rows: np.ndarray, keys: list, rids: list[int], stamps=None
 ) -> list[tuple[int, int, float]]:
-    """Submit a feed as one block and return every result now ready.
+    """Submit a feed as one block (with its rows' stamps, if any) and
+    return every result now ready.
 
     The engine's ids map to the fleet's ``rids`` where they are
     issued: all of them, or, when a flush inside the block raises, those
@@ -166,7 +167,7 @@ def _shard_feed(
     fleet_ids = _SHARD_RIDS[(fleet, shard)]
     first = engine._next_id
     try:
-        issued = engine.submit_batch(rows, keys=keys)
+        issued = engine.submit_batch(rows, keys=keys, stamps=stamps)
     except BaseException:
         fleet_ids.update(zip(range(first, engine._next_id), rids))
         _forget_dropped(engine, fleet_ids)
@@ -452,7 +453,10 @@ class ShardedScoringEngine:
         return rid
 
     def submit_batch(
-        self, x: np.ndarray, keys: Sequence[str | int | None] | None = None
+        self,
+        x: np.ndarray,
+        keys: Sequence[str | int | None] | None = None,
+        stamps: np.ndarray | None = None,
     ) -> range:
         """Enqueue ``x``'s rows in one call; returns their fleet ids.
 
@@ -465,6 +469,16 @@ class ShardedScoringEngine:
         each feed through its own :meth:`ScoringEngine.submit_batch`.
         A block whose width differs from the fleet's raises ValueError
         before anything moves.
+
+        ``stamps`` are the rows' submit times on the fleet's clock, as
+        for :meth:`ScoringEngine.submit_batch`, and are checked the same
+        way before anything moves.  Each row ships with the stamp of
+        the row whose arrival fills its feed, which is when N ``submit``
+        calls would ship it: a deadline-driven fleet (one row per feed)
+        hands each shard its slice of the stamps, and rows that fill no
+        feed stay buffered.  A shard refuses a block that reaches one of
+        its flush deadlines as the engine does, which raises like a
+        failing feed.
         """
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
@@ -472,6 +486,8 @@ class ShardedScoringEngine:
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {n} rows but {len(keys)} keys")
+        if stamps is not None:
+            stamps = _checked_stamps(stamps, n, self.clock)
         rid0 = self._next_rid
         if n == 0:
             return range(rid0, rid0)
@@ -491,13 +507,22 @@ class ShardedScoringEngine:
                 continue
             block = x[idx]
             ids = idx.tolist()
+            buffered = len(self._buf_rids[shard])
             self._buf_rows[shard].extend(block)
             self._buf_keys[shard].extend(
                 [None] * len(ids) if keys is None else [keys[i] for i in ids]
             )
             self._buf_rids[shard].extend(rid0 + i for i in ids)
-            if len(self._buf_rids[shard]) >= self._feed_size:
-                self._feed(shard)
+            size = self._feed_size
+            if stamps is None:
+                if len(self._buf_rids[shard]) >= size:
+                    self._feed(shard)
+                continue
+            fed = len(self._buf_rids[shard]) // size * size
+            if fed:
+                # feed row j ships when the row ending its feed arrives
+                fills = (np.arange(fed) // size + 1) * size - 1 - buffered
+                self._feed(shard, fed, stamps[idx[fills]])
         self._reap(wait=False)
         return range(rid0, rid0 + n)
 
@@ -741,18 +766,20 @@ class ShardedScoringEngine:
     def _enqueue(self, shard: int, kind: str, fn, *args) -> None:
         self._inflight.append((kind, self.backend.submit_to(shard, fn, *args)))
 
-    def _feed(self, shard: int) -> int:
-        """Ship shard ``shard``'s parent-side buffer as one dispatch."""
+    def _feed(self, shard: int, count: int | None = None, stamps: np.ndarray | None = None) -> int:
+        """Ship the first ``count`` rows (default all) of shard
+        ``shard``'s parent-side buffer as one dispatch, with their
+        stamps if given."""
         rids = self._buf_rids[shard]
         if not rids:
             return 0
-        rows = np.stack(self._buf_rows[shard])
-        keys = self._buf_keys[shard]
-        self._buf_rows[shard] = []
-        self._buf_keys[shard] = []
-        self._buf_rids[shard] = []
-        self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys, rids)
-        return len(rids)
+        count = len(rids) if count is None else count
+        rows = np.stack(self._buf_rows[shard][:count])
+        keys = self._buf_keys[shard][:count]
+        rids = rids[:count]
+        del self._buf_rows[shard][:count], self._buf_keys[shard][:count], self._buf_rids[shard][:count]
+        self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys, rids, stamps)
+        return count
 
     def _absorb(self, drained: Sequence[tuple[int, int, float]]) -> None:
         for rid, version, score in drained:

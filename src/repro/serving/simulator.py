@@ -12,14 +12,19 @@ incremental revenue relative to the *offline greedy oracle*: Algorithm
 online policy can at best match the oracle; the replay quantifies the
 price of streaming.
 
-Decisions are made in blocks.  Arrivals go to the engine in chunks of
-its ``batch_size`` (``submit_batch``); each ready run of scores comes
-back through ``take_block`` and is paced through the pacer's
+Decisions are made in runs and blocks.  Arrivals reach the engine as
+runs (``submit_batch``): chunks of its ``batch_size``, or, for a replay
+that acts between arrivals (simulated time, a promoter or a
+retrainer), the arrivals before the next event, each with its own
+arrival stamp; an arrival at an event takes the per-arrival step
+(see :class:`TrafficReplay`).  Each ready run of scores comes back
+through ``take_block`` and is paced through the pacer's
 ``offer_batch``, one threshold prefix at a time, with one outcome draw
-per prefix — the same decisions, spend trajectory and outcome stream
-as one ``submit``, ``take``, ``offer`` and draw per arrival.  A replay
-that must act between arrivals (simulated time, a promoter or a
-retrainer) still submits one arrival at a time.
+per prefix, and each prefix's outcomes reach the promoter and the
+retrainer as block observes cut at the rows that may act — the same
+decisions, spend trajectory, outcome stream, lifecycle events and
+latencies as one ``submit``, ``take``, ``offer``, draw and ``observe``
+per arrival.
 
 Two runtime-layer features thread through the replay:
 
@@ -38,14 +43,16 @@ Two runtime-layer features thread through the replay:
   .AutoPromoter`, every decided arrival's realised outcome is
   attributed to the registry version whose score drove the decision
   (:meth:`ScoringEngine.version_of`) and fed to the promoter, and the
-  promoter is polled once per arrival so its ramp deadlines fire on
-  schedule under the replay's clock.  A multi-day campaign then runs
+  promoter is polled at every arrival its poll could act at, so its
+  ramp deadlines fire on schedule under the replay's clock.  A
+  multi-day campaign then runs
   the full promote-or-kill lifecycle end-to-end: ramp, significance
   verdict, post-promotion hold.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,6 +62,7 @@ from repro.ab.platform import Platform
 from repro.core.allocation import greedy_allocation
 from repro.obs import NULL_REGISTRY, HistogramSnapshot
 from repro.runtime import ManualClock
+from repro.runtime.clock import DUE_SLACK
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
@@ -178,6 +186,24 @@ class MultiDayReplayResult:
 class TrafficReplay:
     """Stream platform cohorts through the engine + pacer in arrival order.
 
+    The replay decides in runs.  Without simulated time, a promoter or
+    a retrainer, a run is a chunk of ``engine.batch_size`` arrivals.
+    Otherwise a run holds the arrivals before the next event: the
+    earliest engine flush, ramp or refit deadline due at an arrival on
+    the replay's :class:`~repro.runtime.ManualClock` (within its 1 ns
+    slack), or the room the waiting arrivals leave in the engine's
+    batch (a run may end on the row that fills it).  It goes to the
+    engine as one ``submit_batch`` with each row's arrival stamp.  A
+    run starts only behind a pending queue head, since a cache hit at
+    an empty head is decided at its arrival, and after a poll that
+    fired or moved ``registry.revision``, or a drain that decided
+    something, the next arrival takes the per-arrival step: clock,
+    polls, ``submit``, drain.  Between two arrivals of a run nothing
+    fires and nothing is decided, so decisions, event times and
+    latencies are those of that step at every arrival.  Without
+    simulated time the promoter and retrainer are polled once per run,
+    so a wall-time ramp step fires at most one engine batch late.
+
     Parameters
     ----------
     platform:
@@ -199,20 +225,20 @@ class TrafficReplay:
     promoter:
         An :class:`~repro.serving.promotion.AutoPromoter` operating the
         engine's registry.  Every decided arrival's realised outcome is
-        attributed to the version that scored it and recorded via
-        :meth:`AutoPromoter.observe`; the promoter is polled once per
-        arrival, so its ramp schedule runs on the replay's (possibly
-        simulated) time.  Outcome realisation shares the feedback
+        attributed to the version that scored it and recorded as
+        :meth:`AutoPromoter.observe` records it; the promoter is polled
+        at each arrival where a poll could act, so its ramp schedule
+        runs on the replay's simulated time exactly (on wall time it is
+        polled once per run).  Outcome realisation shares the feedback
         draws, so adding a promoter does not perturb the pacer's
         ``roi*`` stream.
     retrainer:
         A :class:`~repro.serving.retraining.Retrainer` closing the
         loop: every decided arrival's feature row and realised outcome
-        are buffered via :meth:`Retrainer.observe`, and the retrainer
-        is polled once per arrival so its periodic trigger and fit
-        collection run on the replay's clock.  Refits stage themselves
-        into the engine's registry, where the ``promoter`` (if any)
-        ramps them.
+        are buffered as :meth:`Retrainer.observe` buffers them, and the
+        retrainer is polled like the promoter, so its periodic trigger
+        runs on the replay's clock.  Refits stage themselves into the
+        engine's registry, where the ``promoter`` (if any) ramps them.
     paired_outcomes:
         When True, the per-user outcome uniforms are drawn as one
         cohort-indexed block up front instead of sequentially per
@@ -385,23 +411,56 @@ class TrafficReplay:
         :class:`MultiDayPacer`); the cohort already carries its
         day-of-week effects, so no day index is needed here.
         """
+        engine, promoter, retrainer = self.engine, self.promoter, self.retrainer
         scores = np.full(cohort.n, np.nan)
         treated = np.zeros(cohort.n, dtype=bool)
         trajectory = np.zeros(cohort.n)
         n_decided = 0
-        stats_before = dict(self.engine.stats)  # engines may serve many days
-        hist_before = self.engine.latency_hist.snapshot()
-        instrumented = self.engine.metrics is not NULL_REGISTRY
-        metrics_before = self.engine.metrics.snapshot() if instrumented else None
+        stats_before = dict(engine.stats)  # engines may serve many days
+        hist_before = engine.latency_hist.snapshot()
+        instrumented = engine.metrics is not NULL_REGISTRY
+        metrics_before = engine.metrics.snapshot() if instrumented else None
         # submitted, undecided arrivals in arrival order
         wait_rids: list[int] = []
         wait_idx: list[int] = []
-        realise = (
-            self.feedback or self.promoter is not None or self.retrainer is not None
-        )
+        realise = self.feedback or promoter is not None or retrainer is not None
         # paired mode: one cohort-indexed uniform block, so user i's
         # draws are independent of decision order (CRN across replays)
         uniforms = self._rng.random((cohort.n, 2)) if self.paired_outcomes else None
+
+        def attribute(block: np.ndarray, versions: list | None, admits, y_r, y_c) -> None:
+            """Feed one decided prefix's outcomes to the promoter and the
+            retrainer, as one ``observe`` each per row, in row order: the
+            rows before the next row either may act on go in one block
+            call each, and that row goes through ``observe``."""
+            flags, rs, cs = admits.tolist(), y_r.tolist(), y_c.tolist()
+            m = limit = len(flags)
+            x = None
+            if retrainer is not None:
+                x = cohort.x[block]
+                if not np.isfinite(x).all():
+                    # a row the retrainer refuses is observed alone
+                    limit = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
+            j = 0
+            while j < m:
+                k = limit - j
+                if promoter is not None:
+                    k = min(k, promoter.rows_until_event())
+                if retrainer is not None:
+                    k = min(k, retrainer.rows_until_event())
+                if k:
+                    end = j + k
+                    if promoter is not None:
+                        promoter.observe_block(versions[j:end], flags[j:end], rs[j:end], cs[j:end])
+                    if retrainer is not None:
+                        retrainer.observe_block(x[j:end], flags[j:end], rs[j:end], cs[j:end])
+                    j = end
+                if j < m:
+                    if promoter is not None:
+                        promoter.observe(versions[j], flags[j], rs[j], cs[j])
+                    if retrainer is not None:
+                        retrainer.observe(x[j], flags[j], rs[j], cs[j])
+                    j += 1
 
         def decide(idx: np.ndarray, run: np.ndarray, versions: list | None) -> None:
             """Pace one run of scored arrivals, one threshold prefix at a
@@ -409,6 +468,8 @@ class TrafficReplay:
             nonlocal n_decided
             scores[idx] = run
             costs = cohort.tau_c[idx]
+            attributed = promoter is not None or retrainer is not None
+            outcomes = np.empty((idx.shape[0], 2)) if attributed else None
             pos = 0
             while pos < idx.shape[0]:
                 before = pacer.spent
@@ -435,96 +496,133 @@ class TrafficReplay:
                     y_c = (admits & (draws[:, 1] < cohort.tau_c[block])).astype(float)
                     if self.feedback:
                         pacer.observe_outcome(admits, y_r, y_c)
-                    if self.promoter is not None or self.retrainer is not None:
-                        for j, i in enumerate(block.tolist()):
-                            admit, r, c = bool(admits[j]), float(y_r[j]), float(y_c[j])
-                            if self.promoter is not None:
-                                self.promoter.observe(versions[pos + j], admit, r, c)
-                            if self.retrainer is not None:
-                                self.retrainer.observe(cohort.x[i], admit, r, c)
+                    if attributed:
+                        outcomes[pos : pos + m, 0] = y_r
+                        outcomes[pos : pos + m, 1] = y_c
                 pos += m
+            if attributed:
+                # the promoter and retrainer read no pacer state, and the
+                # pacer none of theirs: the run's outcomes go in one pass
+                attribute(idx, versions, treated[idx], outcomes[:, 0], outcomes[:, 1])
 
-        def drain(force: bool = False) -> None:
+        def drain(force: bool = False) -> bool:
+            """Decide the ready prefix of the waiting arrivals; True when
+            it decided any."""
             if force:
-                self.engine.flush()
-                self.engine.join()
+                engine.flush()
+                engine.join()
             k = 0
             for rid in wait_rids:
-                if not self.engine.has_result(rid):
+                if not engine.has_result(rid):
                     break
                 k += 1
             if not k:
-                return
+                return False
             ready = wait_rids[:k]
             # which version's score drives each decision (read before
             # take_block() releases the attribution)
-            versions = (
-                [self.engine.version_of(rid) for rid in ready] if self.promoter is not None else None
-            )
-            run = self.engine.take_block(ready)
+            versions = [engine.version_of(rid) for rid in ready] if promoter is not None else None
+            run = engine.take_block(ready)
             idx = np.array(wait_idx[:k])
             del wait_rids[:k], wait_idx[:k]
             decide(idx, run, versions)
+            return True
 
-        clock = self.engine.clock if self.interarrival_s is not None else None
-        # acting between arrivals (clock, ramp and refit polls) needs one
-        # submit per arrival, and one-row submit_batch calls cost more
-        # than submit; otherwise rows go in chunks of one engine batch
-        per_arrival = (
-            clock is not None or self.promoter is not None or self.retrainer is not None
-        )
-        rows: np.ndarray | None = None  # the next chunk's feature rows
-        chunk: list[int] = []  # ... and their cohort indices
+        clock = engine.clock if self.interarrival_s is not None else None
+        gap = self.interarrival_s
+        registry = engine.registry
+        # acting between arrivals: simulated time, ramp or refit polls
+        acting = clock is not None or promoter is not None or retrainer is not None
+        owners = [owner for owner in (engine, promoter, retrainer) if owner is not None]
 
-        def submit_chunk() -> None:
-            wait_rids.extend(self.engine.submit_batch(rows[: len(chunk)]))
-            wait_idx.extend(chunk)
-            chunk.clear()
-            self.engine.poll()
-            drain()
+        def poll_lifecycle() -> bool:
+            """Fire due ramp steps and refit triggers (and the auto-start
+            and staging polls make); True when any deadline fired."""
+            fired = 0
+            if promoter is not None:
+                fired += promoter.poll()
+            if retrainer is not None:
+                fired += retrainer.poll()
+            return fired > 0
 
-        # real wall time on purpose: replay *measures* achieved host
-        # throughput; the simulated timeline stays on the injected clock
-        start = time.perf_counter()  # repro: allow[RPR001]
-        for i, x_row in self.platform.iter_events(cohort):
-            if not per_arrival:
-                if rows is None:
-                    rows = np.empty((self.engine.batch_size, np.size(x_row)))
-                rows[len(chunk)] = x_row
-                chunk.append(i)
-                if len(chunk) == rows.shape[0]:
-                    submit_chunk()
-                continue
+        def step(i: int, x_row: np.ndarray) -> bool:
+            """One arrival the per-arrival way: advance the clock (firing
+            a flush deadline inside the gap at the deadline), poll, submit,
+            decide what is ready.  True when the next arrival must take a
+            step too: a poll fired or moved the registry, or a decision
+            came after the polls."""
             if clock is not None:
                 # a flush deadline inside this inter-arrival gap must
                 # fire *at* the deadline, not when the next arrival
                 # happens to look — stop the clock there and poll, so
                 # the latency bound is exact for any gap size
-                target = clock.now() + self.interarrival_s
-                due = self.engine.next_deadline()
+                target = clock.now() + gap
+                due = engine.next_deadline()
                 if due is not None and due < target:
                     clock.advance(max(0.0, due - clock.now()))
-                    self.engine.poll()
+                    engine.poll()
                     drain()
                 clock.advance(max(0.0, target - clock.now()))
-            if self.promoter is not None:
-                # ramp deadlines fire at arrival granularity: the first
-                # arrival after a step boundary sees the widened split
-                self.promoter.poll()
-            if self.retrainer is not None:
-                # periodic refit triggers run at the same granularity
-                self.retrainer.poll()
-            wait_rids.append(self.engine.submit(x_row))
+            revision = registry.revision
+            fired = poll_lifecycle()
+            wait_rids.append(engine.submit(x_row))
             wait_idx.append(i)
-            self.engine.poll()
-            drain()
-        if chunk:
-            submit_chunk()
+            engine.poll()
+            return drain() or fired or registry.revision != revision
+
+        # decide in runs (the rules are in the class docstring); the
+        # batch room counts every waiting arrival, a superset of the
+        # pending ones, so a fleet's shards cannot fill inside a run
+        rows: list[np.ndarray] = []  # the run's feature rows
+        stamps: list[float] = []  # ... their arrival times
+        chunk: list[int] = []  # ... and their cohort indices
+        events = self.platform.iter_events(cohort)
+        arrival = next(events, None)
+        need_step = True
+        # real wall time on purpose: replay *measures* achieved host
+        # throughput; the simulated timeline stays on the injected clock
+        start = time.perf_counter()  # repro: allow[RPR001]
+        while arrival is not None:
+            if acting and (need_step or not wait_rids):
+                need_step = step(*arrival)
+                arrival = next(events, None)
+                continue
+            room = engine.batch_size - len(wait_rids) if acting else engine.batch_size
+            horizon = math.inf  # the earliest deadline on the clock
+            if clock is not None:
+                deadlines = [owner.next_deadline() for owner in owners]
+                horizon = min((d for d in deadlines if d is not None), default=math.inf)
+            revision = registry.revision
+            fired = False
+            if acting and clock is None:
+                fired = poll_lifecycle()  # on wall time, once per run
+            now = clock.now() if clock is not None else None
+            while arrival is not None and len(chunk) < room:
+                if clock is not None:
+                    step_s = max(0.0, (now + gap) - now)  # the step's clock arithmetic
+                    if horizon <= now + step_s + DUE_SLACK:
+                        break
+                    now = clock.advance(step_s)
+                    stamps.append(now)
+                i, x_row = arrival
+                rows.append(x_row)
+                chunk.append(i)
+                arrival = next(events, None)
+            if not chunk:
+                need_step = True  # the next arrival is at an event
+                continue
+            wait_rids.extend(engine.submit_batch(np.array(rows), stamps=stamps if clock is not None else None))
+            wait_idx.extend(chunk)
+            rows.clear()
+            stamps.clear()
+            chunk.clear()
+            engine.poll()
+            need_step = drain() or fired or registry.revision != revision
         drain(force=True)
-        if self.promoter is not None:
-            self.promoter.poll()  # day's end: fire any boundary that landed on it
-        if self.retrainer is not None:
-            self.retrainer.poll()
+        if promoter is not None:
+            promoter.poll()  # day's end: fire any boundary that landed on it
+        if retrainer is not None:
+            retrainer.poll()
         elapsed = time.perf_counter() - start  # repro: allow[RPR001]
 
         if wait_rids or n_decided != cohort.n:

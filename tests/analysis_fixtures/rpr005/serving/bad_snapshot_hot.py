@@ -12,6 +12,9 @@ class Engine:
     def observe(self, rid, outcome):
         return Snapshot(rid, outcome)  # finding: Snapshot ctor per request
 
+    def offer_batch(self, scores, costs):
+        return Snapshot(scores, costs)  # finding: Snapshot ctor per block
+
 
 class Snapshot:
     def __init__(self, rid, outcome):

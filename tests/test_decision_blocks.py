@@ -21,17 +21,19 @@ from hypothesis import strategies as st
 from repro.ab.platform import Platform
 from repro.core.roi_star import binary_search_roi_star, bisect_monotone
 from repro.data import criteo_uplift_v2
+from repro.obs import Histogram
 from repro.runtime import ManualClock
 from repro.serving import pacing
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
-from repro.serving.registry import ModelRegistry
+from repro.serving.registry import ModelRegistry, OutcomeLedger
 from repro.serving.retraining import Retrainer
 from repro.serving.sharding import ShardedBudgetPacer, ShardedScoringEngine
 from repro.serving.simulator import ReplayResult, TrafficReplay
 
 from test_retraining import TreatedNetRidge
+from test_serving import CountingROI
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +807,103 @@ def both_replays(build, run):
     return run(block), run(reference), (block, reference)
 
 
+class SlackProbeEngine(ScoringEngine):
+    """Counts deadline flushes fired inside ``submit``: a deadline due
+    at an arrival (within the 1 ns slack) rather than before it."""
+
+    fired_in_submit = 0
+
+    def submit(self, x_row, key=None):
+        before = self.stats["flush_deadline"]
+        rid = super().submit(x_row, key)
+        self.fired_in_submit += self.stats["flush_deadline"] - before
+        return rid
+
+
+class TimedPromoter(AutoPromoter):
+    """Logs the clock time each observation is recorded at, so a test
+    sees *when* every arrival was decided, not only how."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.decided_at: list[tuple[float, int]] = []
+
+    def observe(self, version, treated, y_r, y_c) -> None:
+        self.decided_at.append((self.clock.now(), version))
+        super().observe(version, treated, y_r, y_c)
+
+    def _record_quiet(self, versions, treated, y_r, y_c) -> int:
+        n = super()._record_quiet(versions, treated, y_r, y_c)
+        self.decided_at.extend((self.clock.now(), version) for version in versions[:n])
+        return n
+
+
+def closed_loop(
+    cls,
+    weights,
+    *,
+    gap=0.001,
+    max_latency_ms=20.0,
+    batch_size=256,
+    cache_size=4096,
+    step_every_s=0.4,
+    check_every=50,
+    retrainer=None,
+    platform=Platform,
+    engine_cls=ScoringEngine,
+    challenger=0.8,
+):
+    """A clocked replay with a promoter ramping a staged challenger
+    (``challenger`` times the champion's weights), and a ``retrainer``
+    built from the given kwargs, if any."""
+    registry = ModelRegistry(random_state=0)
+    registry.register(LinearROI(weights), name="champion")
+    registry.register(LinearROI(weights * challenger), name="challenger")
+    clock = ManualClock()
+    engine = engine_cls(
+        registry, batch_size=batch_size, cache_size=cache_size, max_latency_ms=max_latency_ms, clock=clock
+    )
+    promoter = TimedPromoter(
+        registry, clock=clock, ramp=(0.1, 0.5, 0.95), step_every_s=step_every_s, min_decided=60,
+        check_every=check_every, hold_decided=300,
+    )
+    if retrainer is not None:
+        probe = criteo_uplift_v2(600, random_state=6)
+        template = TreatedNetRidge().fit(probe.x, probe.roi, np.ones(probe.n))
+        retrainer = Retrainer(registry, template, clock=clock, **retrainer)
+    return cls(
+        platform(dataset="criteo", random_state=5, drift_day=2),
+        engine,
+        interarrival_s=gap,
+        promoter=promoter,
+        retrainer=retrainer,
+        feedback=True,
+        paired_outcomes=True,
+        random_state=11,
+    )
+
+
+def assert_same_loop(got, want, replays) -> None:
+    """Decisions, pacer and carry ledgers, latency sketch, promoter and
+    retrainer events and every version's ledger repeat the reference."""
+    for day_got, day_want in zip(got.days, want.days):
+        assert_same_decisions(day_got, day_want)
+    assert got.ledger == want.ledger
+    block, reference = replays
+    assert block.engine.latency_hist.snapshot() == reference.engine.latency_hist.snapshot()
+    assert repr(block.promoter.events) == repr(reference.promoter.events)
+    assert block.promoter.decided_at == reference.promoter.decided_at
+    if block.retrainer is not None:
+        assert repr(block.retrainer.events) == repr(reference.retrainer.events)
+        assert repr(block.retrainer._reference) == repr(reference.retrainer._reference)
+    versions = [[(v.version, v.name, v.stage, v.ledger) for v in r.engine.registry.versions()] for r in replays]
+    assert repr(versions[0]) == repr(versions[1])
+
+
 class TestReplayMatchesPerArrivalReference:
+    """The replay against the per-arrival loop: block days, and each
+    place a closed loop's run must end, hit on purpose."""
+
     @pytest.mark.parametrize("feedback", [False, True])
     @pytest.mark.parametrize("paired", [False, True])
     def test_single_engine_day(self, weights, feedback, paired):
@@ -946,3 +1044,562 @@ class TestReplayMatchesPerArrivalReference:
         assert any(kind == "kill" for kind, _at, _split in events[0])
         versions = [[(v.version, v.name, v.ledger.n) for v in r.engine.registry.versions()] for r in (block, reference)]
         assert versions[0] == versions[1]
+
+    def replay_loop(self, n_days=3, n_users=600, **kwargs):
+        return both_replays(
+            lambda cls: closed_loop(cls, **kwargs),
+            lambda r: r.replay_days(n_days, n_users, budget_fraction=0.3, plan_budgets=True),
+        )
+
+    def test_a_batch_that_fills_inside_a_run(self, weights):
+        """The decisions at a fill kill the challenger and stage refits:
+        the rows after the fill route on what they left."""
+        got, want, replays = self.replay_loop(
+            weights=weights, batch_size=8, check_every=10, challenger=-1.0,
+            retrainer=dict(window=300, min_outcomes=100, every_outcomes=150),
+        )
+        assert_same_loop(got, want, replays)
+        kinds = [e.kind for e in replays[0].promoter.events]
+        assert "kill" in kinds and kinds.count("start") > 1
+        # 8 rows fill before the 20-gap deadline every time
+        assert got.days[0].engine_stats["flush_batch_full"] == 600 // 8
+
+    def test_deadlines_due_at_an_arrival_inside_the_slack(self, weights):
+        """20 ms after an arrival is 20 gaps of 1 ms summed one by one:
+        equal to an arrival's time up to float drift, inside the slack,
+        as is each 250-gap ramp boundary."""
+        got, want, replays = self.replay_loop(weights=weights, step_every_s=0.25, engine_cls=SlackProbeEngine)
+        assert_same_loop(got, want, replays)
+        assert replays[0].engine.fired_in_submit == replays[1].engine.fired_in_submit > 0
+        ramps = [e for e in replays[0].promoter.events if e.kind in ("start", "ramp")]
+        assert len(ramps) > 2
+        # each step fires at the arrival on its boundary, not one gap late
+        steps = [b.at - a.at for a, b in zip(ramps, ramps[1:]) if b.kind == "ramp"]
+        assert steps and all(abs(step - 0.25) < 1e-6 for step in steps)
+
+    def test_cache_on_engine_with_repeated_rows_under_a_clock(self, weights):
+        got, want, replays = self.replay_loop(
+            weights=weights, batch_size=16, cache_size=64, platform=RepeatingPlatform, check_every=10,
+            challenger=-1.0, retrainer=dict(window=300, min_outcomes=100, every_outcomes=150),
+        )
+        assert_same_loop(got, want, replays)
+        assert [e.kind for e in replays[0].promoter.events].count("start") > 1
+        assert sum(day.engine_stats["cache_hits"] for day in got.days) > 300
+
+    def test_retrainer_count_drift_and_freeze_inside_blocks(self, weights):
+        got, want, replays = self.replay_loop(
+            weights=weights,
+            n_users=900,
+            challenger=-1.0,  # killed, so the held refit stages and ramps
+            retrainer=dict(window=400, min_outcomes=110, every_outcomes=170, drift_threshold=0.05),
+        )
+        assert_same_loop(got, want, replays)
+        reasons = {e.reason for e in replays[0].retrainer.events if e.kind == "trigger"}
+        assert reasons == {"every_outcomes", "drift"}
+        assert any(e.kind == "stage" for e in replays[0].retrainer.events)
+
+    def test_check_every_one_and_no_gap(self, weights):
+        """The clock never moves, so runs end only at the batch room, and
+        every observation runs the gate."""
+        got, want, replays = self.replay_loop(weights=weights, gap=0.0, check_every=1, batch_size=32)
+        assert_same_loop(got, want, replays)
+        assert got.days[0].engine_stats["flush_batch_full"] == 600 // 32
+        ledgers = [v.ledger.n for v in replays[0].engine.registry.versions()]
+        assert min(ledgers) >= 60  # both arms past min_decided: the gate ran
+
+    def test_clocked_serial_fleet(self, weights):
+        def build(cls):
+            clock = ManualClock()
+            fleet = ShardedScoringEngine(
+                LinearROI(weights), n_shards=2, batch_size=64, cache_size=0, max_latency_ms=20.0, clock=clock
+            )
+            return cls(Platform(dataset="criteo", random_state=4), fleet, feedback=True, interarrival_s=0.001,
+                       random_state=2)
+
+        got, want, replays = both_replays(build, lambda r: r.replay_day(600))
+        sketches = [r.engine.latency_hist.snapshot() for r in replays]
+        for replay in replays:
+            replay.engine.close()
+        assert_same_decisions(got, want)
+        assert sketches[0] == sketches[1] and sketches[0].count == 600
+        assert sketches[0].quantile(0.999) <= 0.020 * (1 + sketches[0].relative_error)
+
+    def test_a_feature_the_retrainer_refuses_stops_both_loops_alike(self, weights):
+        """The retrainer raises at a non-finite feature row; the promoter
+        has recorded that row and none after it, as per arrival."""
+
+        class NanFeaturePlatform(Platform):
+            def daily_cohort(self, n, day=1):
+                cohort = super().daily_cohort(n, day).subset(np.arange(n))
+                cohort.x[n // 3, 1] = np.nan
+                return cohort
+
+        replays = [
+            closed_loop(cls, weights, platform=NanFeaturePlatform, check_every=10,
+                        retrainer=dict(window=300, min_outcomes=100, every_outcomes=150))
+            for cls in (TrafficReplay, PerArrivalReplay)
+        ]
+        for replay in replays:
+            with pytest.raises(ValueError, match="finite"):
+                replay.replay_days(2, 600, budget_fraction=0.3, plan_budgets=True)
+        block, reference = replays
+        assert block.promoter.decided_at == reference.promoter.decided_at
+        assert promoter_state(block.promoter) == promoter_state(reference.promoter)
+        assert retrainer_state(block.retrainer) == retrainer_state(reference.retrainer)
+        assert block.retrainer.n_observed < 600
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        gap=st.sampled_from([0.0005, 0.001, 0.0013, 0.0025]),
+        max_latency_ms=st.sampled_from([3.0, 10.0, 20.0]),
+        step_every_s=st.sampled_from([0.05, 0.1, 0.13]),
+        check_every=st.sampled_from([1, 7, 50]),
+        batch_size=st.sampled_from([4, 8, 256]),
+    )
+    def test_property_runs_repeat_the_per_arrival_loop(
+        self, weights, gap, max_latency_ms, step_every_s, check_every, batch_size
+    ):
+        got, want, replays = self.replay_loop(
+            weights=weights,
+            n_days=2,
+            n_users=300,
+            gap=gap,
+            max_latency_ms=max_latency_ms,
+            step_every_s=step_every_s,
+            check_every=check_every,
+            batch_size=batch_size,
+            retrainer=dict(window=200, min_outcomes=60, every_n_days=0.17 / 86_400),
+        )
+        assert_same_loop(got, want, replays)
+
+
+# ---------------------------------------------------------------------------
+# the block entry points the replay's runs use
+# ---------------------------------------------------------------------------
+def stamped_engine(*, split=0.0, batch_size=8, cache_size=0, max_latency_ms=5.0):
+    registry = ModelRegistry(traffic_split=split, random_state=4)
+    tally = [0]
+    registry.register(CountingROI(tally), promote=True)
+    if split > 0.0:
+        registry.register(CountingROI(tally, sign=-1.0))
+    return ScoringEngine(
+        registry, batch_size=batch_size, cache_size=cache_size, max_latency_ms=max_latency_ms, clock=ManualClock()
+    )
+
+
+def engine_state(engine: ScoringEngine, ids) -> tuple:
+    """Everything a stamped block must leave as N ``submit`` calls do."""
+    snap = engine.latency_hist.snapshot()
+    return (
+        list(ids),
+        [engine.version_of(rid) for rid in ids],
+        engine.stats,
+        engine.n_pending,
+        engine.next_deadline(),
+        (snap.count, snap.sum.hex(), snap.min, snap.max, snap.zero_count, dict(snap.buckets)),
+        list(engine._cache.items()),
+        [(v.version, v.requests, v.cache_hits) for v in engine.registry.versions()],
+    )
+
+
+def per_row_submits(engine: ScoringEngine, x: np.ndarray, stamps: np.ndarray) -> list[int]:
+    clock = engine.clock
+    ids = []
+    for row, at in zip(x, stamps.tolist()):
+        clock.advance(at - clock.now())
+        ids.append(engine.submit(row))
+    return ids
+
+
+class TestStampedSubmitBatch:
+    """``submit_batch(x, stamps=)`` is N ``submit`` calls made with the
+    ``ManualClock`` at each stamp."""
+
+    def twins(self, **kwargs):
+        return stamped_engine(**kwargs), stamped_engine(**kwargs)
+
+    def assert_twins(self, block, scalar, x, stamps, ids=None):
+        """Run the block on ``block``, the submits on ``scalar``, compare."""
+        ref = per_row_submits(scalar, x, stamps)
+        block.clock.advance(scalar.clock.now() - block.clock.now())
+        got = block.submit_batch(x, stamps=stamps)
+        assert engine_state(block, got) == engine_state(scalar, ref)
+        block.flush()
+        scalar.flush()
+        np.testing.assert_array_equal(block.take_block(got), [scalar.take(rid) for rid in ref])
+        assert engine_state(block, []) == engine_state(scalar, [])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(cache_size=0), dict(cache_size=4), dict(split=0.4), dict(cache_size=0, max_latency_ms=None)],
+        ids=["slab", "cache", "live-split", "no-deadline"],
+    )
+    def test_a_block_equals_submits_at_its_stamps(self, kwargs):
+        block, scalar = self.twins(**kwargs)
+        x = np.repeat(np.random.default_rng(1).normal(size=(10, 3)), 2, axis=0)[:19]
+        # 0.2 ms apart: the 5 ms deadline the first row arms is not due
+        # at the last stamp, and batches of 8 fill inside the block
+        stamps = 1.0 + 0.0002 * np.arange(19)
+        self.assert_twins(block, scalar, x, stamps)
+        assert block.stats["flush_batch_full"] >= 1
+
+    def test_equal_stamps_and_a_pending_head(self):
+        block, scalar = self.twins(cache_size=0, batch_size=5)
+        x = np.random.default_rng(2).normal(size=(9, 3))
+        for engine in (block, scalar):
+            engine.clock.advance(0.5)
+            engine.submit(x[0])  # arms the deadline at 0.505
+        stamps = np.array([0.5, 0.5, 0.501, 0.501, 0.502, 0.503, 0.503, 0.504])
+        self.assert_twins(block, scalar, x[1:], stamps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+        gaps=st.lists(st.sampled_from([0.0, 1e-4, 3e-4]), min_size=30, max_size=30),
+        head=st.integers(0, 3),
+        batch_size=st.integers(1, 9),
+        cache_size=st.sampled_from([0, 3]),
+        split=st.sampled_from([0.0, 0.5]),
+    )
+    def test_row_walk_and_slab_match_stamped_submits(self, pattern, gaps, head, batch_size, cache_size, split):
+        block, scalar = self.twins(batch_size=batch_size, cache_size=cache_size, split=split, max_latency_ms=None)
+        rows = np.random.default_rng(0).normal(size=(6, 2))
+        x = rows[pattern]
+        for engine in (block, scalar):
+            for row in rows[:head]:
+                engine.submit(row)
+        stamps = np.cumsum(gaps[: len(pattern)])
+        self.assert_twins(block, scalar, x, stamps)
+
+    def test_a_stamped_block_on_a_deadline_engine_at_the_slack(self):
+        """A deadline a hair (inside the 1 ns slack) past the last
+        stamp is due there: refused.  One a little further is not."""
+        engine = stamped_engine(cache_size=0, batch_size=64, max_latency_ms=1.0)
+        engine.clock.advance(1.0)
+        engine.submit(np.zeros(3))  # deadline 1.001
+        engine.clock.advance(0.01)
+        with pytest.raises(ValueError, match="deadline"):
+            engine.submit_batch(np.ones((2, 3)), stamps=[1.0005, 1.001 - 5e-10])
+        assert engine.submit_batch(np.ones((2, 3)), stamps=[1.0005, 1.001 - 5e-9]) == range(1, 3)
+
+    @pytest.mark.parametrize(
+        "stamps, match",
+        [
+            ([0.1, np.nan, 0.3], "finite"),
+            ([0.1, np.inf, 0.3], "finite"),
+            ([0.2, 0.1, 0.3], "non-decreasing"),
+            ([0.1, 0.2, 7.0], "later than the clock"),
+            ([0.1, 0.2], "shape"),
+            ([[0.1, 0.2, 0.3]], "shape"),
+            # the armed deadline (0.005 + 0.01) falls before the last stamp
+            ([0.006, 0.01, 0.0151], "deadline"),
+        ],
+    )
+    def test_refused_stamps_move_nothing(self, stamps, match):
+        engine = stamped_engine(cache_size=4, max_latency_ms=10.0)
+        engine.clock.advance(0.005)
+        engine.submit(np.full(2, 9.0))
+        engine.clock.advance(1.0)
+        before = engine_state(engine, [0])
+        with pytest.raises(ValueError, match=match):
+            engine.submit_batch(np.arange(6.0).reshape(3, 2), stamps=stamps)
+        assert engine_state(engine, [0]) == before
+        assert engine._next_id == 1
+
+    def test_a_deadline_the_block_would_arm_is_refused(self):
+        """No stamp may reach ``stamps[0] + max_latency``: the deadline
+        row 0 arms into an empty buffer, and no later than any a row
+        arms after a batch fill."""
+        engine = stamped_engine(cache_size=0, batch_size=4, max_latency_ms=10.0)
+        engine.clock.advance(1.0)
+        with pytest.raises(ValueError, match="deadline"):
+            engine.submit_batch(np.ones((2, 2)), stamps=[0.0, 0.0101])
+        assert engine.stats["requests"] == 0 and engine.next_deadline() is None
+        engine.submit_batch(np.ones((2, 2)), stamps=[0.0, 0.0099])  # armed at 0.01
+        assert engine.next_deadline() == 0.0 + 0.01
+        with pytest.raises(ValueError, match="deadline"):
+            # the armed deadline falls at the last stamp
+            engine.submit_batch(np.ones((3, 2)), stamps=[0.0099, 0.0099, 0.01])
+        # rows 0-1 fill the batch, and row 2 arms 0.0099 + 0.01
+        engine.submit_batch(np.ones((3, 2)), stamps=[0.0099, 0.0099, 0.00999])
+        assert engine.next_deadline() == 0.00999 + 0.01 and engine.stats["flush_batch_full"] == 1
+
+    def test_an_engine_without_a_clock_refuses_stamps(self):
+        engine = ScoringEngine(CountingROI([0]), batch_size=4, cache_size=0)
+        with pytest.raises(ValueError, match="clock"):
+            engine.submit_batch(np.ones((2, 2)), stamps=[0.0, 0.0])
+        assert engine.stats["requests"] == 0
+
+    @pytest.mark.parametrize("max_latency_ms", [20.0, None])
+    def test_a_clocked_serial_fleet_forwards_each_shards_stamps(self, max_latency_ms):
+        """A deadline-driven fleet ships every row at its arrival; one
+        without deadlines ships a feed when its batch's last row comes."""
+
+        def fleet():
+            tally = [0]
+            return ShardedScoringEngine(
+                CountingROI(tally), n_shards=2, batch_size=4, cache_size=0,
+                max_latency_ms=max_latency_ms, clock=ManualClock(),
+            )
+
+        block, scalar = fleet(), fleet()
+        x = np.random.default_rng(3).normal(size=(11, 3))
+        stamps = 0.3 + 0.001 * np.arange(11)
+        ref = per_row_submits(scalar, x, stamps)
+        block.clock.advance(scalar.clock.now())
+        got = block.submit_batch(x, stamps=stamps)
+        assert list(got) == ref
+        for engine in (block, scalar):
+            engine.clock.advance(0.05)
+            engine.flush()
+        np.testing.assert_array_equal(block.take_block(got), [scalar.take(rid) for rid in ref])
+        assert block.stats == scalar.stats
+        sketches = [engine.latency_hist.snapshot() for engine in (block, scalar)]
+        assert sketches[0] == sketches[1] and sketches[0].count == 11
+        for engine in (block, scalar):
+            engine.close()
+
+
+# ---------------------------------------------------------------------------
+# block records: Histogram.record_many, OutcomeLedger.record_many
+# ---------------------------------------------------------------------------
+def histogram_state(hist) -> tuple:
+    snap = hist.snapshot()
+    return snap.count, snap.sum.hex(), snap.min, snap.max, snap.zero_count, dict(snap.buckets)
+
+
+class TestRecordMany:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e-8), st.sampled_from([0.0, 1e-9, 5e-324])),
+            max_size=40,
+        ),
+        cut=st.integers(0, 40),
+    )
+    def test_histogram_record_many_is_the_record_loop(self, values, cut):
+        block, loop = Histogram("h"), Histogram("h")
+        block.record_many(values[:cut])
+        block.record_many(np.array(values[cut:]))
+        for value in values:
+            loop.record(value)
+        assert histogram_state(block) == histogram_state(loop)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-12, -3.0])
+    def test_histogram_refuses_a_bad_value_where_record_does(self, bad):
+        values = [0.5, 2.0, bad, 7.0]
+        block, loop = Histogram("h"), Histogram("h")
+        with pytest.raises(ValueError, match="non-negative"):
+            block.record_many(values)
+        with pytest.raises(ValueError, match="non-negative"):
+            for value in values:
+                loop.record(value)
+        assert histogram_state(block) == histogram_state(loop) and block.count == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.booleans(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=40
+        )
+    )
+    def test_ledger_record_many_is_the_record_loop(self, rows):
+        block, loop = OutcomeLedger(), OutcomeLedger()
+        loop.record(True, 0.1, 0.3)
+        block.record(True, 0.1, 0.3)
+        treated = [t for t, _r, _c in rows]
+        block.record_many(treated, [r for _t, r, _c in rows], [c for _t, _r, c in rows])
+        for t, r, c in rows:
+            loop.record(t, r, c)
+        assert repr(block) == repr(loop)
+
+
+# ---------------------------------------------------------------------------
+# block observes: AutoPromoter.observe_block, Retrainer.observe_block
+# ---------------------------------------------------------------------------
+def promoter_twin(check_every=7, auto_start=True):
+    registry = ModelRegistry(random_state=0)
+    registry.register(LinearROI(np.zeros(4)), name="champion")
+    registry.register(LinearROI(np.ones(4)), name="challenger")
+    clock = ManualClock()
+    promoter = AutoPromoter(
+        registry, clock=clock, ramp=(0.2, 0.6), min_decided=6, check_every=check_every,
+        hold_decided=12, auto_start=auto_start, metric="revenue",
+    )
+    return promoter
+
+
+def promoter_state(promoter) -> str:
+    registry = promoter.registry
+    return repr(
+        (
+            [(v.version, v.stage, v.ledger) for v in registry.versions()],
+            registry.traffic_split,
+            promoter.state,
+            promoter._since_check,
+            promoter._c_observations.value,
+            promoter.events,
+        )
+    )
+
+
+def outcome_rows(seed, n, versions=(1, 2)):
+    """Non-0/1 float outcomes, so every ledger sum depends on its order."""
+    gen = np.random.default_rng(seed)
+    return (
+        [int(v) for v in gen.choice(versions, size=n)],
+        (gen.random(n) < 0.6).tolist(),
+        (gen.normal(size=n) * 3.7 + 0.1).tolist(),
+        (gen.random(n) * 0.9).tolist(),
+    )
+
+
+class TestPromoterObserveBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        cuts=st.lists(st.integers(0, 120), max_size=6),
+        check_every=st.integers(1, 9),
+        auto_start=st.booleans(),
+    )
+    def test_blocks_are_the_observe_loop(self, seed, cuts, check_every, auto_start):
+        block, loop = promoter_twin(check_every, auto_start), promoter_twin(check_every, auto_start)
+        rows = outcome_rows(seed, 120)
+        bounds = [0, *sorted(cuts), 120]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block.observe_block(*(column[lo:hi] for column in rows))
+        for row in zip(*rows):
+            loop.observe(*row)
+        assert promoter_state(block) == promoter_state(loop)
+
+    def test_quiet_rows_end_before_each_gate_check(self):
+        promoter = promoter_twin(check_every=5)
+        assert promoter.rows_until_event() == 0  # the first row auto-starts
+        promoter.observe(1, True, 1.0, 0.5)
+        assert promoter.state == "ramping" and promoter.rows_until_event() == 3
+        promoter.observe_block([1, 2, 1], [True, False, True], [0.5, 0.0, 2.5], [0.1, 0.0, 0.2])
+        assert promoter.rows_until_event() == 0
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [((2, True, float("nan"), 0.0), ValueError), ((1, True, 0.0, float("inf")), ValueError), ((9, True, 0.0, 0.0), KeyError)],
+    )
+    def test_a_bad_row_raises_where_observe_does(self, bad, error):
+        block, loop = promoter_twin(check_every=50), promoter_twin(check_every=50)
+        versions, treated, y_r, y_c = outcome_rows(3, 12)
+        for column, value in zip((versions, treated, y_r, y_c), bad):
+            column[8] = value
+        with pytest.raises(error):
+            block.observe_block(versions, treated, y_r, y_c)
+        with pytest.raises(error):
+            for row in zip(versions, treated, y_r, y_c):
+                loop.observe(*row)
+        assert promoter_state(block) == promoter_state(loop)
+        assert block.registry.get(1).ledger.n + block.registry.get(2).ledger.n == 8
+
+
+def retrainer_twin(**triggers):
+    probe = criteo_uplift_v2(400, random_state=6)
+    registry = ModelRegistry(random_state=0)
+    registry.register(TreatedNetRidge().fit(probe.x, probe.roi, np.ones(probe.n)), name="champion")
+    clock = ManualClock()
+    return Retrainer(registry, clock=clock, window=60, **triggers), probe
+
+
+def retrainer_state(retrainer) -> str:
+    return repr(
+        (
+            list(retrainer._buffer),
+            retrainer._reference,
+            retrainer.n_observed,
+            retrainer._since_count_trigger,
+            retrainer.n_refits,
+            retrainer.refit_pending,
+            retrainer.events,
+            retrainer._c_outcomes.value,
+            retrainer._g_fill.value,
+            [(v.version, v.name, v.stage) for v in retrainer.registry.versions()],
+        )
+    )
+
+
+class TestRetrainerObserveBlock:
+    TRIGGERS = [
+        dict(min_outcomes=20, every_outcomes=45),
+        dict(min_outcomes=30, drift_threshold=0.05),
+        dict(min_outcomes=10, every_outcomes=25, drift_threshold=0.2, every_n_days=1.0),
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        cuts=st.lists(st.integers(0, 200), max_size=8),
+        triggers=st.sampled_from(TRIGGERS),
+    )
+    def test_blocks_are_the_observe_loop(self, seed, cuts, triggers):
+        (block, probe), (loop, _probe) = retrainer_twin(**triggers), retrainer_twin(**triggers)
+        gen = np.random.default_rng(seed)
+        x = probe.x[gen.integers(0, probe.n, size=200)] + gen.normal(size=(200, probe.x.shape[1])) * np.linspace(0, 2, 200)[:, None]
+        _versions, treated, y_r, y_c = outcome_rows(seed, 200)
+        bounds = [0, *sorted(cuts), 200]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block.observe_block(x[lo:hi], treated[lo:hi], y_r[lo:hi], y_c[lo:hi])
+        for row in zip(x, treated, y_r, y_c):
+            loop.observe(*row)
+        assert retrainer_state(block) == retrainer_state(loop)
+
+    def test_quiet_rows_end_at_each_freeze_trigger_and_drift_check(self):
+        retrainer, probe = retrainer_twin(min_outcomes=10, every_outcomes=70, drift_threshold=9.0)
+        assert retrainer.rows_until_event() == 9  # row 10 freezes the reference
+        retrainer.observe_block(probe.x[:10], [True] * 10, [1.0] * 10, [0.5] * 10)
+        assert retrainer._reference is not None
+        assert retrainer.rows_until_event() == 53  # row 64 is a drift check
+        retrainer.observe_block(probe.x[10:64], [True] * 54, [1.0] * 54, [0.5] * 54)
+        assert retrainer.rows_until_event() == 5  # row 70 is the count trigger
+        retrainer.observe_block(probe.x[64:70], [True] * 6, [1.0] * 6, [0.5] * 6)
+        assert retrainer.n_refits == 1 and retrainer.n_staged == 1
+        retrainer.observe_block(probe.x[70:140], [True] * 70, [1.0] * 70, [0.5] * 70)
+        # the second refit finds the slot taken: no drift checks while held
+        assert retrainer.refit_pending and retrainer.rows_until_event() == 69
+
+    def test_a_due_timer_or_a_free_slot_ends_the_quiet_rows_at_once(self):
+        retrainer, probe = retrainer_twin(min_outcomes=5, every_n_days=1 / 86_400)
+        retrainer.observe_block(probe.x[:6], [True] * 6, [1.0] * 6, [0.5] * 6)
+        assert retrainer.rows_until_event() == math.inf
+        retrainer.clock.advance(1.0)
+        assert retrainer.rows_until_event() == 0
+        retrainer.observe_block(probe.x[6:8], [True] * 2, [1.0] * 2, [0.5] * 2)
+        assert [e.kind for e in retrainer.events] == ["trigger", "fit", "stage"]
+
+    def test_a_held_refit_stages_at_the_first_row_after_the_slot_frees(self):
+        (block, probe), (loop, _probe) = (retrainer_twin(min_outcomes=5, every_outcomes=6) for _ in range(2))
+        rows = (probe.x[:20], [True] * 20, [1.0] * 20, [0.5] * 20)
+        for retrainer in (block, loop):
+            for row in zip(*(column[:12] for column in rows)):
+                retrainer.observe(*row)
+            assert retrainer.refit_pending  # the second refit found the slot taken
+            retrainer.registry.demote()
+        assert block.rows_until_event() == 0
+        block.observe_block(*(column[12:] for column in rows))
+        for row in zip(*(column[12:] for column in rows)):
+            loop.observe(*row)
+        assert retrainer_state(block) == retrainer_state(loop)
+        stage = [e for e in block.events if e.kind == "stage"][-1]
+        assert stage.n_outcomes == 13 and block.n_staged == 2
+
+    @pytest.mark.parametrize("column", ["x", "y_r", "y_c"])
+    def test_a_bad_row_raises_where_observe_does(self, column):
+        (block, probe), (loop, _probe) = retrainer_twin(min_outcomes=4, every_outcomes=5), retrainer_twin(
+            min_outcomes=4, every_outcomes=5
+        )
+        x, treated, y_r, y_c = probe.x[:12].copy(), [True] * 12, [1.0] * 12, [0.25] * 12
+        if column == "x":
+            x[7, 2] = np.nan
+        else:
+            {"y_r": y_r, "y_c": y_c}[column][7] = float("inf")
+        with pytest.raises(ValueError, match="finite"):
+            block.observe_block(x, treated, y_r, y_c)
+        with pytest.raises(ValueError, match="finite"):
+            for row in zip(x, treated, y_r, y_c):
+                loop.observe(*row)
+        assert retrainer_state(block) == retrainer_state(loop)
+        assert block.n_observed == 7
