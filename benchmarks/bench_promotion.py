@@ -7,7 +7,8 @@ costs and buys on the serving hot path:
   O(1) ledger update plus, every ``check_every`` observations, one
   Welch interval (a handful of ``t_ppf`` bisections).  Measured as raw
   ``observe()`` throughput and as the end-to-end replay slowdown of a
-  promoter-driven day versus a plain one; the control loop must stay a
+  promoter-driven day versus a plain one: the median of the per-pair
+  ratios over interleaved pairs of days.  The control loop must stay a
   rounding error next to model scoring (asserted: < 30% replay
   overhead, > 100k observations/s raw).
 * **Time-to-verdict** — on a campaign whose challenger truly dominates
@@ -38,6 +39,8 @@ N_OBSERVE = 200_000
 SMOKE_N_USERS = 600
 SMOKE_N_DAYS = 2
 SMOKE_N_OBSERVE = 5_000
+#: plain/promoter replay-day pairs behind the overhead median
+N_PAIRS = 11
 
 #: metrics stashed by the first test, recorded to the BENCH_promotion.json
 #: trajectory by the last test in the file (one run per bench invocation)
@@ -120,21 +123,31 @@ def test_observe_throughput_and_replay_overhead(benchmark, smoke) -> None:
             return time.perf_counter() - start
 
         day(False)  # warm caches
-        plain = min(day(False) for _ in range(3))
-        driven = min(day(True) for _ in range(3))
+        pairs = []
+        for i in range(N_PAIRS):
+            # each pair runs its two days back to back, alternating
+            # which goes first, so a change in the box's load lands on
+            # both sides of a pair alike
+            order = (False, True) if i % 2 == 0 else (True, False)
+            times = {promoted: day(promoted) for promoted in order}
+            pairs.append((times[False], times[True]))
+        ratios = [driven / plain for plain, driven in pairs]
+        plain_s, driven_s = np.median(pairs, axis=0)
+        q1, q3 = np.percentile(ratios, [25, 75])
         return {
             "observe_rate": observe_rate,
-            "plain_s": plain,
-            "driven_s": driven,
-            "overhead": driven / plain - 1.0,
+            "plain_s": plain_s,
+            "driven_s": driven_s,
+            "overhead": float(np.median(ratios)) - 1.0,
+            "ratio_iqr": q3 - q1,
         }
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
     print_header("AutoPromoter overhead")
     print(f"raw observe() throughput: {out['observe_rate']:>12,.0f} obs/s")
-    print(f"replay day, plain:        {out['plain_s'] * 1e3:>12.1f} ms")
-    print(f"replay day, promoter:     {out['driven_s'] * 1e3:>12.1f} ms")
-    print(f"promoter overhead:        {out['overhead']:>12.1%}")
+    print(f"replay day, plain:        {out['plain_s'] * 1e3:>12.1f} ms (median of {N_PAIRS})")
+    print(f"replay day, promoter:     {out['driven_s'] * 1e3:>12.1f} ms (median of {N_PAIRS})")
+    print(f"promoter overhead:        {out['overhead']:>12.1%} (median pair; ratio IQR {out['ratio_iqr']:.3f})")
     if not smoke:
         assert out["observe_rate"] > 100_000
         assert out["overhead"] < 0.30

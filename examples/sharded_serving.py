@@ -7,14 +7,15 @@ This demo replays the same day twice —
 * **baseline** — one engine + one :class:`BudgetPacer`;
 * **fleet** — a :class:`ShardedScoringEngine` over a 4-worker
   :class:`ProcessBackend` (sticky ``blake2b(user) % 4`` routing, one
-  engine replica per process) paced by a :class:`ShardedBudgetPacer`
-  (four budget slices, headroom rebalanced while the day runs)
+  engine replica per process), paced by one parent-side
+  :class:`BudgetPacer`
 
-— and then shows the accounting story: the fleet's ``stats`` and
-latency quantiles are *derived* by folding per-shard snapshots with
-``Snapshot.merge``, and one :func:`to_prometheus` call renders the
-whole fleet for a single scrape endpoint.  Spend stays strictly under
-budget on both paths; revenue lands within noise of the baseline.
+— and then shows the accounting story: the fleet's ``stats`` are
+*derived* by folding per-shard snapshots with ``Snapshot.merge``, and
+one :func:`to_prometheus` call renders the whole fleet for a single
+scrape endpoint.  Spend stays strictly under budget on both paths; the
+deterministic probe model scores alike on both, so the fleet decides
+the day as the baseline does.
 
 On a >= 4-core machine the fleet also finishes the day faster (see
 ``benchmarks/bench_serving_throughput.py::test_sharded_fleet_throughput``
@@ -39,7 +40,6 @@ from repro.runtime import ProcessBackend
 from repro.serving import (
     BudgetPacer,
     ScoringEngine,
-    ShardedBudgetPacer,
     ShardedScoringEngine,
     TrafficReplay,
 )
@@ -80,7 +80,7 @@ def main() -> None:
     single = replay.replay_day(args.users, pacer=pacer)
     t_single = time.perf_counter() - t0
 
-    # ---- fleet: N process shards, N budget slices ---------------------
+    # ---- fleet: N process shards, one pacer in the parent -------------
     backend = ProcessBackend(n_workers=args.shards)
     fleet = ShardedScoringEngine(
         LinearROI(weights),
@@ -89,11 +89,7 @@ def main() -> None:
         cache_size=0,
         backend=backend,
     )
-    # slices rebalance twice a second while the replay runs: offers poll
-    # the pacer's deadline loop, so no background thread is needed
-    fleet_pacer = ShardedBudgetPacer(
-        budget, args.users, args.shards, rebalance_every=0.5, **pacer_params
-    )
+    fleet_pacer = BudgetPacer(budget, args.users, **pacer_params)
     replay = TrafficReplay(
         Platform(dataset="criteo", random_state=args.seed), fleet
     )
@@ -111,13 +107,6 @@ def main() -> None:
     print(f"{'requests scored':>24s} {single.engine_stats['requests']:>14,} "
           f"{sharded.engine_stats['requests']:>14,}")
     assert single.spend < budget and sharded.spend < budget  # strict on both paths
-
-    print()
-    print(f"budget slices after {fleet_pacer.rebalances} rebalances "
-          f"(sum == {sum(fleet_pacer.slice_budgets):,.0f}):")
-    for i, (b, shard) in enumerate(zip(fleet_pacer.slice_budgets, fleet_pacer.shards)):
-        print(f"  slice {i}: budget {b:>12,.1f}  spent {shard.spent:>12,.1f} "
-              f"admitted {shard.n_admitted:,}/{shard.n_seen:,}")
 
     # ---- merged fleet accounting --------------------------------------
     # every number below is folded out of per-shard snapshots with

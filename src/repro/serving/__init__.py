@@ -20,11 +20,11 @@ has to survive until midnight.  This package is that online half:
   :mod:`repro.serving.retraining`);
 * :class:`ScoringEngine` — micro-batching request scorer (one
   vectorised model call per flush) with an LRU score cache;
-* :class:`ShardedScoringEngine` / :class:`ShardedBudgetPacer` — the
-  same engine and pacer surfaces over N per-process shards on an
-  execution backend's affinity lanes, with budget-slice rebalancing
-  and snapshot-merge fleet accounting (see
-  :mod:`repro.serving.sharding` and ``docs/SERVING.md``);
+* :class:`ShardedScoringEngine` — the engine surface over N
+  per-process shards on an execution backend's affinity lanes, with
+  snapshot-merge fleet accounting; a fleet has no clock and serves the
+  registry it was built with (see :mod:`repro.serving.sharding` and
+  ``docs/SERVING.md``);
 * :class:`BudgetPacer` — streaming C-BTAP admission via an adaptive
   score threshold solved exactly on a sliding traffic window (a sort
   and a cumulative sum), tracking a target pacing curve and optionally
@@ -54,13 +54,13 @@ Quickstart
 >>> result.revenue_ratio  # online vs offline-oracle revenue  # doctest: +SKIP
 """
 
-from repro.serving.engine import EngineCore, ScoringEngine
+from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, DayPlan, EmpiricalCurve, MultiDayPacer
 from repro.serving.policy import ConformalGatedPolicy, DecisionPolicy, GreedyROIPolicy
 from repro.serving.promotion import AutoPromoter, PromotionEvent
 from repro.serving.registry import ModelRegistry, ModelVersion, OutcomeLedger
 from repro.serving.retraining import RetrainEvent, Retrainer
-from repro.serving.sharding import ShardedBudgetPacer, ShardedScoringEngine
+from repro.serving.sharding import ShardedScoringEngine
 from repro.serving.simulator import MultiDayReplayResult, ReplayResult, TrafficReplay
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "DayPlan",
     "DecisionPolicy",
     "EmpiricalCurve",
-    "EngineCore",
     "GreedyROIPolicy",
     "ModelRegistry",
     "ModelVersion",
@@ -82,7 +81,6 @@ __all__ = [
     "RetrainEvent",
     "Retrainer",
     "ScoringEngine",
-    "ShardedBudgetPacer",
     "ShardedScoringEngine",
     "TrafficReplay",
 ]

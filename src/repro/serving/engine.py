@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -59,7 +58,7 @@ from repro.runtime.clock import DUE_SLACK
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
 
-__all__ = ["EngineCore", "ScoringEngine"]
+__all__ = ["ScoringEngine"]
 
 # the engine's counter vocabulary; ``stats`` renders these, and a real
 # registry exports them as ``engine.<name>``
@@ -88,7 +87,7 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
 def _checked_stamps(stamps, n: int, clock: "Clock | None") -> np.ndarray:
     """A block's per-row submit stamps as a float array: one per row,
     finite, non-decreasing and at most ``clock.now()``, on an engine
-    (or fleet) with a clock; ValueError otherwise."""
+    with a clock; ValueError otherwise."""
     if clock is None:
         raise ValueError("stamps need an engine with a clock")
     stamps = np.asarray(stamps, dtype=float)
@@ -186,45 +185,6 @@ class _RidRange:
         self.stop = stop
         self.version_id = version_id
         self.scores: np.ndarray | None = None
-
-
-@dataclass
-class EngineCore:
-    """The picklable half of a scoring engine: state, not plumbing.
-
-    Everything a fresh process needs to rebuild this engine's hot path
-    — the registry (models and lifecycle pointers included), the
-    decision policy, and the micro-batch/cache geometry — with none of
-    the process-bound machinery (clock, metrics registry with its
-    locks, live buffers).  ``pickle(engine.core())`` is how
-    :class:`~repro.serving.sharding.ShardedScoringEngine` ships a shard
-    to a worker; :meth:`build` reconstitutes an engine around the core
-    on the other side.  Models must round-trip through pickle with
-    bit-identical predictions (pinned in ``tests/test_pickling.py``).
-    """
-
-    registry: ModelRegistry
-    policy: DecisionPolicy
-    batch_size: int
-    cache_size: int
-
-    def build(
-        self,
-        *,
-        max_latency_ms: float | None = None,
-        clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> "ScoringEngine":
-        """Reconstitute a live engine around this core."""
-        return ScoringEngine(
-            self.registry,
-            policy=self.policy,
-            batch_size=self.batch_size,
-            cache_size=self.cache_size,
-            max_latency_ms=max_latency_ms,
-            clock=clock,
-            metrics=metrics,
-        )
 
 
 class ScoringEngine:
@@ -899,19 +859,6 @@ class ScoringEngine:
             score = self._ready.pop(rid)
             out.append((rid, self._version_by_rid.pop(rid, -1), score))
         return out
-
-    def core(self) -> EngineCore:
-        """This engine's picklable per-shard core (see :class:`EngineCore`).
-
-        The core *shares* the live registry and policy objects — it is
-        a view, not a copy; pickling it is what snapshots the state.
-        """
-        return EngineCore(
-            registry=self.registry,
-            policy=self.policy,
-            batch_size=self.batch_size,
-            cache_size=self.cache_size,
-        )
 
     def score(self, x_row: np.ndarray, key: str | int | None = None) -> float:
         """Synchronous convenience path: submit, force a flush, return."""

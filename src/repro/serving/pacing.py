@@ -439,22 +439,6 @@ class BudgetPacer:
             raise ValueError("y_r and y_c must be finite in every entry")
         self._outcomes.extend(t, y_r, y_c)
 
-    def rebudget(self, budget: float) -> None:
-        """Reset the budget mid-stream (fleet slice rebalancing).
-
-        The new budget must cover what is already spent — a pacer can
-        be given more or less headroom, but never retroactively put
-        over budget (that would break the spend invariant without any
-        admission having caused it).  Thresholds pick the change up at
-        the next refresh; the admission cap uses it immediately.
-        """
-        budget = float(budget)
-        if not budget >= self.spent:
-            raise ValueError(
-                f"new budget {budget} is below already-realised spend {self.spent}"
-            )
-        self.budget = budget
-
     # ------------------------------------------------------------------
     # threshold adaptation
     # ------------------------------------------------------------------

@@ -209,12 +209,13 @@ class ModelRegistry:
         traffic_split: float = 0.1,
         random_state: int | np.random.Generator | None = None,
     ) -> None:
-        #: lifecycle revision: bumped by every mutation a routing
-        #: replica must see (register/promote/demote/rollback and
-        #: ``traffic_split`` changes).  A sharded engine compares this
-        #: against the revision it last shipped to its shards and
-        #: re-syncs when they diverge; per-request accounting
-        #: (``record_outcome``, counters) deliberately does not bump it.
+        #: lifecycle revision: bumped by every mutation that changes
+        #: routing (register/promote/demote/rollback and
+        #: ``traffic_split`` changes).  The traffic replay ends a run
+        #: when it moves, and a sharded engine refuses traffic once it
+        #: differs from the revision its shards were built from;
+        #: per-request accounting (``record_outcome``, counters)
+        #: deliberately does not bump it.
         self.revision = 0
         self._versions: dict[int, ModelVersion] = {}
         self._next_version = 1
@@ -347,62 +348,6 @@ class ModelRegistry:
         self._unstage_challenger()
         self.revision += 1
         return restored
-
-    # ------------------------------------------------------------------
-    # replica sync (sharded serving)
-    # ------------------------------------------------------------------
-    def lifecycle_state(self, known: set[int] | frozenset[int] = frozenset()) -> dict:
-        """Portable snapshot of the routing-relevant lifecycle state.
-
-        Everything a routing replica needs to serve exactly like this
-        registry: stages, active pointers, split, and — for versions the
-        replica has not seen yet (``known``) — the model objects
-        themselves.  Per-version counters and ledgers are deliberately
-        excluded: replicas account locally and the fleet folds their
-        snapshots, so shipping parent counters would double-count.
-        """
-        return {
-            "revision": self.revision,
-            "next_version": self._next_version,
-            "champion": self._champion,
-            "challenger": self._challenger,
-            "previous_champion": self._previous_champion,
-            "traffic_split": self._traffic_split,
-            "stages": {v: mv.stage for v, mv in self._versions.items()},
-            "names": {v: mv.name for v, mv in self._versions.items()},
-            "models": {
-                v: mv.model for v, mv in self._versions.items() if v not in known
-            },
-        }
-
-    def apply_lifecycle_state(self, state: dict) -> None:
-        """Adopt a :meth:`lifecycle_state` snapshot (replica side).
-
-        Versions unknown locally are created from the shipped models;
-        known versions only have their stage updated, keeping the
-        replica's local request counters and ledgers intact.
-        """
-        for vid in sorted(state["stages"]):
-            if vid in self._versions:
-                self._versions[vid].stage = state["stages"][vid]
-            else:
-                if vid not in state["models"]:
-                    raise KeyError(
-                        f"lifecycle state references unknown version {vid} "
-                        "and ships no model for it"
-                    )
-                self._versions[vid] = ModelVersion(
-                    version=vid,
-                    name=state["names"][vid],
-                    model=state["models"][vid],
-                    stage=state["stages"][vid],
-                )
-        self._next_version = state["next_version"]
-        self._champion = state["champion"]
-        self._challenger = state["challenger"]
-        self._previous_champion = state["previous_champion"]
-        self._traffic_split = float(state["traffic_split"])
-        self.revision = state["revision"]
 
     def _archive(self, version: int) -> None:
         self._versions[version].stage = ARCHIVED

@@ -4,10 +4,10 @@ A single :class:`~repro.serving.engine.ScoringEngine` is bound to one
 process — its micro-batch buffer, LRU cache, and registry replica all
 live wherever ``submit`` is called, so one CPU serves the whole stream.
 :class:`ShardedScoringEngine` is the horizontal version: the same
-request API (``submit``/``take``/``score``/``score_batch``/``flush``/
-``poll``/``stats``/``latency_quantile``/``version_of``) routed across
-``n_shards`` complete per-shard engines, each pinned to its own
-:meth:`~repro.runtime.ProcessBackend.submit_to` lane of an
+request API (``submit``/``submit_batch``/``take``/``take_block``/
+``score``/``score_batch``/``flush``/``poll``/``stats``/``version_of``)
+routed across ``n_shards`` complete per-shard engines, each pinned to
+its own :meth:`~repro.runtime.ProcessBackend.submit_to` lane of an
 :class:`~repro.runtime.ExecutionBackend`.  On a
 :class:`~repro.runtime.ProcessBackend` every shard is a long-lived
 worker process with its own cache and registry replica; on the
@@ -15,7 +15,15 @@ worker process with its own cache and registry replica; on the
 bit-identical to a plain engine at ``n_shards=1``, which is the
 correctness anchor the tests pin.
 
-Four contracts hold by construction:
+A fleet has no clock (no deadline flushes, no latency sketch) and
+serves a fixed registry: each shard is built from a pickled copy of the
+registry the fleet was given.  Once ``registry.revision`` moves past
+the revision the shards were built from, every ``submit``,
+``submit_batch``, ``flush``, ``poll`` and ``score_batch`` raises
+:class:`RuntimeError` before anything moves, so a promotion can never
+leave the shards serving a stale replica unnoticed.
+
+Three contracts hold by construction:
 
 **One transport.**  Rows travel to a shard, and results come back, as
 plain arrays and lists over its lane: pickled on a process backend,
@@ -30,66 +38,33 @@ split the parent would.  Keyless requests round-robin.
 
 **Merge-derived accounting.**  The fleet keeps *no* second set of
 request counters.  Each shard owns a real
-:class:`~repro.obs.MetricsRegistry`; ``stats``, ``latency_quantile``,
-and ``metrics.snapshot()`` are computed by folding the per-shard
-:class:`~repro.obs.Snapshot`\\ s (and latency sketches) with
+:class:`~repro.obs.MetricsRegistry`; ``stats`` and
+``metrics.snapshot()`` are computed by folding the per-shard
+:class:`~repro.obs.Snapshot`\\ s with
 :meth:`~repro.obs.Snapshot.merge`.  Fleet totals therefore *are* the
 sum of shard truth — there is nothing to drift.
-
-**Replica sync by revision.**  The parent's
-:class:`~repro.serving.registry.ModelRegistry` is the control plane
-(an :class:`~repro.serving.promotion.AutoPromoter` mutates it
-directly).  Every lifecycle mutation bumps ``registry.revision``; the
-fleet compares that against the revision it last shipped and, when
-they diverge, pickles a :meth:`~repro.serving.registry.ModelRegistry
-.lifecycle_state` delta onto every lane *ahead of* subsequent traffic
-(lanes are FIFO), so a promotion takes effect at a well-defined point
-in each shard's stream.
-
-Budget pacing scales the same way: :class:`ShardedBudgetPacer` splits
-one budget ``B`` into per-shard :class:`~repro.serving.pacing
-.BudgetPacer` slices and periodically rebalances them — each tick of a
-:class:`~repro.runtime.DeadlineLoop` re-divides the *unspent* residual
-in proportion to each slice's remaining horizon, so a hot shard
-borrows headroom from quiet ones while the slice-sum invariant
-``Σ budgets == B`` (and hence fleet spend < B) survives every tick.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import pickle
 from collections import deque
 from typing import Sequence
 
 import numpy as np
 
-from repro.obs import HistogramSnapshot, MetricsRegistry, Snapshot
-from repro.runtime import (
-    Clock,
-    DeadlineLoop,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    SystemClock,
-)
-from repro.serving.engine import EngineCore, ScoringEngine, _checked_stamps, _STAT_NAMES
-from repro.serving.pacing import BudgetPacer
+from repro.obs import MetricsRegistry, Snapshot
+from repro.runtime import ExecutionBackend, SerialBackend
+from repro.serving.engine import ScoringEngine, _STAT_NAMES
 from repro.serving.policy import DecisionPolicy, GreedyROIPolicy
 from repro.serving.registry import ModelRegistry
 
-__all__ = ["ShardedBudgetPacer", "ShardedScoringEngine"]
+__all__ = ["ShardedScoringEngine"]
 
 # fleet ids distinguish coexisting fleets sharing one backend's workers
 _FLEET_IDS = itertools.count()
-
-# the default Histogram grid (relative_error=0.01); an empty fleet
-# latency sketch must carry the same gamma so merge/delta line up
-_DEFAULT_GAMMA = (1.0 + 0.01) / (1.0 - 0.01)
-
-_LATENCY_METRIC = "engine.latency_seconds"
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +81,20 @@ _SHARD_ENGINES: dict[tuple[int, int], ScoringEngine] = {}
 _SHARD_RIDS: dict[tuple[int, int], dict[int, int]] = {}
 
 
-def _shard_install(
-    fleet: int,
-    shard: int,
-    core_blob: bytes,
-    max_latency_ms: float | None,
-    clock: Clock | None,
-) -> int:
-    """Build shard ``shard`` of fleet ``fleet`` from a pickled core.
+def _shard_install(fleet: int, shard: int, blob: bytes) -> int:
+    """Build shard ``shard`` of fleet ``fleet`` from a pickled
+    ``(registry, policy, batch_size, cache_size)``.
 
-    The core arrives as bytes pickled *by the parent* (not by the
+    The blob arrives as bytes pickled *by the parent* (not by the
     executor) so the replica is a genuine copy on every backend — on
-    the serial backend an un-pickled core would share the parent's
-    live registry and the fleet would stop being a replica system.
+    the serial backend an un-pickled registry would be the parent's
+    live one and the fleet would stop being a replica system.
     Each shard gets its own real :class:`MetricsRegistry`: the fleet's
     accounting is the merge of these.
     """
-    core: EngineCore = pickle.loads(core_blob)
-    _SHARD_ENGINES[(fleet, shard)] = core.build(
-        max_latency_ms=max_latency_ms, clock=clock, metrics=MetricsRegistry()
+    registry, policy, batch_size, cache_size = pickle.loads(blob)
+    _SHARD_ENGINES[(fleet, shard)] = ScoringEngine(
+        registry, policy=policy, batch_size=batch_size, cache_size=cache_size, metrics=MetricsRegistry()
     )
     _SHARD_RIDS[(fleet, shard)] = {}
     return shard
@@ -140,21 +110,15 @@ def _forget_dropped(engine: ScoringEngine, fleet_ids: dict[int, int]) -> None:
 
 def _shard_results(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     """Drain the shard's ready results as ``(fleet id, version, score)``."""
-    engine = _SHARD_ENGINES[(fleet, shard)]
     fleet_ids = _SHARD_RIDS[(fleet, shard)]
-    try:
-        drained = engine.drain()  # its poll may fire a raising flush
-    except BaseException:
-        _forget_dropped(engine, fleet_ids)
-        raise
+    drained = _SHARD_ENGINES[(fleet, shard)].drain()
     return [(fleet_ids.pop(local), version, score) for local, version, score in drained]
 
 
 def _shard_feed(
-    fleet: int, shard: int, rows: np.ndarray, keys: list, rids: list[int], stamps=None
+    fleet: int, shard: int, rows: np.ndarray, keys: list, rids: list[int]
 ) -> list[tuple[int, int, float]]:
-    """Submit a feed as one block (with its rows' stamps, if any) and
-    return every result now ready.
+    """Submit a feed as one block and return every result now ready.
 
     The engine's ids map to the fleet's ``rids`` where they are
     issued: all of them, or, when a flush inside the block raises, those
@@ -167,7 +131,7 @@ def _shard_feed(
     fleet_ids = _SHARD_RIDS[(fleet, shard)]
     first = engine._next_id
     try:
-        issued = engine.submit_batch(rows, keys=keys, stamps=stamps)
+        issued = engine.submit_batch(rows, keys=keys)
     except BaseException:
         fleet_ids.update(zip(range(first, engine._next_id), rids))
         _forget_dropped(engine, fleet_ids)
@@ -186,23 +150,6 @@ def _shard_flush(fleet: int, shard: int) -> list[tuple[int, int, float]]:
     return _shard_results(fleet, shard)
 
 
-def _shard_poll(
-    fleet: int, shard: int
-) -> tuple[int, float | None, list[tuple[int, int, float]]]:
-    """Fire overdue deadline flushes; returns (fired, next_deadline, ready)."""
-    engine = _SHARD_ENGINES[(fleet, shard)]
-    try:
-        fired = engine.poll()
-    except BaseException:
-        _forget_dropped(engine, _SHARD_RIDS[(fleet, shard)])
-        raise
-    return fired, engine.next_deadline(), _shard_results(fleet, shard)
-
-
-def _shard_next_deadline(fleet: int, shard: int) -> float | None:
-    return _SHARD_ENGINES[(fleet, shard)].next_deadline()
-
-
 def _shard_score_batch(fleet: int, shard: int, x: np.ndarray, key) -> np.ndarray:
     return _SHARD_ENGINES[(fleet, shard)].score_batch(x, key=key)
 
@@ -217,60 +164,9 @@ def _shard_snapshot(fleet: int, shard: int) -> tuple[Snapshot, dict]:
     return engine.metrics.snapshot(), versions
 
 
-def _shard_sync(fleet: int, shard: int, state_blob: bytes) -> int:
-    """Apply a pickled registry lifecycle delta to the shard's replica."""
-    _SHARD_ENGINES[(fleet, shard)].registry.apply_lifecycle_state(
-        pickle.loads(state_blob)
-    )
-    return shard
-
-
 def _shard_drop(fleet: int, shard: int) -> bool:
     _SHARD_RIDS.pop((fleet, shard), None)
     return _SHARD_ENGINES.pop((fleet, shard), None) is not None
-
-
-def _empty_latency_snapshot() -> HistogramSnapshot:
-    return HistogramSnapshot(
-        name=_LATENCY_METRIC,
-        gamma=_DEFAULT_GAMMA,
-        count=0,
-        sum=0.0,
-        min=math.inf,
-        max=-math.inf,
-        zero_count=0,
-        buckets={},
-    )
-
-
-class _MergedSketch:
-    """Read-only stand-in for ``engine.latency_hist`` over a fleet.
-
-    Every access folds the shards' latency histograms with
-    :meth:`HistogramSnapshot.merge` — same quantile guarantees, no
-    separate fleet-side recording.
-    """
-
-    def __init__(self, fleet: "ShardedScoringEngine") -> None:
-        self._fleet = fleet
-
-    def snapshot(self) -> HistogramSnapshot:
-        merged = _empty_latency_snapshot()
-        for snap, _versions in self._fleet.shard_snapshots():
-            hist = snap.get(_LATENCY_METRIC)
-            if hist is not None and hist.count:
-                merged = merged.merge(hist)
-        return merged
-
-    @property
-    def count(self) -> int:
-        return self.snapshot().count
-
-    def quantile(self, q: float) -> float:
-        return self.snapshot().quantile(q)
-
-    def __repr__(self) -> str:
-        return f"_MergedSketch(shards={self._fleet.n_shards})"
 
 
 class _FleetMetrics(MetricsRegistry):
@@ -303,29 +199,22 @@ class ShardedScoringEngine:
     Parameters
     ----------
     models:
-        A :class:`ModelRegistry` (shared with the promoter — this is
-        the control plane) or a bare scorer with ``predict_roi``.
-        Every model must round-trip pickle with bit-identical
-        predictions (``tests/test_pickling.py`` pins this for all
-        public model classes).
+        A :class:`ModelRegistry` or a bare scorer with ``predict_roi``.
+        The fleet serves the registry as it is at construction: once
+        its ``revision`` moves (a promotion, a new version, a split
+        change) the fleet refuses further traffic with
+        :class:`RuntimeError`.  Every model must round-trip pickle with
+        bit-identical predictions (``tests/test_pickling.py`` pins this
+        for all public model classes).
     n_shards:
         Fleet width; defaults to ``backend.n_workers``.
     policy / batch_size / cache_size:
-        Per-shard engine construction, as for :class:`ScoringEngine`.
-        Each shard keeps its own LRU of ``cache_size`` entries.  The
-        parent ships a shard one feed per ``batch_size`` rows routed
-        to it; flush boundaries are the shard engine's own, so scores
-        and stats match one engine fed row by row.
-    max_latency_ms:
-        Per-shard deadline flushing.  Every arrival is then fed to its
-        shard (and its deadline loop) at once, one row per feed.
-    clock:
-        Shared time source for deadline/latency accounting.  Only
-        meaningful on the :class:`SerialBackend` — a clock cannot
-        cross a process boundary, so on a :class:`ProcessBackend` pass
-        ``None`` (shards fall back to their own
-        :class:`~repro.runtime.SystemClock` when ``max_latency_ms`` is
-        set).
+        Per-shard engine construction, as for :class:`ScoringEngine`,
+        and checked the same way.  Each shard keeps its own LRU of
+        ``cache_size`` entries.  The parent ships a shard one feed per
+        ``batch_size`` rows routed to it; flush boundaries are the
+        shard engine's own, so scores and stats match one engine fed
+        row by row.
     backend:
         Where shards live: one :meth:`submit_to` lane per shard.
         Defaults to a private :class:`SerialBackend` (shut down by
@@ -335,6 +224,10 @@ class ShardedScoringEngine:
         stats and cache hits are identical on every backend.
     """
 
+    #: a fleet has no clock: no deadline flushes, no latency sketch
+    #: (:class:`~repro.serving.simulator.TrafficReplay` reads it)
+    clock = None
+
     def __init__(
         self,
         models: ModelRegistry | object,
@@ -343,10 +236,14 @@ class ShardedScoringEngine:
         policy: DecisionPolicy | None = None,
         batch_size: int = 32,
         cache_size: int = 4096,
-        max_latency_ms: float | None = None,
-        clock: Clock | None = None,
         backend: ExecutionBackend | None = None,
     ) -> None:
+        # checked here: a shard that fails to install on its lane
+        # surfaces only at the first submit, after ids have moved
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if isinstance(models, ModelRegistry):
             self.registry = models
         else:
@@ -370,28 +267,9 @@ class ShardedScoringEngine:
                 f"n_shards={n_shards} exceeds the backend's "
                 f"{self.backend.n_workers} lanes"
             )
-        if clock is not None and isinstance(self.backend, ProcessBackend):
-            raise ValueError(
-                "a shared clock cannot cross a process boundary; use a "
-                "SerialBackend for clocked fleets (process shards "
-                "default to their own SystemClock when max_latency_ms is set)"
-            )
         self.n_shards = int(n_shards)
-        self.clock = clock
-        self.max_latency_ms = max_latency_ms
-        self._deadline_driven = max_latency_ms is not None
-
-        core = EngineCore(
-            registry=self.registry,
-            policy=policy if policy is not None else GreedyROIPolicy(),
-            batch_size=int(batch_size),
-            cache_size=int(cache_size),
-        )
-        self.policy = core.policy
-        self.batch_size = core.batch_size
-        # rows per feed: one engine batch, or every arrival at once so
-        # it reaches its shard's deadline loop
-        self._feed_size = 1 if self._deadline_driven else self.batch_size
+        self.policy = policy if policy is not None else GreedyROIPolicy()
+        self.batch_size = int(batch_size)
         self._fleet_id = next(_FLEET_IDS)
         self._closed = False
 
@@ -407,15 +285,12 @@ class ShardedScoringEngine:
         self._inflight: deque = deque()  # (kind, future)
 
         self.metrics: MetricsRegistry = _FleetMetrics(self)
-        self.latency_hist = _MergedSketch(self)
 
         # ship the replicas: first task on every lane, ahead of traffic
-        blob = pickle.dumps(core)
-        self._known_versions = {mv.version for mv in self.registry.versions()}
-        self._synced_revision = self.registry.revision
+        blob = pickle.dumps((self.registry, self.policy, self.batch_size, int(cache_size)))
+        self._revision = self.registry.revision
         for shard in range(self.n_shards):
-            self._enqueue(shard, "install", _shard_install,
-                          self._fleet_id, shard, blob, max_latency_ms, clock)
+            self._enqueue(shard, "install", _shard_install, self._fleet_id, shard, blob)
 
     # ------------------------------------------------------------------
     # routing
@@ -438,16 +313,16 @@ class ShardedScoringEngine:
         A row whose width differs from the fleet's raises ValueError
         before anything moves.
         """
+        self._check_revision()
         row = np.ascontiguousarray(np.asarray(x_row, dtype=float).ravel())
         self._check_width(row.shape[0])
-        self._maybe_sync()
         rid = self._next_rid
         self._next_rid += 1
         shard = self.shard_of(key)
         self._buf_rows[shard].append(row)
         self._buf_keys[shard].append(key)
         self._buf_rids[shard].append(rid)
-        if len(self._buf_rows[shard]) >= self._feed_size:
+        if len(self._buf_rows[shard]) >= self.batch_size:
             self._feed(shard)
         self._reap(wait=False)
         return rid
@@ -456,7 +331,6 @@ class ShardedScoringEngine:
         self,
         x: np.ndarray,
         keys: Sequence[str | int | None] | None = None,
-        stamps: np.ndarray | None = None,
     ) -> range:
         """Enqueue ``x``'s rows in one call; returns their fleet ids.
 
@@ -469,30 +343,18 @@ class ShardedScoringEngine:
         each feed through its own :meth:`ScoringEngine.submit_batch`.
         A block whose width differs from the fleet's raises ValueError
         before anything moves.
-
-        ``stamps`` are the rows' submit times on the fleet's clock, as
-        for :meth:`ScoringEngine.submit_batch`, and are checked the same
-        way before anything moves.  Each row ships with the stamp of
-        the row whose arrival fills its feed, which is when N ``submit``
-        calls would ship it: a deadline-driven fleet (one row per feed)
-        hands each shard its slice of the stamps, and rows that fill no
-        feed stay buffered.  A shard refuses a block that reaches one of
-        its flush deadlines as the engine does, which raises like a
-        failing feed.
         """
+        self._check_revision()
         x = np.ascontiguousarray(np.asarray(x, dtype=float))
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
         n = x.shape[0]
         if keys is not None and len(keys) != n:
             raise ValueError(f"got {n} rows but {len(keys)} keys")
-        if stamps is not None:
-            stamps = _checked_stamps(stamps, n, self.clock)
         rid0 = self._next_rid
         if n == 0:
             return range(rid0, rid0)
         self._check_width(x.shape[1])
-        self._maybe_sync()
         self._next_rid += n
         if keys is None:
             shards = (self._rr + np.arange(n)) % self.n_shards
@@ -505,31 +367,21 @@ class ShardedScoringEngine:
             idx = np.nonzero(shards == shard)[0]
             if idx.size == 0:
                 continue
-            block = x[idx]
             ids = idx.tolist()
-            buffered = len(self._buf_rids[shard])
-            self._buf_rows[shard].extend(block)
+            self._buf_rows[shard].extend(x[idx])
             self._buf_keys[shard].extend(
                 [None] * len(ids) if keys is None else [keys[i] for i in ids]
             )
             self._buf_rids[shard].extend(rid0 + i for i in ids)
-            size = self._feed_size
-            if stamps is None:
-                if len(self._buf_rids[shard]) >= size:
-                    self._feed(shard)
-                continue
-            fed = len(self._buf_rids[shard]) // size * size
-            if fed:
-                # feed row j ships when the row ending its feed arrives
-                fills = (np.arange(fed) // size + 1) * size - 1 - buffered
-                self._feed(shard, fed, stamps[idx[fills]])
+            if len(self._buf_rids[shard]) >= self.batch_size:
+                self._feed(shard)
         self._reap(wait=False)
         return range(rid0, rid0 + n)
 
     def flush(self, reason: str = "manual") -> int:
         """Ship every buffered request and flush every shard; returns
         the number of requests dispatched from the parent buffers."""
-        self._maybe_sync()
+        self._check_revision()
         dispatched = sum(self._feed(shard) for shard in range(self.n_shards))
         for shard in range(self.n_shards):
             self._enqueue(shard, "flush", _shard_flush, self._fleet_id, shard)
@@ -537,39 +389,15 @@ class ShardedScoringEngine:
         return dispatched
 
     def poll(self) -> int:
-        """Advance the fleet: reap finished dispatches and (when
-        deadline-driven) fire every shard's overdue flushes."""
-        self._maybe_sync()
+        """Reap finished dispatches without blocking; returns 0, since a
+        fleet has no deadline flushes to fire."""
+        self._check_revision()
         self._reap(wait=False)
-        fired = 0
-        if self._deadline_driven:
-            futures = [
-                self.backend.submit_to(s, _shard_poll, self._fleet_id, s)
-                for s in range(self.n_shards)
-            ]
-            for future in futures:
-                n_fired, _deadline, drained = future.result()
-                fired += n_fired
-                self._absorb(drained)
-        return fired
+        return 0
 
     def join(self) -> None:
         """Block until every shipped dispatch has resolved."""
         self._reap(wait=True)
-
-    def next_deadline(self) -> float | None:
-        """Earliest pending flush deadline across the fleet, or None."""
-        if not self._deadline_driven:
-            return None
-        deadlines = []
-        for shard in range(self.n_shards):
-            future = self.backend.submit_to(
-                shard, _shard_next_deadline, self._fleet_id, shard
-            )
-            due = future.result()
-            if due is not None:
-                deadlines.append(due)
-        return min(deadlines) if deadlines else None
 
     def has_result(self, request_id: int) -> bool:
         """True once the request's score is available (advances the fleet)."""
@@ -632,7 +460,7 @@ class ShardedScoringEngine:
         each chunk routes on its own shard's replica (identical outcome
         whenever no challenger is staged).
         """
-        self._maybe_sync()
+        self._check_revision()
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"x must be 2-D, got shape {x.shape}")
@@ -698,13 +526,6 @@ class ShardedScoringEngine:
                 slot["cache_hits"] += counts["cache_hits"]
         return totals
 
-    def latency_quantile(self, q: float) -> float:
-        """Fleet submit→score latency quantile from the merged sketches."""
-        merged = self.latency_hist.snapshot()
-        if merged.count == 0:
-            raise ValueError("no latencies recorded — run with a clocked engine")
-        return merged.quantile(q)
-
     @property
     def n_pending(self) -> int:
         """Requests buffered parent-side, not yet shipped to a shard."""
@@ -766,20 +587,16 @@ class ShardedScoringEngine:
     def _enqueue(self, shard: int, kind: str, fn, *args) -> None:
         self._inflight.append((kind, self.backend.submit_to(shard, fn, *args)))
 
-    def _feed(self, shard: int, count: int | None = None, stamps: np.ndarray | None = None) -> int:
-        """Ship the first ``count`` rows (default all) of shard
-        ``shard``'s parent-side buffer as one dispatch, with their
-        stamps if given."""
+    def _feed(self, shard: int) -> int:
+        """Ship shard ``shard``'s parent-side buffer as one dispatch."""
         rids = self._buf_rids[shard]
         if not rids:
             return 0
-        count = len(rids) if count is None else count
-        rows = np.stack(self._buf_rows[shard][:count])
-        keys = self._buf_keys[shard][:count]
-        rids = rids[:count]
-        del self._buf_rows[shard][:count], self._buf_keys[shard][:count], self._buf_rids[shard][:count]
-        self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys, rids, stamps)
-        return count
+        rows = np.stack(self._buf_rows[shard])
+        keys = self._buf_keys[shard]
+        self._buf_rows[shard], self._buf_keys[shard], self._buf_rids[shard] = [], [], []
+        self._enqueue(shard, "feed", _shard_feed, self._fleet_id, shard, rows, keys, rids)
+        return len(rids)
 
     def _absorb(self, drained: Sequence[tuple[int, int, float]]) -> None:
         for rid, version, score in drained:
@@ -795,210 +612,15 @@ class ShardedScoringEngine:
             result = future.result()  # re-raises worker failures here
             if kind in ("feed", "flush"):
                 self._absorb(result)
-            # install/sync return markers; nothing to absorb
+            # an install returns a marker; nothing to absorb
 
-    def _maybe_sync(self) -> None:
-        """Ship the registry lifecycle delta when the revision moved."""
-        if self.registry.revision == self._synced_revision:
-            return
-        state = self.registry.lifecycle_state(known=self._known_versions)
-        blob = pickle.dumps(state)
-        for shard in range(self.n_shards):
-            self._enqueue(shard, "sync", _shard_sync, self._fleet_id, shard, blob)
-        self._known_versions |= set(state["stages"])
-        self._synced_revision = self.registry.revision
-
-
-# ---------------------------------------------------------------------------
-# fleet budget pacing
-# ---------------------------------------------------------------------------
-class ShardedBudgetPacer:
-    """One budget ``B`` paced as N rebalancing per-shard slices.
-
-    Each slice is a complete :class:`BudgetPacer` holding ``B/N`` and
-    ``horizon/N``; offers route to a slice (sticky by key, round-robin
-    keyless — matching :meth:`ShardedScoringEngine.shard_of` so shard
-    ``i``'s traffic meets pacer ``i``'s threshold), outcome feedback
-    follows the offer it realises.  On every ``rebalance_every``
-    seconds of ``clock`` (a :class:`DeadlineLoop` tick, polled from
-    :meth:`offer`) the *unspent* residual ``R = B − Σ spentᵢ`` is
-    re-divided over the slices in proportion to their remaining
-    horizon::
-
-        budgetᵢ ← spentᵢ + R · remainingᵢ / Σ remainingⱼ
-
-    Every slice keeps at least what it already spent (so
-    :meth:`BudgetPacer.rebudget` never violates a slice invariant) and
-    the slice-sum is ``B`` after every tick, which is what makes fleet
-    spend strictly bounded by ``B``: each slice's own cap does the
-    local enforcement, the rebalance only moves headroom between
-    slices.  ``rebalance_every`` without an explicit clock reads wall
-    time (:class:`~repro.runtime.SystemClock`); with neither, the
-    initial even split simply stays.
-
-    The single-pacer surface (``budget``/``spent``/``offer``/
-    ``observe_outcome``/``history``/...) is preserved, so
-    :class:`~repro.serving.simulator.TrafficReplay` drives a fleet
-    pacer unchanged.
-    """
-
-    def __init__(
-        self,
-        budget: float,
-        horizon: int,
-        n_shards: int,
-        *,
-        clock: Clock | None = None,
-        rebalance_every: float | None = None,
-        **pacer_params,
-    ) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if not budget >= 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        if horizon < n_shards:
-            raise ValueError(
-                f"horizon {horizon} must cover at least one arrival per "
-                f"shard ({n_shards})"
+    def _check_revision(self) -> None:
+        """RuntimeError once the registry has moved past the revision
+        the shards were built from: they serve a copy of it, and a
+        fleet has no way to bring them up to date."""
+        if self.registry.revision != self._revision:
+            raise RuntimeError(
+                f"the fleet's registry moved from revision {self._revision} to "
+                f"{self.registry.revision}; a fleet serves the registry it was built "
+                "with, so build a new fleet to serve the change"
             )
-        if rebalance_every is not None and not rebalance_every > 0:
-            raise ValueError(
-                f"rebalance_every must be > 0, got {rebalance_every}"
-            )
-        self.n_shards = int(n_shards)
-        self.horizon = int(horizon)
-        self._budget = float(budget)
-        self.clock = clock
-        self.rebalance_every = rebalance_every
-        per_horizon = max(1, int(math.ceil(horizon / n_shards)))
-        self.shards: list[BudgetPacer] = [
-            BudgetPacer(budget / n_shards, per_horizon, **pacer_params)
-            for _ in range(self.n_shards)
-        ]
-        self._rr = 0
-        self._last_offer_shard = 0
-        self.rebalances = 0
-        self._loop: DeadlineLoop | None = None
-        if rebalance_every is not None:
-            # asking for periodic rebalancing implies a clock to read;
-            # wall time is the natural default outside simulations
-            self.clock = clock if clock is not None else SystemClock()
-            self._loop = DeadlineLoop(self.clock, self._on_tick)
-            self._loop.schedule_in(rebalance_every)
-
-    # ------------------------------------------------------------------
-    # routing + the pacer surface
-    # ------------------------------------------------------------------
-    def shard_of(self, key: str | int | None) -> int:
-        if key is None:
-            shard = self._rr
-            self._rr = (self._rr + 1) % self.n_shards
-            return shard
-        digest = hashlib.blake2b(str(key).encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.n_shards
-
-    def offer(self, score: float, cost: float, key: str | int | None = None) -> bool:
-        """Route one arrival to its slice and decide treat/skip."""
-        if self._loop is not None:
-            self._loop.poll()
-        shard = self.shard_of(key)
-        self._last_offer_shard = shard
-        return self.shards[shard].offer(score, cost)
-
-    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """Decide the first arrival of a block, keyless, as :meth:`offer`.
-
-        One arrival per call, so the rebalancing tick keeps firing
-        before every offer.  Returns its admit flag as a length-1 array
-        (the :meth:`BudgetPacer.offer_batch` contract with ``m = 1``).
-        Only that arrival is checked, by :meth:`offer`.
-        """
-        if len(scores) != len(costs):
-            raise ValueError(f"scores and costs must be equal-length, got {len(scores)} and {len(costs)}")
-        if not len(scores):
-            return np.zeros(0, dtype=bool)
-        return np.array([self.offer(scores[0], costs[0])])
-
-    def observe_outcome(self, t, y_r, y_c) -> None:
-        """Feed realised outcomes back to the slice whose offer they
-        realise (callers report immediately after :meth:`offer` or
-        :meth:`offer_batch`, the :class:`~repro.serving.simulator
-        .TrafficReplay` convention)."""
-        self.shards[self._last_offer_shard].observe_outcome(t, y_r, y_c)
-
-    # ------------------------------------------------------------------
-    # slice rebalancing
-    # ------------------------------------------------------------------
-    def _on_tick(self) -> None:
-        self.rebalance()
-        self._loop.schedule_in(self.rebalance_every)
-
-    def rebalance(self) -> list[float]:
-        """Re-divide the unspent residual by remaining horizon share.
-
-        Returns the new per-slice budgets (summing to ``budget``
-        exactly, up to float addition).
-        """
-        spent = [p.spent for p in self.shards]
-        residual = self._budget - sum(spent)
-        remaining = [max(0, p.horizon - p.n_seen) for p in self.shards]
-        total_remaining = sum(remaining)
-        if total_remaining == 0:
-            # every slice exhausted its horizon: split residual evenly
-            weights = [1.0 / self.n_shards] * self.n_shards
-        else:
-            weights = [r / total_remaining for r in remaining]
-        budgets = [s + residual * w for s, w in zip(spent, weights)]
-        for pacer, b in zip(self.shards, budgets):
-            pacer.rebudget(b)
-        self.rebalances += 1
-        return budgets
-
-    # ------------------------------------------------------------------
-    # fleet accounting (sums over slices — no second ledger)
-    # ------------------------------------------------------------------
-    @property
-    def budget(self) -> float:
-        return self._budget
-
-    @property
-    def spent(self) -> float:
-        return float(sum(p.spent for p in self.shards))
-
-    @property
-    def n_seen(self) -> int:
-        return sum(p.n_seen for p in self.shards)
-
-    @property
-    def n_admitted(self) -> int:
-        return sum(p.n_admitted for p in self.shards)
-
-    @property
-    def remaining(self) -> float:
-        return max(0.0, self._budget - self.spent)
-
-    @property
-    def progress(self) -> float:
-        return min(1.0, self.n_seen / self.horizon)
-
-    @property
-    def admit_rate(self) -> float:
-        return self.n_admitted / self.n_seen if self.n_seen else 0.0
-
-    @property
-    def slice_budgets(self) -> list[float]:
-        """Current per-slice budgets (sum == ``budget`` after any tick)."""
-        return [p.budget for p in self.shards]
-
-    @property
-    def history(self) -> list[tuple[int, float, float]]:
-        """Every slice's refresh trace, ordered by arrivals seen."""
-        merged = [entry for p in self.shards for entry in p.history]
-        merged.sort(key=lambda e: e[0])
-        return merged
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedBudgetPacer(budget={self._budget}, "
-            f"n_shards={self.n_shards}, spent={self.spent:.3f})"
-        )

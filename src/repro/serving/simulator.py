@@ -333,10 +333,8 @@ class TrafficReplay:
             Absolute budget; defaults to ``budget_fraction`` of the
             cohort's full-treatment expected cost (the A/B convention).
         pacer:
-            Pre-built pacer (its own budget wins) with ``offer_batch``,
-            such as a :class:`~repro.serving.sharding.ShardedBudgetPacer`;
-            by default a :class:`BudgetPacer` is constructed from
-            ``pacer_params``.
+            Pre-built :class:`BudgetPacer` (its own budget wins); by
+            default one is constructed from ``pacer_params``.
         """
         cohort = self.platform.daily_cohort(n_users, day)
         if budget is None:
@@ -417,7 +415,8 @@ class TrafficReplay:
         trajectory = np.zeros(cohort.n)
         n_decided = 0
         stats_before = dict(engine.stats)  # engines may serve many days
-        hist_before = engine.latency_hist.snapshot()
+        # only a clocked engine records latencies (a fleet has no sketch)
+        hist_before = engine.latency_hist.snapshot() if engine.clock is not None else None
         instrumented = engine.metrics is not NULL_REGISTRY
         metrics_before = engine.metrics.snapshot() if instrumented else None
         # submitted, undecided arrivals in arrival order
@@ -478,7 +477,8 @@ class TrafficReplay:
                 block = idx[pos : pos + m]
                 treated[block] = admits
                 if m == 1:
-                    # read back: a fleet pacer's spend is a sum over slices
+                    # one arrival: the pacer's own before + cost, read
+                    # back without a cumsum
                     trajectory[n_decided] = pacer.spent
                 else:
                     # the pacer's own running sum, one addition per admit
@@ -611,7 +611,10 @@ class TrafficReplay:
             if not chunk:
                 need_step = True  # the next arrival is at an event
                 continue
-            wait_rids.extend(engine.submit_batch(np.array(rows), stamps=stamps if clock is not None else None))
+            run_x = np.array(rows)
+            # a fleet's submit_batch takes no stamps: it has no clock
+            ids = engine.submit_batch(run_x) if clock is None else engine.submit_batch(run_x, stamps=stamps)
+            wait_rids.extend(ids)
             wait_idx.extend(chunk)
             rows.clear()
             stamps.clear()

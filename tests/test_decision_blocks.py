@@ -29,7 +29,7 @@ from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
 from repro.serving.registry import ModelRegistry, OutcomeLedger
 from repro.serving.retraining import Retrainer
-from repro.serving.sharding import ShardedBudgetPacer, ShardedScoringEngine
+from repro.serving.sharding import ShardedScoringEngine
 from repro.serving.simulator import ReplayResult, TrafficReplay
 
 from test_retraining import TreatedNetRidge
@@ -70,18 +70,6 @@ class TestCostValidation:
             pacer.offer_batch(np.ones((2, 2)), np.ones((2, 2)))
         assert pacer.offer_batch([], []).shape == (0,)
         assert pacer.n_seen == 0
-
-    def test_sharded_offer_batch_checks_the_arrival_it_decides(self):
-        pacer = ShardedBudgetPacer(10.0, 100, 2, warmup=1000)
-        with pytest.raises(ValueError, match="equal-length"):
-            pacer.offer_batch(np.ones(3), np.ones(2))
-        with pytest.raises(ValueError, match="cost"):
-            pacer.offer_batch(np.ones(2), np.array([math.nan, 0.01]))
-        assert pacer.offer_batch([], []).shape == (0,)
-        assert pacer.n_seen == 0
-        # one arrival per call: the rest of the block is not consumed
-        assert pacer.offer_batch(np.ones(2), np.array([0.01, math.nan])).tolist() == [True]
-        assert (pacer.n_seen, pacer.spent) == (1, 0.01)
 
     def test_array_outcomes_shape_validation(self):
         pacer = BudgetPacer(10.0, 100)
@@ -147,7 +135,6 @@ def run_twins(
     blocks,
     *,
     outcomes=True,
-    between=None,
     seed=0,
 ):
     """Feed one stream to ``offer_batch`` and to an ``offer()`` twin.
@@ -155,8 +142,8 @@ def run_twins(
     ``blocks`` partitions the stream.  Outcomes are realised per admit
     from one fixed uniform table (as the replay does); the scalar twin
     observes each right after its offer, the block pacer after each
-    returned prefix.  ``between(pacer, k)`` runs on both pacers after
-    block ``k``.  Returns the block pacer's admits and the block pacer.
+    returned prefix.  Returns the block pacer's admits and the block
+    pacer.
     """
     block_pacer, scalar_pacer = make_pacer(), make_pacer()
     n = len(scores)
@@ -166,7 +153,7 @@ def run_twins(
     p_c = np.linspace(0.9, 0.3, n)
     admits = np.zeros(n, dtype=bool)
     start = 0
-    for k, size in enumerate(blocks):
+    for size in blocks:
         pos = start
         while pos < start + size:
             got = block_pacer.offer_batch(scores[pos : start + size], costs[pos : start + size])
@@ -187,9 +174,6 @@ def run_twins(
             admits[pos : pos + m] = got
             pos += m
             assert_same_state(block_pacer, scalar_pacer)
-        if between is not None:
-            between(block_pacer, k)
-            between(scalar_pacer, k)
         start += size
     assert_same_state(block_pacer, scalar_pacer)
     return admits, block_pacer
@@ -284,21 +268,6 @@ class TestOfferBatchNamedCases:
             [97, 1, 300, 402],
         )
 
-    def test_rebudget_between_blocks(self):
-        scores, costs = traffic(600, seed=6)
-        budgets = [30.0, 80.0, 45.0, 200.0, 60.0]
-
-        def between(pacer, k):
-            pacer.rebudget(max(budgets[k % len(budgets)], pacer.spent))
-
-        run_twins(
-            pacer_factory(50.0, 600, warmup=32, refresh_every=16, min_arm_outcomes=5),
-            scores,
-            costs,
-            [50, 1, 99, 150, 300],
-            between=between,
-        )
-
     def test_empirical_curve(self):
         curve = EmpiricalCurve(np.array([0.0, 0.2, 0.5, 1.0]), np.array([0.0, 0.5, 0.6, 1.0]))
         scores, costs = traffic(700, seed=7)
@@ -381,23 +350,15 @@ def streams(draw):
         params["target_curve"] = lambda p: p**2
     budget = draw(st.floats(min_value=0.0, max_value=1.2)) * float(costs.sum())
     horizon = draw(st.integers(min_value=1, max_value=2 * n))
-    rebudget = draw(st.booleans())
-    return scores, costs, blocks, params, budget, horizon, rebudget, seed
+    return scores, costs, blocks, params, budget, horizon, seed
 
 
 class TestOfferBatchProperty:
     @given(streams())
     @settings(max_examples=80, deadline=None)
     def test_offer_batch_matches_the_offer_loop(self, stream):
-        scores, costs, blocks, params, budget, horizon, rebudget, seed = stream
-
-        def between(pacer, k):
-            if rebudget:
-                pacer.rebudget(pacer.spent + budget * (0.5 + (k % 3) * 0.25))
-
-        admits, pacer = run_twins(
-            lambda: BudgetPacer(budget, horizon, **params), scores, costs, blocks, between=between, seed=seed
-        )
+        scores, costs, blocks, params, budget, horizon, seed = stream
+        admits, pacer = run_twins(lambda: BudgetPacer(budget, horizon, **params), scores, costs, blocks, seed=seed)
         assert pacer.spent <= pacer.budget
 
 
@@ -932,19 +893,6 @@ class TestReplayMatchesPerArrivalReference:
         assert_same_decisions(got, want)
         assert got.engine_stats["cache_hits"] > 300
 
-    def test_sharded_budget_pacer(self, weights):
-        def build(cls):
-            engine = ScoringEngine(LinearROI(weights), batch_size=32, cache_size=0)
-            return cls(Platform(dataset="criteo", random_state=3), engine, feedback=True, random_state=9)
-
-        def run(replay):
-            cohort_cost = float(np.sum(Platform(dataset="criteo", random_state=3).daily_cohort(1200, 1).tau_c))
-            pacer = ShardedBudgetPacer(0.3 * cohort_cost, 1200, 3, min_arm_outcomes=5, refresh_every=16)
-            return replay.replay_day(1200, pacer=pacer)
-
-        got, want, _ = both_replays(build, run)
-        assert_same_decisions(got, want)
-
     def test_sharded_engine_fleet(self, weights):
         def build(cls):
             engine = ShardedScoringEngine(LinearROI(weights), n_shards=2, batch_size=16, cache_size=0)
@@ -1106,23 +1054,6 @@ class TestReplayMatchesPerArrivalReference:
         assert got.days[0].engine_stats["flush_batch_full"] == 600 // 32
         ledgers = [v.ledger.n for v in replays[0].engine.registry.versions()]
         assert min(ledgers) >= 60  # both arms past min_decided: the gate ran
-
-    def test_clocked_serial_fleet(self, weights):
-        def build(cls):
-            clock = ManualClock()
-            fleet = ShardedScoringEngine(
-                LinearROI(weights), n_shards=2, batch_size=64, cache_size=0, max_latency_ms=20.0, clock=clock
-            )
-            return cls(Platform(dataset="criteo", random_state=4), fleet, feedback=True, interarrival_s=0.001,
-                       random_state=2)
-
-        got, want, replays = both_replays(build, lambda r: r.replay_day(600))
-        sketches = [r.engine.latency_hist.snapshot() for r in replays]
-        for replay in replays:
-            replay.engine.close()
-        assert_same_decisions(got, want)
-        assert sketches[0] == sketches[1] and sketches[0].count == 600
-        assert sketches[0].quantile(0.999) <= 0.020 * (1 + sketches[0].relative_error)
 
     def test_a_feature_the_retrainer_refuses_stops_both_loops_alike(self, weights):
         """The retrainer raises at a non-finite feature row; the promoter
@@ -1329,35 +1260,6 @@ class TestStampedSubmitBatch:
         with pytest.raises(ValueError, match="clock"):
             engine.submit_batch(np.ones((2, 2)), stamps=[0.0, 0.0])
         assert engine.stats["requests"] == 0
-
-    @pytest.mark.parametrize("max_latency_ms", [20.0, None])
-    def test_a_clocked_serial_fleet_forwards_each_shards_stamps(self, max_latency_ms):
-        """A deadline-driven fleet ships every row at its arrival; one
-        without deadlines ships a feed when its batch's last row comes."""
-
-        def fleet():
-            tally = [0]
-            return ShardedScoringEngine(
-                CountingROI(tally), n_shards=2, batch_size=4, cache_size=0,
-                max_latency_ms=max_latency_ms, clock=ManualClock(),
-            )
-
-        block, scalar = fleet(), fleet()
-        x = np.random.default_rng(3).normal(size=(11, 3))
-        stamps = 0.3 + 0.001 * np.arange(11)
-        ref = per_row_submits(scalar, x, stamps)
-        block.clock.advance(scalar.clock.now())
-        got = block.submit_batch(x, stamps=stamps)
-        assert list(got) == ref
-        for engine in (block, scalar):
-            engine.clock.advance(0.05)
-            engine.flush()
-        np.testing.assert_array_equal(block.take_block(got), [scalar.take(rid) for rid in ref])
-        assert block.stats == scalar.stats
-        sketches = [engine.latency_hist.snapshot() for engine in (block, scalar)]
-        assert sketches[0] == sketches[1] and sketches[0].count == 11
-        for engine in (block, scalar):
-            engine.close()
 
 
 # ---------------------------------------------------------------------------

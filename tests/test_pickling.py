@@ -2,11 +2,10 @@
 
 This is the load-bearing contract of sharded serving: a
 :class:`~repro.serving.sharding.ShardedScoringEngine` ships fitted
-models to worker processes inside a pickled
-:class:`~repro.serving.engine.EngineCore`, and a replica that predicts
-even one ULP differently from its parent silently breaks the
-single-engine-equivalence guarantee (same request stream, same scores,
-any backend).  So: fit each public model class on small synthetic RCT
+models to worker processes inside a pickled registry, and a replica
+that predicts even one ULP differently from its parent silently breaks
+the single-engine-equivalence guarantee (same request stream, same
+scores, any backend).  So: fit each public model class on small synthetic RCT
 data, ``pickle.dumps``/``loads`` it, and pin ``predict == predict``
 exactly — ``np.array_equal``, not ``allclose``.
 
@@ -64,15 +63,20 @@ class LinearROI:
 
 
 def test_engine_core_roundtrip_bit_identical():
-    """The actual shipping unit: EngineCore → pickle → build → same scores."""
-    from repro.serving import ModelRegistry, ScoringEngine
+    """The actual shipping unit: the fleet pickles an engine's core (its
+    registry, policy and batch geometry) once, and the shard engine
+    built from that blob scores like an engine on the parent's
+    registry."""
+    from repro.serving import ModelRegistry, ScoringEngine, ShardedScoringEngine
     from repro.serving.policy import GreedyROIPolicy
+    from repro.serving.sharding import _SHARD_ENGINES
 
     registry = ModelRegistry(traffic_split=0.2, random_state=3)
     registry.register(LinearROI([1.0, -0.5, 0.25, 2.0, 0.1]), promote=True)
     registry.register(LinearROI([0.5, 0.5, 0.5, 0.5, 0.5]))
-    engine = ScoringEngine(registry, policy=GreedyROIPolicy(), batch_size=16)
-    rebuilt = pickle.loads(pickle.dumps(engine.core())).build()
-    for i, row in enumerate(X_EVAL[:32, :5]):
-        assert engine.score(row, key=i) == rebuilt.score(row, key=i)
-    assert rebuilt.registry is not engine.registry
+    with ShardedScoringEngine(registry, n_shards=1, policy=GreedyROIPolicy(), batch_size=16) as fleet:
+        rebuilt = _SHARD_ENGINES[(fleet._fleet_id, 0)]
+        engine = ScoringEngine(registry, policy=GreedyROIPolicy(), batch_size=16)
+        for i, row in enumerate(X_EVAL[:32, :5]):
+            assert engine.score(row, key=i) == rebuilt.score(row, key=i)
+        assert rebuilt.registry is not engine.registry

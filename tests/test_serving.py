@@ -411,8 +411,6 @@ class TestScoringEngine:
         # every flush scores inline: no backend to choose, nothing in flight
         with pytest.raises(TypeError, match="backend"):
             ScoringEngine(stub_model, backend=SerialBackend())
-        with pytest.raises(TypeError, match="backend"):
-            ScoringEngine(stub_model).core().build(backend=SerialBackend())
         assert not hasattr(ScoringEngine(stub_model), "n_inflight")
 
     def test_serial_pinned_behaviour(self, rng):

@@ -1,4 +1,5 @@
-"""Sharded serving fleet pins: equivalence, merge accounting, pacing.
+"""Sharded serving fleet pins: equivalence, merge accounting, a fixed
+registry.
 
 The load-bearing guarantees of :mod:`repro.serving.sharding`:
 
@@ -8,11 +9,8 @@ The load-bearing guarantees of :mod:`repro.serving.sharding`:
 * fleet accounting is merge-*derived*: ``stats`` equals the sum of the
   per-shard snapshots because it is computed from them, and the pinned
   equality proves no second accounting path exists;
-* lifecycle mutations on the parent registry reach every shard replica
-  before subsequent traffic (revision-gated sync on FIFO lanes);
-* :class:`ShardedBudgetPacer` keeps the slice-sum invariant
-  ``Σ budgets == B`` across rebalance ticks and fleet spend strictly
-  under ``B``.
+* a fleet serves the registry it was built with: once the parent
+  registry's revision moves, traffic is refused before anything moves.
 """
 
 from __future__ import annotations
@@ -24,17 +22,9 @@ import signal
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    ManualClock,
-    ProcessBackend,
-    SerialBackend,
-)
-from repro.serving import (
-    ModelRegistry,
-    ScoringEngine,
-    ShardedBudgetPacer,
-    ShardedScoringEngine,
-)
+from repro.obs import MetricsRegistry
+from repro.runtime import ManualClock, ProcessBackend, SerialBackend
+from repro.serving import ModelRegistry, ScoringEngine, ShardedScoringEngine
 from repro.serving.sharding import _SHARD_ENGINES, _SHARD_RIDS
 
 
@@ -297,60 +287,23 @@ class TestFleetSubmitBatch:
             fleet.close()
         assert scores[1] == scores[4]
 
-    def test_latency_sketch_matches_per_row(self, rows):
-        """Clocked deadline fleets log the same latencies either way."""
-        results = []
-        for use_batch in (False, True):
-            clock = ManualClock()
-            fleet = ShardedScoringEngine(
-                make_registry(), n_shards=2, batch_size=8,
-                max_latency_ms=50.0, clock=clock,
-            )
-            if use_batch:
-                fleet.submit_batch(rows[:64], keys=list(range(64)))
-            else:
-                for i, row in enumerate(rows[:64]):
-                    fleet.submit(row, key=i)
-            clock.advance(0.003)
-            fleet.flush()
-            results.append(fleet.latency_hist.snapshot())
-            fleet.close()
-        assert results[0] == results[1]
-        assert results[0].count == 64
-
-    def test_keyless_deadline_fleet_stamps_every_arrival(self):
-        """Regression: a 1-shard keyless deadline fleet feeds its shard
-        one-row ``submit_batch`` calls that extend one open run, and
-        every row used to inherit the run's first submit stamp (eight
-        0.8 s waits where a plain engine logs 0.1 to 0.8 s)."""
-        rows = np.random.default_rng(3).normal(size=(8, 4))
-        params = dict(batch_size=64, cache_size=0, max_latency_ms=800.0)
-        snaps = []
-        for fleet in (False, True):
-            clock = ManualClock()
-            engine = (
-                ShardedScoringEngine(make_registry(split=0.0), n_shards=1, clock=clock, **params)
-                if fleet
-                else ScoringEngine(make_registry(split=0.0), clock=clock, **params)
-            )
-            for row in rows:
-                engine.submit(row)
-                clock.advance(0.1)
-            assert engine.poll() == 1  # the 0.8 s deadline fires
-            snaps.append(engine.latency_hist.snapshot())
-        plain, fleet = snaps
-        assert plain.count == 8
-        assert (plain.min, plain.max) == (pytest.approx(0.1), pytest.approx(0.8))
-        assert fleet == plain
-
     def test_validation_and_empty(self):
-        # the backend alone picks the transport; the sketch is the only
-        # latency record
-        for option in ({"transport": "pickle"}, {"latency_log_size": 10}):
+        # the backend alone picks the transport, and a fleet has no
+        # clock: no latency record, no deadlines
+        removed = (
+            {"transport": "pickle"},
+            {"latency_log_size": 10},
+            {"clock": ManualClock()},
+            {"max_latency_ms": 20.0},
+        )
+        for option in removed:
             with pytest.raises(TypeError, match=next(iter(option))):
                 ShardedScoringEngine(make_registry(), n_shards=2, **option)
         fleet = ShardedScoringEngine(make_registry(), n_shards=2)
         assert not hasattr(fleet, "latencies")
+        assert fleet.clock is None and not hasattr(fleet, "latency_hist")
+        with pytest.raises(TypeError, match="stamps"):
+            fleet.submit_batch(np.zeros((2, 4)), stamps=[0.0, 0.0])
         with pytest.raises(ValueError, match="2-D"):
             fleet.submit_batch(np.zeros(4))
         with pytest.raises(ValueError, match="keys"):
@@ -524,6 +477,21 @@ class TestFleetFailurePaths:
         refused.close()
         reference.close()
 
+    @pytest.mark.parametrize("option, value", [("batch_size", 0), ("cache_size", -1)])
+    def test_engine_arguments_are_checked_before_any_lane_task(self, option, value):
+        """Regression: a fleet with ``batch_size=0`` or ``cache_size=-1``
+        constructed, its shard installs failed on their lanes, and the
+        error surfaced at the first ``submit``, after the fleet id had
+        moved (a ``cache_size=-1`` row stayed buffered).  The fleet
+        refuses them as :class:`ScoringEngine` does, with its message."""
+        lanes = SerialBackend(metrics=MetricsRegistry())
+        with pytest.raises(ValueError, match=option) as refused:
+            ShardedScoringEngine(make_registry(), n_shards=2, backend=lanes, **{option: value})
+        assert lanes.metrics.snapshot()["backend.tasks_submitted"].value == 0
+        with pytest.raises(ValueError) as engine_refused:
+            ScoringEngine(make_registry(), **{option: value})
+        assert str(refused.value) == str(engine_refused.value)
+
 
 # ---------------------------------------------------------------------------
 # merge-derived fleet accounting
@@ -572,39 +540,6 @@ class TestFleetAccounting:
         assert delta["engine.requests"].value == 100
         fleet.close()
 
-    def test_merged_latency_quantiles(self, rows):
-        """Clocked shards' sketches fold into one fleet distribution."""
-        clock = ManualClock()
-        fleet = ShardedScoringEngine(
-            make_registry(),
-            n_shards=2,
-            batch_size=8,
-            max_latency_ms=50.0,
-            clock=clock,
-        )
-        for i, row in enumerate(rows[:64]):
-            fleet.submit(row, key=i)
-            clock.advance(0.002)
-            fleet.poll()
-        fleet.flush()
-        merged = fleet.latency_hist.snapshot()
-        assert merged.count == 64
-        shard_counts = [
-            snap["engine.latency_seconds"].count for snap, _v in fleet.shard_snapshots()
-        ]
-        assert sum(shard_counts) == 64
-        assert all(c < 64 for c in shard_counts)  # genuinely distributed
-        p95 = fleet.latency_quantile(0.95)
-        assert 0.0 <= p95 <= 0.050 * 1.02  # deadline honoured fleet-wide
-        assert merged.max <= 0.050 + 1e-9  # exact: every wait within it
-        fleet.close()
-
-    def test_latency_quantile_empty_raises(self):
-        fleet = ShardedScoringEngine(make_registry(), n_shards=2)
-        with pytest.raises(ValueError, match="no latencies"):
-            fleet.latency_quantile(0.5)
-        fleet.close()
-
 
 # ---------------------------------------------------------------------------
 # routing
@@ -645,68 +580,42 @@ class TestRouting:
 
 
 # ---------------------------------------------------------------------------
-# lifecycle sync across replicas
+# a fixed registry: changes are refused, not synced
 # ---------------------------------------------------------------------------
-class TestReplicaSync:
-    def test_promotion_reaches_every_shard(self, rows):
-        fleet = ShardedScoringEngine(make_registry(split=0.0), n_shards=3)
-        before = fleet.score_batch(rows[:8])
-        fleet.registry.promote(2)  # challenger takes over, parent-side
-        after = fleet.score_batch(rows[:8])
-        np.testing.assert_array_equal(
-            before, np.asarray(rows[:8]) @ np.asarray(W_CHAMPION)
-        )
-        np.testing.assert_array_equal(
-            after, np.asarray(rows[:8]) @ np.asarray(W_CHALLENGER)
-        )
+class TestFixedRegistry:
+    @pytest.mark.parametrize("change", ["promote", "register"])
+    def test_a_changed_registry_is_refused_before_anything_moves(self, rows, change):
+        """Once the parent registry's revision moves, every call that
+        ships or reaps traffic raises, and ids, buffers and stats stay
+        as they were: the shards keep serving the replica they were
+        built from, so the change never reaches them unnoticed."""
+        fleet = ShardedScoringEngine(make_registry(), n_shards=2, batch_size=8)
+        fleet.submit_batch(rows[:16])  # 8 rows per shard: both fed
+        fleet.submit(rows[16])  # buffered on shard 0
+        assert fleet.n_pending == 1 and fleet.stats["requests"] == 16
+
+        def state():
+            buffers = [list(rids) for rids in fleet._buf_rids]
+            return fleet._next_rid, fleet._rr, buffers, fleet.n_pending, fleet.stats
+
+        before = state()
+        if change == "promote":
+            fleet.registry.promote()
+        else:
+            fleet.registry.register(LinearROI(W_CHAMPION))
+        calls = {
+            "submit": lambda: fleet.submit(rows[20]),
+            "submit_batch": lambda: fleet.submit_batch(rows[20:24]),
+            "flush": fleet.flush,
+            "poll": fleet.poll,
+            "score_batch": lambda: fleet.score_batch(rows[:2]),
+        }
+        for name, call in calls.items():
+            with pytest.raises(RuntimeError, match="revision"):
+                call()
+            assert state() == before, name
+        assert fleet.take_block(range(16)).shape == (16,)  # scored before the change
         fleet.close()
-
-    def test_new_version_ships_model_to_shards(self, rows):
-        fleet = ShardedScoringEngine(make_registry(split=0.0), n_shards=2)
-        fleet.score_batch(rows[:4])
-        w_new = [3.0, 0.0, 0.0, 0.0]
-        fleet.registry.register(LinearROI(w_new), promote=True)
-        scores = fleet.score_batch(rows[:8])
-        np.testing.assert_array_equal(scores, np.asarray(rows[:8]) @ np.asarray(w_new))
-        fleet.close()
-
-    def test_sync_is_revision_gated(self, rows):
-        """No lifecycle change → no sync traffic on the lanes."""
-        fleet = ShardedScoringEngine(make_registry(), n_shards=2)
-        fleet.flush()
-        synced = fleet._synced_revision
-        for i, row in enumerate(rows[:50]):
-            fleet.submit(row, key=i)
-        fleet.flush()
-        assert fleet._synced_revision == synced
-        fleet.registry.traffic_split = 0.5
-        fleet.submit(rows[0], key=0)
-        assert fleet._synced_revision == fleet.registry.revision != synced
-        fleet.close()
-
-    def test_registry_lifecycle_state_roundtrip(self):
-        parent = make_registry(split=0.3)
-        replica = ModelRegistry()
-        replica.apply_lifecycle_state(parent.lifecycle_state())
-        assert replica.champion.version == 1
-        assert replica.challenger is not None
-        assert replica.challenger.version == 2
-        assert replica.traffic_split == 0.3
-        parent.promote()
-        # incremental: replica already knows versions 1 and 2
-        state = parent.lifecycle_state(known={1, 2})
-        assert state["models"] == {}
-        replica.apply_lifecycle_state(state)
-        assert replica.champion.version == 2
-        assert replica.challenger is None
-        assert replica.get(1).stage == "archived"
-
-    def test_lifecycle_state_missing_model_raises(self):
-        parent = make_registry()
-        replica = ModelRegistry()
-        state = parent.lifecycle_state(known={1, 2})  # strips the models
-        with pytest.raises(KeyError, match="ships no model"):
-            replica.apply_lifecycle_state(state)
 
     def test_revision_bumps_on_lifecycle_not_on_traffic(self):
         registry = make_registry()
@@ -767,16 +676,6 @@ class TestBackends:
             fleet.close()
             assert fleet._closed
             assert shards_left(backend, fleet) == []
-        finally:
-            backend.shutdown()
-
-    def test_clock_rejected_on_process_backend(self):
-        backend = ProcessBackend(n_workers=2)
-        try:
-            with pytest.raises(ValueError, match="process boundary"):
-                ShardedScoringEngine(
-                    make_registry(), n_shards=2, backend=backend, clock=ManualClock()
-                )
         finally:
             backend.shutdown()
 
@@ -863,112 +762,6 @@ class TestLaneAffinity:
 
 
 # ---------------------------------------------------------------------------
-# fleet budget pacing
-# ---------------------------------------------------------------------------
-class TestShardedBudgetPacer:
-    def _traffic(self, n, seed=3):
-        rng = np.random.default_rng(seed)
-        scores = rng.normal(size=n)
-        costs = np.abs(rng.normal(size=n)) * 0.1 + 0.01
-        return scores, costs
-
-    def test_slice_sum_equals_budget_always(self):
-        clock = ManualClock()
-        pacer = ShardedBudgetPacer(
-            50.0, 2000, 4, clock=clock, rebalance_every=1.0, use_roi_floor=False
-        )
-        scores, costs = self._traffic(2000)
-        for s, c in zip(scores, costs):
-            pacer.offer(s, c)
-            clock.advance(0.01)
-            assert sum(pacer.slice_budgets) == pytest.approx(50.0)
-        assert pacer.rebalances > 10
-
-    def test_fleet_spend_strictly_under_budget(self):
-        clock = ManualClock()
-        pacer = ShardedBudgetPacer(
-            20.0, 3000, 4, clock=clock, rebalance_every=0.5, use_roi_floor=False
-        )
-        scores, costs = self._traffic(3000, seed=9)
-        for s, c in zip(scores, costs):
-            pacer.offer(s, c)
-            clock.advance(0.005)
-        assert 0.0 < pacer.spent < pacer.budget
-        for shard in pacer.shards:
-            assert shard.spent <= shard.budget + 1e-9
-
-    def test_rebalance_moves_headroom_to_hot_slices(self):
-        """A slice that saw no traffic donates budget to the ones that did."""
-        pacer = ShardedBudgetPacer(40.0, 400, 2, use_roi_floor=False)
-        scores, costs = self._traffic(200, seed=5)
-        for s, c in zip(scores, costs):
-            pacer.offer(s, c, key="hot-user")  # sticky: all to one slice
-        hot = pacer.shard_of("hot-user")
-        cold = 1 - hot
-        assert pacer.shards[cold].n_seen == 0
-        budgets = pacer.rebalance()
-        # the cold slice's remaining-horizon share is now larger than the
-        # hot slice's, so it holds more *unspent* headroom; the hot slice
-        # keeps everything it spent
-        assert budgets[hot] >= pacer.shards[hot].spent
-        assert sum(budgets) == pytest.approx(40.0)
-        assert pacer.rebalances == 1
-
-    def test_keyless_offers_round_robin(self):
-        pacer = ShardedBudgetPacer(10.0, 100, 2, use_roi_floor=False)
-        for i in range(10):
-            pacer.offer(0.0, 0.01)
-            assert pacer._last_offer_shard == i % 2
-
-    def test_observe_outcome_follows_offer(self):
-        pacer = ShardedBudgetPacer(10.0, 100, 2, use_roi_floor=True)
-        pacer.offer(1.0, 0.01, key="a")
-        shard = pacer.shard_of("a")
-        pacer.observe_outcome(1, 0.5, 0.1)
-        # the offering slice's outcome window holds it; no other does
-        fill = [len(p._outcomes) for p in pacer.shards]
-        assert fill == [int(i == shard) for i in range(pacer.n_shards)]
-
-    def test_surface_matches_single_pacer(self):
-        pacer = ShardedBudgetPacer(10.0, 100, 4, use_roi_floor=False)
-        scores, costs = self._traffic(100)
-        for s, c in zip(scores, costs):
-            pacer.offer(s, c)
-        assert pacer.n_seen == 100
-        assert pacer.progress == pytest.approx(1.0)
-        assert 0.0 <= pacer.admit_rate <= 1.0
-        assert pacer.remaining == pytest.approx(pacer.budget - pacer.spent)
-        assert all(isinstance(e, tuple) and len(e) == 3 for e in pacer.history)
-
-    def test_rebalance_every_defaults_to_wall_clock(self):
-        from repro.runtime import SystemClock
-
-        pacer = ShardedBudgetPacer(10.0, 100, 2, rebalance_every=0.5)
-        assert isinstance(pacer.clock, SystemClock)
-        assert pacer._loop is not None
-        without = ShardedBudgetPacer(10.0, 100, 2)
-        assert without._loop is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            ShardedBudgetPacer(10.0, 100, 0)
-        with pytest.raises(ValueError, match="horizon"):
-            ShardedBudgetPacer(10.0, 2, 4)
-        with pytest.raises(ValueError, match="rebalance_every"):
-            ShardedBudgetPacer(10.0, 100, 2, clock=ManualClock(), rebalance_every=0.0)
-
-    def test_rebudget_below_spend_rejected(self):
-        from repro.serving import BudgetPacer
-
-        pacer = BudgetPacer(10.0, 100, warmup=2)
-        pacer.spent = 5.0
-        with pytest.raises(ValueError, match="below already-realised spend"):
-            pacer.rebudget(4.0)
-        pacer.rebudget(7.5)
-        assert pacer.budget == 7.5
-
-
-# ---------------------------------------------------------------------------
 # end-to-end: the fleet under real replayed traffic
 # ---------------------------------------------------------------------------
 class TestFleetEndToEnd:
@@ -992,58 +785,4 @@ class TestFleetEndToEnd:
         assert result.spend <= result.budget + 1e-9
         assert result.engine_stats["requests"] == 3000
         assert result.revenue_ratio > 0.8
-        fleet.close()
-
-    def test_traffic_replay_with_fleet_pacer(self, probe_weights):
-        from repro.ab.platform import Platform
-        from repro.serving import TrafficReplay
-
-        platform = Platform(dataset="criteo", random_state=1)
-        fleet = ShardedScoringEngine(
-            LinearROI(probe_weights), n_shards=4, batch_size=128, cache_size=0
-        )
-        budget = 4.0
-        pacer = ShardedBudgetPacer(budget, 3000, 4, use_roi_floor=False)
-        result = TrafficReplay(platform, fleet).replay_day(3000, pacer=pacer)
-        assert result.spend < budget  # strict: fleet never exhausts B
-        assert result.spend == pytest.approx(pacer.spent)
-        assert pacer.n_seen == 3000
-        fleet.close()
-
-    def test_promoter_campaign_on_fleet(self, probe_weights):
-        """An AutoPromoter driving the parent registry steers the fleet:
-        after promotion the shards serve the challenger's scores."""
-        from repro.serving import AutoPromoter
-
-        clock = ManualClock()
-        registry = ModelRegistry(traffic_split=0.3, random_state=11)
-        registry.register(LinearROI(np.zeros_like(probe_weights)), promote=True)
-        registry.register(LinearROI(probe_weights))
-        promoter = AutoPromoter(
-            registry,
-            clock=clock,
-            ramp=(0.3,),
-            step_every_s=1.0,
-            min_decided=50,
-            check_every=10,
-            hold_decided=100_000,
-        )
-        fleet = ShardedScoringEngine(registry, n_shards=2, batch_size=32)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(600, len(probe_weights)))
-        for i, row in enumerate(x):
-            rid = fleet.submit(row, key=i)
-            fleet.flush()
-            vid = fleet.version_of(rid)
-            fleet.take(rid)
-            # challenger is strictly better: its outcomes dominate
-            net = 1.0 if vid == 2 else 0.0
-            promoter.observe(vid, True, net, 0.0)
-            clock.advance(0.01)
-            promoter.poll()
-            if registry.champion.version == 2:
-                break
-        assert registry.champion.version == 2
-        scores = fleet.score_batch(x[:8])
-        np.testing.assert_array_equal(scores, x[:8] @ probe_weights)
         fleet.close()
