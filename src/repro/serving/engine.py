@@ -797,22 +797,22 @@ class ScoringEngine:
         """Pop the finished scores of ``rids`` as one array, in the
         order given — the bulk :meth:`take`.
 
-        Hand back what ``submit_batch`` returned, or any ids in
-        ascending order (the replay takes ready prefixes), and the
-        scores come out in that order.  All or nothing: KeyError, with
-        nothing popped and no version attribution released, when any
-        id is still pending or unknown.  When the ids are a slab run
-        whose scored records tile the span, this is O(1) per
-        scored block (array slices, no per-rid dicts); otherwise
-        any scored run overlapping the ids is materialised first and
-        the ids are checked, then popped, in bulk.
+        All or nothing: KeyError, with nothing popped and no version
+        attribution released, when any id is still pending, unknown or
+        repeated.  When the ids ascend one by one (the ``range``
+        ``submit_batch`` returns, or the replay's ready prefix) over a
+        slab run whose scored records tile the span, this is O(1) per
+        scored block (array slices, no per-rid dicts); otherwise any
+        scored run overlapping the ids is materialised first and the
+        ids are checked, then popped, in bulk.
         """
         n = len(rids)
         if n == 0:
             return np.empty(0, dtype=float)
         self.poll()
         start, stop = int(rids[0]), int(rids[-1]) + 1
-        if stop - start == n:
+        # a range spanning n ids steps by one; other ids are checked
+        if stop - start == n and (isinstance(rids, range) or list(rids) == list(range(start, stop))):
             recs = sorted(
                 (
                     r
@@ -837,6 +837,8 @@ class ScoringEngine:
             self._materialize(rec)
         ready, versions = self._ready, self._version_by_rid
         scores = np.array([ready[rid] for rid in rids], dtype=float)  # KeyError: nothing popped
+        if len(set(rids)) < n:
+            raise KeyError(f"request ids repeat in {list(rids)}")
         for rid in rids:
             ready.pop(rid, None)
             versions.pop(rid, None)

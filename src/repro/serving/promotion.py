@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
@@ -312,70 +311,6 @@ class AutoPromoter:
         if self._since_check >= self.check_every:
             self._since_check = 0
             self._check()
-
-    def rows_until_event(self) -> int | float:
-        """How many :meth:`observe` calls from now on would only record:
-        the next one after them may auto-start an experiment or run the
-        gate (``inf`` while idle with nothing to start)."""
-        if self._state == IDLE:
-            startable = self.auto_start and self.registry.challenger is not None
-            return 0 if startable else math.inf
-        return self.check_every - 1 - self._since_check
-
-    def observe_block(self, versions, treated, y_r, y_c) -> None:
-        """:meth:`observe` each row of a block in turn, recording the
-        rows before each gate check or auto-start in bulk.
-
-        Leaves the state ``len(versions)`` ``observe`` calls leave, to
-        the bits of every ledger sum; a non-finite outcome or an unknown
-        version raises at its row, with the rows before it recorded.
-        """
-        n = len(versions)
-        pos = 0
-        while pos < n:
-            k = min(self.rows_until_event(), n - pos)
-            end = pos + k
-            if k:
-                k = self._record_quiet(versions[pos:end], treated[pos:end], y_r[pos:end], y_c[pos:end])
-            if pos + k < n:
-                # the event row, or the first row the quiet path refused
-                row = pos + k
-                self.observe(versions[row], treated[row], y_r[row], y_c[row])
-                pos = row + 1
-            else:
-                pos = n
-
-    def _record_quiet(self, versions, treated, y_r, y_c) -> int:
-        """Record rows that only record, each version's in row order,
-        up to the first row ``observe`` would refuse; returns how many."""
-        y_r, y_c = list(map(float, y_r)), list(map(float, y_c))
-        n = len(y_r)
-        refused = not (all(map(math.isfinite, y_r)) and all(map(math.isfinite, y_c)))
-        ledgers = {}
-        for version in set(versions):
-            try:
-                ledgers[version] = self.registry.get(version).ledger
-            except KeyError:
-                refused = True
-        if refused:
-            n = next(
-                i
-                for i, version in enumerate(versions)
-                if version not in ledgers or not (math.isfinite(y_r[i]) and math.isfinite(y_c[i]))
-            )
-            versions, treated, y_r, y_c = versions[:n], treated[:n], y_r[:n], y_c[:n]
-        for version, ledger in ledgers.items():
-            if len(ledgers) == 1:
-                ledger.record_many(map(bool, treated), y_r, y_c)
-            else:
-                mine = [v == version for v in versions]
-                ledger.record_many(
-                    map(bool, compress(treated, mine)), list(compress(y_r, mine)), list(compress(y_c, mine))
-                )
-        self._c_observations.inc(n)
-        if self._state != IDLE:
-            self._since_check += n
-        return n
 
     def poll(self) -> int:
         """Advance the promoter without an observation: abort an

@@ -81,26 +81,6 @@ class OutcomeLedger:
         self._net_sumsq += net * net
         self._revenue_sumsq += y_r * y_r
 
-    def record_many(self, treated, y_r, y_c) -> None:
-        """:meth:`record` each ``(treated[i], y_r[i], y_c[i])`` in turn.
-
-        Every float sum adds the rows in order, as the ``record`` loop
-        does, so the ledger is the same to the bit for any outcomes,
-        not only 0/1 ones.  ``y_r`` and ``y_c`` hold floats.
-        """
-        revenue, spend = self.revenue, self.spend
-        net_sumsq, revenue_sumsq = self._net_sumsq, self._revenue_sumsq
-        for r, c in zip(y_r, y_c):
-            revenue += r
-            spend += c
-            net = r - c
-            net_sumsq += net * net
-            revenue_sumsq += r * r
-        self.n += len(y_r)
-        self.n_treated += sum(map(int, treated))
-        self.revenue, self.spend = revenue, spend
-        self._net_sumsq, self._revenue_sumsq = net_sumsq, revenue_sumsq
-
     def reset(self) -> None:
         """Zero the ledger (a fresh comparison window)."""
         self.n = 0
@@ -109,26 +89,6 @@ class OutcomeLedger:
         self.revenue = 0.0
         self._net_sumsq = 0.0
         self._revenue_sumsq = 0.0
-
-    def merge(self, other: "OutcomeLedger") -> "OutcomeLedger":
-        """Fold another ledger into this one, exactly.
-
-        Every field is a raw sum (counts, totals, raw second moments),
-        so folding is plain addition — no mean/variance recombination,
-        no float error beyond the additions themselves.  This is what
-        lets retraining and fleet accounting ship per-shard ledgers
-        across processes (pickled) and fold them on the parent with
-        :class:`~repro.obs.Snapshot`-merge semantics: ``merge`` is
-        commutative and associative, and ``moments()`` of the fold
-        equals ``moments()`` of the union stream.
-        """
-        self.n += other.n
-        self.n_treated += other.n_treated
-        self.spend += other.spend
-        self.revenue += other.revenue
-        self._net_sumsq += other._net_sumsq
-        self._revenue_sumsq += other._revenue_sumsq
-        return self
 
     def moments(self, metric: str = "net") -> tuple[float, float, int]:
         """``(mean, sample variance, n)`` of the per-request metric."""

@@ -51,7 +51,6 @@ import numpy as np
 from repro.causal.base import TrainableModel, refit_model
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.runtime import Clock, DeadlineLoop, SystemClock
-from repro.runtime.clock import DUE_SLACK
 from repro.serving.registry import ModelRegistry
 
 __all__ = ["RetrainEvent", "Retrainer"]
@@ -237,14 +236,20 @@ class Retrainer:
         consumes, with the arrival's feature row alongside — treated
         rows carry their realised incremental revenue/cost, skipped
         rows are the zero-outcome control the uplift refit contrasts
-        against.  A non-finite ``y_r``, ``y_c`` or feature raises
-        ValueError before anything moves (in the window it would fail
-        every refit, and a feature would make the drift reference NaN).
+        against.  A non-finite ``y_r``, ``y_c`` or feature, or a row
+        whose width differs from the window's, raises ValueError before
+        anything moves (in the window it would fail every refit and
+        drift check, and a non-finite feature would make the drift
+        reference NaN).
         """
         y_r, y_c = float(y_r), float(y_c)
         if not (math.isfinite(y_r) and math.isfinite(y_c)):
             raise ValueError(f"y_r and y_c must be finite, got {y_r} and {y_c}")
         x_row = np.asarray(x_row, dtype=float).ravel()
+        if self._buffer and x_row.size != self._buffer[0][0].size:
+            raise ValueError(
+                f"got a row of width {x_row.size}, but the window's rows have width {self._buffer[0][0].size}"
+            )
         # the sum is non-finite when a feature is (or when it overflows,
         # which the exact test then clears); on this once-per-arrival path
         # it costs a fraction of np.isfinite(...).all()
@@ -270,68 +275,6 @@ class Retrainer:
             if self.n_observed % 64 == 0 and self.drift_score() >= self.drift_threshold:
                 self._trigger("drift")
         self.poll()
-
-    def rows_until_event(self) -> int | float:
-        """How many :meth:`observe` calls from now on would only buffer:
-        the next one after them may freeze the drift reference, reach
-        the count trigger or a drift check, fire a due periodic trigger
-        or stage a held refit (``inf`` when none can come)."""
-        due = self._loop.next_deadline()
-        if due is not None and due <= self.clock.now() + DUE_SLACK:
-            return 0
-        if self._held is not None and self.registry.challenger is None:
-            return 0
-        quiet = math.inf
-        if self._reference is None:
-            quiet = self.min_outcomes - len(self._buffer) - 1
-        if self.every_outcomes is not None:
-            quiet = min(quiet, self.every_outcomes - self._since_count_trigger - 1)
-        if self.drift_threshold is not None and self._held is None:
-            quiet = min(quiet, 63 - self.n_observed % 64)
-        return max(quiet, 0)
-
-    def observe_block(self, x_rows, treated, y_r, y_c) -> None:
-        """:meth:`observe` each row of a block in turn, buffering the
-        rows before each trigger, freeze or stage in bulk.
-
-        Leaves the state ``len(x_rows)`` ``observe`` calls leave; a
-        non-finite outcome or feature raises at its row, with the rows
-        before it buffered.  The bulk rows are not polled one by one:
-        under a wall clock a periodic trigger that falls due inside a
-        block fires at its next event row, or the next poll.
-        """
-        x_rows = np.asarray(x_rows, dtype=float)
-        n = x_rows.shape[0]
-        pos = 0
-        while pos < n:
-            k = min(self.rows_until_event(), n - pos)
-            end = pos + k
-            if k:
-                k = self._buffer_quiet(x_rows[pos:end], treated[pos:end], y_r[pos:end], y_c[pos:end])
-            if pos + k < n:
-                # the event row, or the first row the quiet path refused
-                row = pos + k
-                self.observe(x_rows[row], treated[row], y_r[row], y_c[row])
-                pos = row + 1
-            else:
-                pos = n
-
-    def _buffer_quiet(self, x_rows: np.ndarray, treated, y_r, y_c) -> int:
-        """Buffer rows that only buffer, up to the first row ``observe``
-        would refuse; returns how many."""
-        y_r, y_c = list(map(float, y_r)), list(map(float, y_c))
-        n = len(y_r)
-        if not (all(map(math.isfinite, y_r)) and all(map(math.isfinite, y_c)) and np.isfinite(x_rows).all()):
-            ok = np.isfinite(x_rows).all(axis=1).tolist()
-            n = next(i for i in range(n) if not (ok[i] and math.isfinite(y_r[i]) and math.isfinite(y_c[i])))
-            if not n:
-                return 0
-        self._buffer.extend(zip(x_rows[:n], map(int, map(bool, treated)), y_r, y_c))
-        self.n_observed += n
-        self._since_count_trigger += n
-        self._c_outcomes.inc(n)
-        self._g_fill.set(len(self._buffer))
-        return n
 
     def poll(self) -> int:
         """Advance the retrainer: fire due periodic triggers, stage a

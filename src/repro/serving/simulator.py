@@ -20,8 +20,8 @@ arrival stamp; an arrival at an event takes the per-arrival step
 (see :class:`TrafficReplay`).  Each ready run of scores comes back
 through ``take_block`` and is paced through the pacer's
 ``offer_batch``, one threshold prefix at a time, with one outcome draw
-per prefix, and each prefix's outcomes reach the promoter and the
-retrainer as block observes cut at the rows that may act — the same
+per prefix; then each decided row's outcome reaches the promoter and
+the retrainer through one ``observe`` each, in row order — the same
 decisions, spend trajectory, outcome stream, lifecycle events and
 latencies as one ``submit``, ``take``, ``offer``, draw and ``observe``
 per arrival.
@@ -200,9 +200,13 @@ class TrafficReplay:
     something, the next arrival takes the per-arrival step: clock,
     polls, ``submit``, drain.  Between two arrivals of a run nothing
     fires and nothing is decided, so decisions, event times and
-    latencies are those of that step at every arrival.  Without
-    simulated time the promoter and retrainer are polled once per run,
-    so a wall-time ramp step fires at most one engine batch late.
+    latencies are those of that step at every arrival.  A decided run
+    is attributed row by row: :meth:`AutoPromoter.observe`, then
+    :meth:`Retrainer.observe`, for each row in arrival order, so which
+    rows act (a gate check, a trigger, a staging) is decided inside
+    those methods alone.  Without simulated time the promoter and
+    retrainer are polled once per run, so a wall-time ramp step fires
+    at most one engine batch late.
 
     Parameters
     ----------
@@ -225,8 +229,8 @@ class TrafficReplay:
     promoter:
         An :class:`~repro.serving.promotion.AutoPromoter` operating the
         engine's registry.  Every decided arrival's realised outcome is
-        attributed to the version that scored it and recorded as
-        :meth:`AutoPromoter.observe` records it; the promoter is polled
+        attributed to the version that scored it and fed to
+        :meth:`AutoPromoter.observe`; the promoter is polled
         at each arrival where a poll could act, so its ramp schedule
         runs on the replay's simulated time exactly (on wall time it is
         polled once per run).  Outcome realisation shares the feedback
@@ -235,8 +239,8 @@ class TrafficReplay:
     retrainer:
         A :class:`~repro.serving.retraining.Retrainer` closing the
         loop: every decided arrival's feature row and realised outcome
-        are buffered as :meth:`Retrainer.observe` buffers them, and the
-        retrainer is polled like the promoter, so its periodic trigger
+        go to :meth:`Retrainer.observe`, and the retrainer is polled
+        like the promoter, so its periodic trigger
         runs on the replay's clock.  Refits stage themselves into the
         engine's registry, where the ``promoter`` (if any) ramps them.
     paired_outcomes:
@@ -428,38 +432,14 @@ class TrafficReplay:
         uniforms = self._rng.random((cohort.n, 2)) if self.paired_outcomes else None
 
         def attribute(block: np.ndarray, versions: list | None, admits, y_r, y_c) -> None:
-            """Feed one decided prefix's outcomes to the promoter and the
-            retrainer, as one ``observe`` each per row, in row order: the
-            rows before the next row either may act on go in one block
-            call each, and that row goes through ``observe``."""
-            flags, rs, cs = admits.tolist(), y_r.tolist(), y_c.tolist()
-            m = limit = len(flags)
-            x = None
-            if retrainer is not None:
-                x = cohort.x[block]
-                if not np.isfinite(x).all():
-                    # a row the retrainer refuses is observed alone
-                    limit = int(np.flatnonzero(~np.isfinite(x).all(axis=1))[0])
-            j = 0
-            while j < m:
-                k = limit - j
+            """Feed one decided run's outcomes to the promoter and the
+            retrainer: one ``observe`` each per row, in row order."""
+            x = cohort.x[block] if retrainer is not None else None
+            for j, (flag, r, c) in enumerate(zip(admits.tolist(), y_r.tolist(), y_c.tolist())):
                 if promoter is not None:
-                    k = min(k, promoter.rows_until_event())
+                    promoter.observe(versions[j], flag, r, c)
                 if retrainer is not None:
-                    k = min(k, retrainer.rows_until_event())
-                if k:
-                    end = j + k
-                    if promoter is not None:
-                        promoter.observe_block(versions[j:end], flags[j:end], rs[j:end], cs[j:end])
-                    if retrainer is not None:
-                        retrainer.observe_block(x[j:end], flags[j:end], rs[j:end], cs[j:end])
-                    j = end
-                if j < m:
-                    if promoter is not None:
-                        promoter.observe(versions[j], flags[j], rs[j], cs[j])
-                    if retrainer is not None:
-                        retrainer.observe(x[j], flags[j], rs[j], cs[j])
-                    j += 1
+                    retrainer.observe(x[j], flag, r, c)
 
         def decide(idx: np.ndarray, run: np.ndarray, versions: list | None) -> None:
             """Pace one run of scored arrivals, one threshold prefix at a

@@ -27,7 +27,7 @@ from repro.serving import pacing
 from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, EmpiricalCurve, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
-from repro.serving.registry import ModelRegistry, OutcomeLedger
+from repro.serving.registry import ModelRegistry
 from repro.serving.retraining import Retrainer
 from repro.serving.sharding import ShardedScoringEngine
 from repro.serving.simulator import ReplayResult, TrafficReplay
@@ -793,11 +793,6 @@ class TimedPromoter(AutoPromoter):
         self.decided_at.append((self.clock.now(), version))
         super().observe(version, treated, y_r, y_c)
 
-    def _record_quiet(self, versions, treated, y_r, y_c) -> int:
-        n = super()._record_quiet(versions, treated, y_r, y_c)
-        self.decided_at.extend((self.clock.now(), version) for version in versions[:n])
-        return n
-
 
 def closed_loop(
     cls,
@@ -1263,7 +1258,7 @@ class TestStampedSubmitBatch:
 
 
 # ---------------------------------------------------------------------------
-# block records: Histogram.record_many, OutcomeLedger.record_many
+# block records: Histogram.record_many
 # ---------------------------------------------------------------------------
 def histogram_state(hist) -> tuple:
     snap = hist.snapshot()
@@ -1298,27 +1293,11 @@ class TestRecordMany:
                 loop.record(value)
         assert histogram_state(block) == histogram_state(loop) and block.count == 2
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(st.booleans(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), max_size=40
-        )
-    )
-    def test_ledger_record_many_is_the_record_loop(self, rows):
-        block, loop = OutcomeLedger(), OutcomeLedger()
-        loop.record(True, 0.1, 0.3)
-        block.record(True, 0.1, 0.3)
-        treated = [t for t, _r, _c in rows]
-        block.record_many(treated, [r for _t, r, _c in rows], [c for _t, _r, c in rows])
-        for t, r, c in rows:
-            loop.record(t, r, c)
-        assert repr(block) == repr(loop)
-
 
 # ---------------------------------------------------------------------------
-# block observes: AutoPromoter.observe_block, Retrainer.observe_block
+# per-row attribution: which rows act is decided inside each observe
 # ---------------------------------------------------------------------------
-def promoter_twin(check_every=7, auto_start=True):
+def make_promoter(check_every=7, auto_start=True):
     registry = ModelRegistry(random_state=0)
     registry.register(LinearROI(np.zeros(4)), name="champion")
     registry.register(LinearROI(np.ones(4)), name="challenger")
@@ -1355,51 +1334,55 @@ def outcome_rows(seed, n, versions=(1, 2)):
     )
 
 
-class TestPromoterObserveBlock:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 1000),
-        cuts=st.lists(st.integers(0, 120), max_size=6),
-        check_every=st.integers(1, 9),
-        auto_start=st.booleans(),
-    )
-    def test_blocks_are_the_observe_loop(self, seed, cuts, check_every, auto_start):
-        block, loop = promoter_twin(check_every, auto_start), promoter_twin(check_every, auto_start)
-        rows = outcome_rows(seed, 120)
-        bounds = [0, *sorted(cuts), 120]
-        for lo, hi in zip(bounds, bounds[1:]):
-            block.observe_block(*(column[lo:hi] for column in rows))
-        for row in zip(*rows):
-            loop.observe(*row)
-        assert promoter_state(block) == promoter_state(loop)
+def count_calls(monkeypatch, owner, name, count):
+    """Wrap ``owner.name`` so each call first appends ``count()``."""
+    calls = []
+    real = getattr(owner, name)
 
-    def test_quiet_rows_end_before_each_gate_check(self):
-        promoter = promoter_twin(check_every=5)
-        assert promoter.rows_until_event() == 0  # the first row auto-starts
-        promoter.observe(1, True, 1.0, 0.5)
-        assert promoter.state == "ramping" and promoter.rows_until_event() == 3
-        promoter.observe_block([1, 2, 1], [True, False, True], [0.5, 0.0, 2.5], [0.1, 0.0, 0.2])
-        assert promoter.rows_until_event() == 0
+    def wrapped(*args):
+        calls.append(count())
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+class TestPromoterObserve:
+    def test_the_first_observe_starts_and_every_check_every_th_runs_the_gate(self, monkeypatch):
+        promoter = make_promoter(check_every=5)
+        registry = promoter.registry
+        checks = count_calls(monkeypatch, promoter, "_check", lambda: sum(v.ledger.n for v in registry.versions()))
+        rows = zip(*outcome_rows(0, 15))
+        promoter.observe(*next(rows))
+        assert promoter.state == "ramping" and [e.kind for e in promoter.events] == ["start"]
+        for row in rows:
+            promoter.observe(*row)
+        # the start resets the ledgers before the opening row records
+        assert checks == [5, 10, 15]
+
+    def test_an_idle_promoter_with_auto_start_off_only_records(self, monkeypatch):
+        promoter = make_promoter(check_every=1, auto_start=False)
+        checks = count_calls(monkeypatch, promoter, "_check", lambda: None)
+        for row in zip(*outcome_rows(1, 12)):
+            promoter.observe(*row)
+        assert checks == [] and promoter.state == "idle" and promoter.events == []
+        assert promoter.registry.get(1).ledger.n + promoter.registry.get(2).ledger.n == 12
 
     @pytest.mark.parametrize(
         "bad, error",
         [((2, True, float("nan"), 0.0), ValueError), ((1, True, 0.0, float("inf")), ValueError), ((9, True, 0.0, 0.0), KeyError)],
     )
-    def test_a_bad_row_raises_where_observe_does(self, bad, error):
-        block, loop = promoter_twin(check_every=50), promoter_twin(check_every=50)
-        versions, treated, y_r, y_c = outcome_rows(3, 12)
-        for column, value in zip((versions, treated, y_r, y_c), bad):
-            column[8] = value
+    def test_a_refused_row_moves_nothing(self, bad, error):
+        promoter = make_promoter(check_every=50)
+        for row in zip(*outcome_rows(3, 8)):
+            promoter.observe(*row)
+        before = promoter_state(promoter)
         with pytest.raises(error):
-            block.observe_block(versions, treated, y_r, y_c)
-        with pytest.raises(error):
-            for row in zip(versions, treated, y_r, y_c):
-                loop.observe(*row)
-        assert promoter_state(block) == promoter_state(loop)
-        assert block.registry.get(1).ledger.n + block.registry.get(2).ledger.n == 8
+            promoter.observe(*bad)
+        assert promoter_state(promoter) == before
 
 
-def retrainer_twin(**triggers):
+def make_retrainer(**triggers):
     probe = criteo_uplift_v2(400, random_state=6)
     registry = ModelRegistry(random_state=0)
     registry.register(TreatedNetRidge().fit(probe.x, probe.roi, np.ones(probe.n)), name="champion")
@@ -1424,84 +1407,70 @@ def retrainer_state(retrainer) -> str:
     )
 
 
-class TestRetrainerObserveBlock:
-    TRIGGERS = [
-        dict(min_outcomes=20, every_outcomes=45),
-        dict(min_outcomes=30, drift_threshold=0.05),
-        dict(min_outcomes=10, every_outcomes=25, drift_threshold=0.2, every_n_days=1.0),
-    ]
+class TestRetrainerObserve:
+    def test_the_freeze_each_trigger_and_each_drift_check_fall_on_their_row(self, monkeypatch):
+        retrainer, probe = make_retrainer(min_outcomes=10, every_outcomes=70, drift_threshold=9.0)
+        checks = count_calls(monkeypatch, retrainer, "drift_score", lambda: retrainer.n_observed)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 1000),
-        cuts=st.lists(st.integers(0, 200), max_size=8),
-        triggers=st.sampled_from(TRIGGERS),
-    )
-    def test_blocks_are_the_observe_loop(self, seed, cuts, triggers):
-        (block, probe), (loop, _probe) = retrainer_twin(**triggers), retrainer_twin(**triggers)
-        gen = np.random.default_rng(seed)
-        x = probe.x[gen.integers(0, probe.n, size=200)] + gen.normal(size=(200, probe.x.shape[1])) * np.linspace(0, 2, 200)[:, None]
-        _versions, treated, y_r, y_c = outcome_rows(seed, 200)
-        bounds = [0, *sorted(cuts), 200]
-        for lo, hi in zip(bounds, bounds[1:]):
-            block.observe_block(x[lo:hi], treated[lo:hi], y_r[lo:hi], y_c[lo:hi])
-        for row in zip(x, treated, y_r, y_c):
-            loop.observe(*row)
-        assert retrainer_state(block) == retrainer_state(loop)
+        def feed(lo, hi):
+            for x_row in probe.x[lo:hi]:
+                retrainer.observe(x_row, True, 1.0, 0.5)
 
-    def test_quiet_rows_end_at_each_freeze_trigger_and_drift_check(self):
-        retrainer, probe = retrainer_twin(min_outcomes=10, every_outcomes=70, drift_threshold=9.0)
-        assert retrainer.rows_until_event() == 9  # row 10 freezes the reference
-        retrainer.observe_block(probe.x[:10], [True] * 10, [1.0] * 10, [0.5] * 10)
-        assert retrainer._reference is not None
-        assert retrainer.rows_until_event() == 53  # row 64 is a drift check
-        retrainer.observe_block(probe.x[10:64], [True] * 54, [1.0] * 54, [0.5] * 54)
-        assert retrainer.rows_until_event() == 5  # row 70 is the count trigger
-        retrainer.observe_block(probe.x[64:70], [True] * 6, [1.0] * 6, [0.5] * 6)
-        assert retrainer.n_refits == 1 and retrainer.n_staged == 1
-        retrainer.observe_block(probe.x[70:140], [True] * 70, [1.0] * 70, [0.5] * 70)
-        # the second refit finds the slot taken: no drift checks while held
-        assert retrainer.refit_pending and retrainer.rows_until_event() == 69
+        feed(0, 9)
+        assert retrainer._reference is None
+        feed(9, 10)  # row 10 freezes the reference on the window so far
+        frozen = (probe.x[:10].mean(axis=0), np.maximum(probe.x[:10].std(axis=0), 1e-9))
+        assert repr(retrainer._reference) == repr(frozen)
+        feed(10, 69)
+        assert retrainer.n_refits == 0 and checks == [64]
+        feed(69, 70)  # row 70 is the count trigger
+        assert (retrainer.n_refits, retrainer.n_staged) == (1, 1)
+        # row 140 refits again and finds the slot taken: from then on no
+        # drift check runs while the fit is held (row 192 would be one)
+        feed(70, 200)
+        assert retrainer.refit_pending and retrainer.n_refits == 2
+        assert checks == [64, 128]
 
-    def test_a_due_timer_or_a_free_slot_ends_the_quiet_rows_at_once(self):
-        retrainer, probe = retrainer_twin(min_outcomes=5, every_n_days=1 / 86_400)
-        retrainer.observe_block(probe.x[:6], [True] * 6, [1.0] * 6, [0.5] * 6)
-        assert retrainer.rows_until_event() == math.inf
+    def test_a_due_periodic_trigger_fires_at_the_next_observe(self):
+        retrainer, probe = make_retrainer(min_outcomes=5, every_n_days=1 / 86_400)
+        for x_row in probe.x[:6]:
+            retrainer.observe(x_row, True, 1.0, 0.5)
+        assert retrainer.events == []
         retrainer.clock.advance(1.0)
-        assert retrainer.rows_until_event() == 0
-        retrainer.observe_block(probe.x[6:8], [True] * 2, [1.0] * 2, [0.5] * 2)
-        assert [e.kind for e in retrainer.events] == ["trigger", "fit", "stage"]
+        retrainer.observe(probe.x[6], True, 1.0, 0.5)
+        assert [(e.kind, e.at, e.n_outcomes) for e in retrainer.events] == [
+            ("trigger", 1.0, 7),
+            ("fit", 1.0, 7),
+            ("stage", 1.0, 7),
+        ]
 
-    def test_a_held_refit_stages_at_the_first_row_after_the_slot_frees(self):
-        (block, probe), (loop, _probe) = (retrainer_twin(min_outcomes=5, every_outcomes=6) for _ in range(2))
-        rows = (probe.x[:20], [True] * 20, [1.0] * 20, [0.5] * 20)
-        for retrainer in (block, loop):
-            for row in zip(*(column[:12] for column in rows)):
-                retrainer.observe(*row)
-            assert retrainer.refit_pending  # the second refit found the slot taken
-            retrainer.registry.demote()
-        assert block.rows_until_event() == 0
-        block.observe_block(*(column[12:] for column in rows))
-        for row in zip(*(column[12:] for column in rows)):
-            loop.observe(*row)
-        assert retrainer_state(block) == retrainer_state(loop)
-        stage = [e for e in block.events if e.kind == "stage"][-1]
-        assert stage.n_outcomes == 13 and block.n_staged == 2
+    def test_a_held_refit_stages_at_the_first_observe_after_the_slot_frees(self):
+        retrainer, probe = make_retrainer(min_outcomes=5, every_outcomes=6)
+        for x_row in probe.x[:12]:
+            retrainer.observe(x_row, True, 1.0, 0.5)
+        assert retrainer.refit_pending  # the second refit found the slot taken
+        retrainer.registry.demote()
+        assert retrainer.refit_pending  # nothing stages until the retrainer runs
+        retrainer.observe(probe.x[12], True, 1.0, 0.5)
+        stage = retrainer.events[-1]
+        assert (stage.kind, stage.n_outcomes, retrainer.n_staged) == ("stage", 13, 2)
+        assert not retrainer.refit_pending
 
-    @pytest.mark.parametrize("column", ["x", "y_r", "y_c"])
-    def test_a_bad_row_raises_where_observe_does(self, column):
-        (block, probe), (loop, _probe) = retrainer_twin(min_outcomes=4, every_outcomes=5), retrainer_twin(
-            min_outcomes=4, every_outcomes=5
-        )
-        x, treated, y_r, y_c = probe.x[:12].copy(), [True] * 12, [1.0] * 12, [0.25] * 12
+    @pytest.mark.parametrize("column", ["x", "width", "y_r", "y_c"])
+    def test_a_refused_row_moves_nothing(self, column):
+        retrainer, probe = make_retrainer(min_outcomes=4, every_outcomes=5)
+        for x_row in probe.x[:7]:
+            retrainer.observe(x_row, True, 1.0, 0.25)
+        x_row, y_r, y_c = probe.x[7].copy(), 1.0, 0.25
         if column == "x":
-            x[7, 2] = np.nan
+            x_row[2] = np.nan
+        elif column == "width":
+            x_row = x_row[:-1]
+        elif column == "y_r":
+            y_r = float("inf")
         else:
-            {"y_r": y_r, "y_c": y_c}[column][7] = float("inf")
-        with pytest.raises(ValueError, match="finite"):
-            block.observe_block(x, treated, y_r, y_c)
-        with pytest.raises(ValueError, match="finite"):
-            for row in zip(x, treated, y_r, y_c):
-                loop.observe(*row)
-        assert retrainer_state(block) == retrainer_state(loop)
-        assert block.n_observed == 7
+            y_c = float("nan")
+        before = retrainer_state(retrainer)
+        with pytest.raises(ValueError, match="finite|width"):
+            retrainer.observe(x_row, True, y_r, y_c)
+        assert retrainer_state(retrainer) == before

@@ -21,6 +21,9 @@ EXAMPLES = [
     ["serving_metrics.py", "--days", "2", "--users", "400"],
     ["policy_replay.py", "--days", "1", "--cohort", "400"],
     ["sharded_serving.py", "--users", "3000", "--shards", "2"],
+    # the two examples that attribute outcomes to a promoter or a retrainer
+    ["auto_promotion.py", "--days", "3", "--users", "1200"],
+    ["streaming_retraining.py", "--days", "3", "--users", "800"],
 ]
 
 

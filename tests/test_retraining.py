@@ -149,6 +149,21 @@ class TestRetrainerTriggers:
         assert retrainer.n_staged == 1
         assert np.isfinite(retrainer.drift_score())
 
+    def test_a_row_of_another_width_is_refused_before_buffering(self):
+        """A narrower row used to be buffered and counted; the observe
+        that reached ``min_outcomes`` then raised from ``np.stack``, and
+        so did every later one until the row left the window."""
+        retrainer = Retrainer(
+            _registry_with_champion(), window=50, min_outcomes=10, every_outcomes=20
+        )
+        _feed(retrainer, 5)
+        with pytest.raises(ValueError, match="width 3, but the window's rows have width 4"):
+            retrainer.observe(np.zeros(3), True, 1.0, 0.1)
+        assert retrainer.n_observed == 5 and retrainer.n_buffered == 5
+        _feed(retrainer, 15, seed=1)  # the 20th accepted outcome triggers
+        assert retrainer.n_refits == 1 and retrainer.n_staged == 1
+        assert np.isfinite(retrainer.drift_score())
+
     def test_huge_finite_feature_row_is_buffered(self):
         """The row's sum overflows to inf, but every feature is finite."""
         retrainer = Retrainer(

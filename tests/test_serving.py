@@ -912,6 +912,39 @@ class TestSubmitBatch:
         with pytest.raises(KeyError):
             engine.version_of(ids[0])  # released by the take
 
+    class FirstColumn:
+        @staticmethod
+        def predict_roi(x):
+            return np.atleast_2d(x)[:, 0]
+
+    ROWS = np.array([[0.0, 1.0], [2.0, 1.0], [4.0, 1.0], [6.0, 1.0]])
+
+    def test_take_block_keeps_the_order_given(self):
+        """Regression: ids spanning a scored slab run out of order came
+        back in id order, because the O(1) tiling path checked the span
+        of the ids but not their order."""
+        engine = ScoringEngine(self.FirstColumn(), batch_size=4, cache_size=0)
+        reference = ScoringEngine(self.FirstColumn(), batch_size=4, cache_size=0)
+        engine.submit_batch(self.ROWS)
+        reference.submit_batch(self.ROWS)
+        assert engine.take_block([0, 2, 1, 3]).tolist() == [reference.take(rid) for rid in (0, 2, 1, 3)]
+        assert engine.take_block([]).shape == (0,)
+        with pytest.raises(KeyError):
+            engine.take(0)  # popped by the block
+
+    @pytest.mark.parametrize("cache_size", [0, 64])
+    @pytest.mark.parametrize("rids", [[3, 3], [0, 1, 1, 3]], ids=["pair", "span"])
+    def test_take_block_refuses_a_repeated_id_and_pops_nothing(self, cache_size, rids):
+        """Regression: a repeated id came back twice and was popped once,
+        and a repeat inside a span of ``len(rids)`` ids took the O(1)
+        path, which popped the whole slab run."""
+        engine = ScoringEngine(self.FirstColumn(), batch_size=4, cache_size=cache_size)
+        ids = engine.submit_batch(self.ROWS)
+        with pytest.raises(KeyError):
+            engine.take_block(rids)
+        assert [engine.version_of(rid) for rid in ids] == [1] * 4  # still attributed
+        assert engine.take_block(ids).tolist() == [0.0, 2.0, 4.0, 6.0]
+
     class FailsOnCall:
         """Stub scorer: row ``[v, ...]`` scores ``v``; call ``fail`` raises."""
 
@@ -1511,27 +1544,21 @@ class TestTrafficReplay:
 
 
 # ---------------------------------------------------------------------------
-# OutcomeLedger folding (regression: streaming moments must survive
-# pickle round-trips and Snapshot.merge-style folding exactly)
+# OutcomeLedger pickling (regression: streaming moments must survive
+# pickle round-trips exactly)
 # ---------------------------------------------------------------------------
 
 
 class TestOutcomeLedgerFolding:
-    @staticmethod
-    def _filled(seed, n):
-        from repro.serving.registry import OutcomeLedger
-
-        gen = np.random.default_rng(seed)
-        ledger = OutcomeLedger()
-        rows = list(zip(gen.random(n) < 0.5, gen.random(n), gen.random(n) * 0.5))
-        for t, r, c in rows:
-            ledger.record(bool(t), float(r), float(c))
-        return ledger, rows
-
     def test_pickle_roundtrip_exact_moments(self):
         import pickle
 
-        ledger, _ = self._filled(0, 75)
+        from repro.serving.registry import OutcomeLedger
+
+        gen = np.random.default_rng(0)
+        ledger = OutcomeLedger()
+        for t, r, c in zip(gen.random(75) < 0.5, gen.random(75), gen.random(75) * 0.5):
+            ledger.record(bool(t), float(r), float(c))
         before_net = ledger.moments("net")
         before_rev = ledger.moments("revenue")
         clone = pickle.loads(pickle.dumps(ledger))
@@ -1539,43 +1566,6 @@ class TestOutcomeLedgerFolding:
         assert clone.moments("revenue") == before_rev
         assert (clone.n, clone.n_treated) == (ledger.n, ledger.n_treated)
         assert (clone.spend, clone.revenue) == (ledger.spend, ledger.revenue)
-        # folding a pickled replica back in doubles every raw sum
-        ledger.merge(clone)
-        assert ledger.n == 150
-        assert ledger.moments("net")[0] == before_net[0]
-
-    def test_merge_equals_sequential_recording(self):
-        from repro.serving.registry import OutcomeLedger
-
-        a, rows_a = self._filled(1, 40)
-        b, rows_b = self._filled(2, 60)
-        merged = a.merge(b)
-        assert merged is a
-        sequential = OutcomeLedger()
-        for t, r, c in rows_a + rows_b:
-            sequential.record(bool(t), float(r), float(c))
-        # raw sums fold as block additions, so the only divergence from
-        # row-by-row accumulation is float summation order (~1 ULP)
-        for metric in ("net", "revenue"):
-            got, want = a.moments(metric), sequential.moments(metric)
-            assert got[-1] == want[-1]  # counts are exact
-            assert got[:-1] == pytest.approx(want[:-1], rel=1e-12)
-        assert a.n == sequential.n and a.n_treated == sequential.n_treated
-
-    def test_merge_commutes(self):
-        a1, _ = self._filled(3, 30)
-        b1, _ = self._filled(4, 50)
-        a2, _ = self._filled(3, 30)
-        b2, _ = self._filled(4, 50)
-        assert a1.merge(b1).moments("net") == b2.merge(a2).moments("net")
-
-    def test_merge_empty_is_identity(self):
-        from repro.serving.registry import OutcomeLedger
-
-        a, _ = self._filled(5, 20)
-        before = a.moments("net")
-        a.merge(OutcomeLedger())
-        assert a.moments("net") == before
 
 
 # ---------------------------------------------------------------------------
