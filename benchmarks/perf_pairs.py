@@ -47,6 +47,14 @@ per-layer counts.  It locates a saving and judges nothing.
 Before the first pair it prints each checkout's ``src/**/*.py`` line
 total and the net change, the figure a change reports; it judges
 nothing either.
+
+perfbench normalises ``decided_eps`` by a CPU probe taken around each
+rep, and on a loaded box the probe can slow more than the replay.  So
+each workload also prints the raw rate every run reports on its ``raw
+(not normalised): decided_eps ...`` line: each side's median and
+quartiles, the change/parent ratio of the raw medians, and on how many
+pairs the raw and the normalised rate agree on which side is faster.
+That is informative only; the claim is judged on the normalised rate.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import subprocess
 import sys
@@ -62,6 +71,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 MIN_PAIRS = 10
 DECISION_METRICS = ("incremental_revenue", "revenue_ratio")
+RAW_LINE = re.compile(r"raw \(not normalised\): decided_eps (\S+) 1/s")
 
 
 def load_spec(parent: Path, change: Path) -> dict:
@@ -78,14 +88,23 @@ def src_lines(root: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (root / "src").rglob("*.py"))
 
 
+def raw_decided_eps(report: str) -> float | None:
+    """The rate on a run's ``raw (not normalised)`` report line; None
+    for a run that prints none (a traced run)."""
+    match = RAW_LINE.search(report)
+    return float(match.group(1)) if match else None
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run's JSON result, with the raw rate its report
+    printed under ``raw_decided_eps`` (None without the line)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=1800, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "raw_decided_eps": raw_decided_eps(proc.stdout)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -123,6 +142,27 @@ def paired_deltas(sides: dict[str, list[dict]], name: str) -> list[float]:
     """Change minus parent on each pair's seed, for metric ``name``."""
     return [c["metrics"][name]["value"] - p["metrics"][name]["value"]
             for p, c in zip(sides["parent"], sides["change"])]
+
+
+def raw_lines(sides: dict[str, list[dict]]) -> list[str]:
+    """Each side's raw ``decided_eps`` (median and quartiles), the
+    change/parent ratio of the raw medians, and the pairs on which the
+    raw and the normalised rate agree on the faster side."""
+    raw = {side: [out.get("raw_decided_eps") for out in sides[side]] for side in SIDES}
+    missing = sum(value is None for side in SIDES for value in raw[side])
+    if missing:
+        return [f"  raw decided_eps: missing from {missing} of {2 * len(raw['parent'])} runs, not compared"]
+    lines = []
+    for side in SIDES:
+        med, q1, q3 = quartiles(raw[side])
+        lines.append(f"  raw decided_eps {side:<7} median {med:.6g}, q1 {q1:.6g}, q3 {q3:.6g}")
+    normalised = [[out["metrics"]["decided_eps"]["value"] for out in sides[side]] for side in SIDES]
+    agree = sum((c > p) == (rc > rp) for p, c, rp, rc in zip(*normalised, raw["parent"], raw["change"]))
+    p_med, c_med = (statistics.median(raw[side]) for side in SIDES)
+    ratio = f"{c_med / p_med:.3f}x" if p_med else "n/a"
+    lines.append(f"  raw decided_eps change/parent median {ratio}; raw and normalised agree on the faster "
+                 f"side in {agree}/{len(raw['parent'])} pairs (informative, judges nothing)")
+    return lines
 
 
 def ledger_lines(parent: dict, change: dict) -> list[str]:
@@ -177,6 +217,7 @@ def judge(runs: dict[str, dict[str, list[dict]]], metrics: dict[str, dict],
             rel = f" ({med / abs(parent_med):+.4%} of the parent's median)" if parent_med else ""
             print(f"  paired delta {name} (change - parent): median {med:+.6g}{rel}, "
                   f"q1 {q1:+.6g}, q3 {q3:+.6g}, negative on {sum(d < 0 for d in deltas)}/{pairs} pairs")
+        print("\n".join(raw_lines(sides)))
         if failed["change"] > failed["parent"]:
             verdicts.append(f"{workload}: failed share grew")
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.allocation import spend_down_prefix
 from repro.data.rct import RCTDataset
-from repro.data.settings import iter_dataset_chunks, load_dataset
+from repro.data.settings import MIN_ROWS, iter_dataset_chunks, load_dataset
 from repro.data.shift import concept_drift, exponential_tilt_shift
 from repro.runtime import ExecutionBackend
 from repro.utils.rng import as_generator
@@ -172,13 +172,15 @@ class Platform:
         # so the cohort always has exactly n users, doubling the factor
         # on the rare draws where the yield still falls short
         oversample = 3.0 if self.dataset == "meituan" else 1.2
+        # a tiny cohort still asks the generator for the rows it accepts
+        least = MIN_ROWS.get(self.dataset, 0)
         cohort = None
         for attempt in range(3):
             if attempt:
                 oversample *= 2.0
             if self.shifted:
                 pool = load_dataset(
-                    self.dataset, int(2 * n * oversample), random_state=self._rng
+                    self.dataset, max(least, int(2 * n * oversample)), random_state=self._rng
                 )
                 if pool.n < n:
                     cohort = pool  # short pool: tilting would fail, retry bigger
@@ -188,7 +190,7 @@ class Platform:
                 )
             else:
                 cohort = load_dataset(
-                    self.dataset, int(n * oversample), random_state=self._rng
+                    self.dataset, max(least, int(n * oversample)), random_state=self._rng
                 )
             if cohort.n >= n:
                 break
@@ -276,7 +278,10 @@ class Platform:
         production traffic does not arrive sorted by ROI, which is
         exactly why online allocation needs pacing instead of the
         offline sort of Algorithm 1.  ``index`` addresses the cohort's
-        ground-truth ``tau_r`` / ``tau_c`` for outcome realisation.
+        ground-truth ``tau_r`` / ``tau_c`` for outcome realisation, and
+        ``x_row`` is ``cohort.x[index]``: a replay may read a run's
+        rows as one gather of ``cohort.x`` (a traffic source standing
+        in for a platform keeps the same contract).
 
         Parameters
         ----------

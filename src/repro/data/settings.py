@@ -46,6 +46,8 @@ _GENERATORS = {
     "meituan": meituan_lift,
     "alibaba": alibaba_lift,
 }
+#: the fewest rows each generator accepts (its own ``n must be >= ...``)
+MIN_ROWS = {"criteo": 10, "meituan": 25, "alibaba": 10}
 
 INSUFFICIENT_RATE = 0.15
 

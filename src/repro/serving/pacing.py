@@ -15,10 +15,11 @@ of C-BTAP with an *adaptive admission threshold*:
    at most that rate per window entry: one sort and one cumulative sum
    solve it exactly.
 
-When realised outcomes are fed back via :meth:`observe_outcome`, the
-pacer additionally computes the break-even ``roi*`` of recent traffic,
-Algorithm 2's bisection (:func:`repro.core.roi_star.roi_star_from_uplift`)
-on uplifts taken from one pass of window sums, and uses it as a
+When realised outcomes are fed back (:meth:`observe_outcome`, or the
+``if_treated`` block :meth:`offer_batch` takes), the pacer additionally
+computes the break-even ``roi*`` of recent traffic, Algorithm 2's
+bisection (:func:`repro.core.roi_star.roi_star_from_uplift`) on
+uplifts taken from one pass of window sums, and uses it as a
 profitability floor under the pacing threshold — the paper's "treat
 only when ROI clears roi*" rule, applied to the live stream.
 
@@ -328,23 +329,33 @@ class BudgetPacer:
         self._g_spend.set(self.spent)
         return True
 
-    def offer_batch(self, scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-        """Decide the leading arrivals of a block that one threshold governs.
+    def offer_batch(
+        self, scores: np.ndarray, costs: np.ndarray, if_treated: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Decide a block of arrivals: the admit flags of all ``n``,
+        exactly as ``n`` :meth:`offer` calls would decide them, with the
+        same ``spent``, refresh history and offered-cost trace.
 
-        Returns the admit flags of the first ``m >= 1`` arrivals — up
-        to, not including, the next one that refreshes the threshold —
-        decided exactly as ``m`` :meth:`offer` calls would decide them:
-        same admits, same ``spent``, same refresh history.  Feed those
-        arrivals' outcomes (:meth:`observe_outcome`) before offering
-        the rest of the block; the next refresh reads them.
+        ``if_treated`` is an ``(n, 2)`` array of the ``(y_r, y_c)`` each
+        arrival would realise if treated.  Given it, the block's
+        outcomes are fed back as it is decided: after each threshold
+        prefix (the arrivals up to, not including, the next one that
+        refreshes the threshold) the pacer stores ``(admit, admit·y_r,
+        admit·y_c)`` per arrival, so every refresh reads the outcomes of
+        the arrivals before it, as with :meth:`observe_outcome` after
+        each :meth:`offer`.  Without it the block feeds back nothing.
 
-        The prefix is decided in one vectorised step when the spend of
+        A prefix is decided in one vectorised step when the spend of
         every arrival clearing the threshold, summed in order, fits
         under the curve cap at the prefix's first arrival (the smallest
         cap of the prefix, because pacing curves are monotone).
         Otherwise the arrivals past that point run the scalar
         recurrence.  The whole block is validated before any state
-        changes.
+        changes: every cost finite and positive, and ``if_treated`` of
+        shape ``(n, 2)`` with a finite sum (as :meth:`observe_outcome`
+        checks a block).  ``spent``, ``n_seen`` and ``offered_cost``
+        are current at every refresh; the other counters and the
+        metrics move once per block.
         """
         scores = np.asarray(scores, dtype=float)
         costs = np.asarray(costs, dtype=float)
@@ -355,52 +366,71 @@ class BudgetPacer:
         bad = ~(costs > 0) | ~np.isfinite(costs)
         if bad.any():
             raise ValueError(f"cost must be finite and > 0 (Assumption 4), got {costs[bad][0]}")
-        if scores.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        first = self.n_seen + 1
-        refresh_now = self._refresh_due(first)
-        # the prefix stops before the next arrival due to re-fit
-        last_refresh = first if refresh_now else self._last_refresh
-        next_refresh = max(self.warmup, last_refresh + self.refresh_every)
-        m = min(scores.shape[0], next_refresh - first)
-        scores, costs = scores[:m], costs[:m]
+        n = scores.shape[0]
+        if if_treated is not None:
+            if_treated = np.asarray(if_treated, dtype=float)
+            if if_treated.shape != (n, 2):
+                raise ValueError(f"if_treated must have shape ({n}, 2), got {if_treated.shape}")
+            # one reduction: a NaN or an infinity anywhere makes the sum non-finite
+            if not math.isfinite(np.add.reduce(if_treated, axis=None)):
+                raise ValueError("if_treated must be finite in every entry")
+            outcome_rows = if_treated.T  # (y_r, y_c) rows, one column per arrival
+        admits = np.empty(n, dtype=bool)
         # running sums in arrival order repeat offer()'s `+=` exactly
         offered = np.cumsum(np.concatenate(([self.offered_cost], costs)))
-        self.n_seen = first
-        self.offered_cost = float(offered[1])
-        self._traffic.append(scores[0], costs[0])
-        if refresh_now:
-            self._refresh()
-        self._traffic.extend(scores[1:], costs[1:])
-        self.n_seen += m - 1
-        self.offered_cost = float(offered[-1])
-        self._c_offers.inc(m)
+        pos = 0
+        while pos < n:
+            first = self.n_seen + 1
+            refresh_now = self._refresh_due(first)
+            # the prefix stops before the next arrival due to re-fit
+            last_refresh = first if refresh_now else self._last_refresh
+            end = pos + min(n - pos, max(self.warmup, last_refresh + self.refresh_every) - first)
+            rest = pos
+            if refresh_now:
+                # the refresh sees the window and counters of its own arrival
+                self.n_seen = first
+                self.offered_cost = float(offered[pos + 1])
+                self._traffic.append(scores[pos], costs[pos])
+                self._refresh()
+                rest += 1
+            self._traffic.extend(scores[rest:end], costs[rest:end])
+            self.n_seen = first - 1 + end - pos
+            self.offered_cost = float(offered[end])
 
-        # a prefix is all warmup or all threshold-gated; a NaN score
-        # fails both, as in offer()
-        if first >= self.warmup:
-            admits = scores >= self.threshold_
-        else:
-            admits = ~np.isnan(scores)
-        spend = np.cumsum(np.concatenate(([self.spent], np.where(admits, costs, 0.0))))
-        cap = self._cap(first)
-        # arrivals before the first running spend above the smallest
-        # cap are admitted for sure; from there on, decide one by one
-        over = np.flatnonzero(~(spend[1:] <= cap))
-        if over.size:
-            spent = spend[over[0]]
-            for j in range(over[0], m):
-                if admits[j]:
-                    if spent + costs[j] > self._cap(first + j):
-                        admits[j] = False
-                    else:
-                        spent += costs[j]
-        else:
-            spent = spend[-1]
+            # a prefix is all warmup or all threshold-gated; a NaN score
+            # fails both, as in offer()
+            prefix, paid = scores[pos:end], costs[pos:end]
+            admit = prefix >= self.threshold_ if first >= self.warmup else ~np.isnan(prefix)
+            # the running spend after each arrival, added in offer()'s
+            # order: spent plus the first arrival's cost (0 if skipped),
+            # then one addition per arrival
+            spend = np.where(admit, paid, 0.0)
+            spend[0] += self.spent
+            spend = spend.cumsum()
+            cap = self._cap(first)
+            if spend[-1] <= cap:  # spend never falls, so every arrival fits
+                self.spent = float(spend[-1])
+            else:
+                # arrivals before the first running spend above the
+                # smallest cap are admitted for sure; from there on,
+                # decide one by one
+                over = int(np.flatnonzero(~(spend <= cap))[0])
+                spent = spend[over - 1] if over else self.spent
+                for j in range(over, end - pos):
+                    if admit[j]:
+                        if spent + paid[j] > self._cap(first + j):
+                            admit[j] = False
+                        else:
+                            spent += paid[j]
+                self.spent = float(spent)
+            admits[pos:end] = admit
+            if if_treated is not None:
+                self._outcomes.extend(admit, *np.where(admit, outcome_rows[:, pos:end], 0.0))
+            pos = end
         n_admitted = int(np.count_nonzero(admits))
+        self._c_offers.inc(n)
         if n_admitted:
             self.n_admitted += n_admitted
-            self.spent = float(spent)
             self._c_admits.inc(n_admitted)
             self._g_spend.set(self.spent)
         return admits
@@ -561,9 +591,9 @@ class MultiDayPacer:
       cumulative plan as fast as traffic allows.
 
     Drive it one day at a time: :meth:`start_day` → stream
-    ``offer``/``observe_outcome`` through the returned pacer →
-    :meth:`end_day`.  :class:`~repro.serving.simulator
-    .TrafficReplay.replay_days` does exactly this.
+    ``offer``/``observe_outcome`` (or ``offer_batch`` blocks) through
+    the returned pacer → :meth:`end_day`.  :class:`~repro.serving
+    .simulator.TrafficReplay.replay_days` does exactly this.
 
     Parameters
     ----------

@@ -422,13 +422,15 @@ class ShardedScoringEngine:
     def take_block(self, rids: Sequence[int]) -> np.ndarray:
         """Pop the finished scores of ``rids`` as one array, in the
         order given — the bulk :meth:`take`.  KeyError, with nothing
-        popped, when any of them is still pending or unknown."""
+        popped, when any of them is still pending, unknown or repeated."""
         ready = self._ready
         if not all(rid in ready for rid in rids):
             self._reap(wait=False)
             for rid in rids:
                 if rid not in ready:
                     raise KeyError(rid)
+        if len(set(rids)) < len(rids):
+            raise KeyError(f"request ids repeat in {list(rids)}")
         versions = self._version_by_rid
         for rid in rids:
             versions.pop(rid, None)

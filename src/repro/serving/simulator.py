@@ -18,10 +18,11 @@ that acts between arrivals (simulated time, a promoter or a
 retrainer), the arrivals before the next event, each with its own
 arrival stamp; an arrival at an event takes the per-arrival step
 (see :class:`TrafficReplay`).  Each ready run of scores comes back
-through ``take_block`` and is paced through the pacer's
-``offer_batch``, one threshold prefix at a time, with one outcome draw
-per prefix; then each decided row's outcome reaches the promoter and
-the retrainer through one ``observe`` each, in row order — the same
+through ``take_block`` and is paced by one ``offer_batch`` call, given
+one outcome draw for the run: what each arrival would realise if
+treated, which the pacer feeds back to itself after each threshold
+prefix.  Then each decided row's outcome reaches the promoter and the
+retrainer through one ``observe`` each, in row order — the same
 decisions, spend trajectory, outcome stream, lifecycle events and
 latencies as one ``submit``, ``take``, ``offer``, draw and ``observe``
 per arrival.
@@ -208,6 +209,15 @@ class TrafficReplay:
     retrainer are polled once per run, so a wall-time ramp step fires
     at most one engine batch late.
 
+    A decided run is paced in one :meth:`BudgetPacer.offer_batch`
+    call.  Its outcomes come from one ``(n, 2)`` draw (the stream of
+    ``n`` ``random(2)`` calls): with ``feedback`` on, the pacer gets
+    them as ``if_treated`` and stores each threshold prefix's outcomes
+    before its next refresh.  The run's rows reach the engine as one
+    gather, ``cohort.x[chunk]``, which relies on the platform's
+    contract that :meth:`~repro.ab.platform.Platform.iter_events`
+    yields ``cohort.x[i]`` as the row of arrival ``i``.
+
     Parameters
     ----------
     platform:
@@ -219,7 +229,7 @@ class TrafficReplay:
         exercise deadline flushing under simulated time.
     feedback:
         When True, realised outcomes of decided users are fed back to
-        the pacer (:meth:`BudgetPacer.observe_outcome`), enabling its
+        the pacer (``offer_batch``'s ``if_treated``), enabling its
         ``roi*`` profitability floor.
     interarrival_s:
         Simulated gap between consecutive arrivals (finite, >= 0).
@@ -430,6 +440,7 @@ class TrafficReplay:
         # paired mode: one cohort-indexed uniform block, so user i's
         # draws are independent of decision order (CRN across replays)
         uniforms = self._rng.random((cohort.n, 2)) if self.paired_outcomes else None
+        effects = np.column_stack((cohort.tau_r, cohort.tau_c)) if realise else None
 
         def attribute(block: np.ndarray, versions: list | None, admits, y_r, y_c) -> None:
             """Feed one decided run's outcomes to the promoter and the
@@ -442,48 +453,33 @@ class TrafficReplay:
                     retrainer.observe(x[j], flag, r, c)
 
         def decide(idx: np.ndarray, run: np.ndarray, versions: list | None) -> None:
-            """Pace one run of scored arrivals, one threshold prefix at a
-            time, and realise each prefix's outcomes before the next."""
+            """Pace one run of scored arrivals in one ``offer_batch``
+            call, which feeds the run's outcomes back as it goes."""
             nonlocal n_decided
+            m = idx.shape[0]
             scores[idx] = run
             costs = cohort.tau_c[idx]
-            attributed = promoter is not None or retrainer is not None
-            outcomes = np.empty((idx.shape[0], 2)) if attributed else None
-            pos = 0
-            while pos < idx.shape[0]:
-                before = pacer.spent
-                admits = pacer.offer_batch(run[pos:], costs[pos:])
-                m = admits.shape[0]
-                block = idx[pos : pos + m]
-                treated[block] = admits
-                if m == 1:
-                    # one arrival: the pacer's own before + cost, read
-                    # back without a cumsum
-                    trajectory[n_decided] = pacer.spent
-                else:
-                    # the pacer's own running sum, one addition per admit
-                    paid = np.where(admits, costs[pos : pos + m], 0.0)
-                    trajectory[n_decided : n_decided + m] = np.cumsum(
-                        np.concatenate(([before], paid))
-                    )[1:]
-                n_decided += m
-                if realise:
-                    # realised Bernoulli incremental outcomes: skipped
-                    # users realise none, mirroring Platform.realize_arm.
-                    # One (m, 2) draw is the stream of m random(2) calls.
-                    draws = uniforms[block] if uniforms is not None else self._rng.random((m, 2))
-                    y_r = (admits & (draws[:, 0] < cohort.tau_r[block])).astype(float)
-                    y_c = (admits & (draws[:, 1] < cohort.tau_c[block])).astype(float)
-                    if self.feedback:
-                        pacer.observe_outcome(admits, y_r, y_c)
-                    if attributed:
-                        outcomes[pos : pos + m, 0] = y_r
-                        outcomes[pos : pos + m, 1] = y_c
-                pos += m
-            if attributed:
+            if_treated = None
+            if realise:
+                # realised Bernoulli incremental outcomes if treated;
+                # skipped users realise none, mirroring
+                # Platform.realize_arm.  One (m, 2) draw is the stream
+                # of m random(2) calls
+                draws = uniforms[idx] if uniforms is not None else self._rng.random((m, 2))
+                if_treated = (draws < effects[idx]).astype(float)
+            before = pacer.spent
+            admits = pacer.offer_batch(run, costs, if_treated if self.feedback else None)
+            treated[idx] = admits
+            # the pacer's own running sum, one addition per admit
+            trajectory[n_decided : n_decided + m] = np.cumsum(
+                np.concatenate(([before], np.where(admits, costs, 0.0)))
+            )[1:]
+            n_decided += m
+            if promoter is not None or retrainer is not None:
                 # the promoter and retrainer read no pacer state, and the
                 # pacer none of theirs: the run's outcomes go in one pass
-                attribute(idx, versions, treated[idx], outcomes[:, 0], outcomes[:, 1])
+                outcomes = np.where(admits[:, None], if_treated, 0.0)
+                attribute(idx, versions, admits, outcomes[:, 0], outcomes[:, 1])
 
         def drain(force: bool = False) -> bool:
             """Decide the ready prefix of the waiting arrivals; True when
@@ -553,9 +549,8 @@ class TrafficReplay:
         # decide in runs (the rules are in the class docstring); the
         # batch room counts every waiting arrival, a superset of the
         # pending ones, so a fleet's shards cannot fill inside a run
-        rows: list[np.ndarray] = []  # the run's feature rows
-        stamps: list[float] = []  # ... their arrival times
-        chunk: list[int] = []  # ... and their cohort indices
+        stamps: list[float] = []  # the run's arrival times
+        chunk: list[int] = []  # ... and cohort indices
         events = self.platform.iter_events(cohort)
         arrival = next(events, None)
         need_step = True
@@ -584,19 +579,18 @@ class TrafficReplay:
                         break
                     now = clock.advance(step_s)
                     stamps.append(now)
-                i, x_row = arrival
-                rows.append(x_row)
-                chunk.append(i)
+                chunk.append(arrival[0])
                 arrival = next(events, None)
             if not chunk:
                 need_step = True  # the next arrival is at an event
                 continue
-            run_x = np.array(rows)
+            # the row of arrival i is cohort.x[i] (Platform.iter_events),
+            # so the run's rows are one gather
+            run_x = cohort.x[chunk]
             # a fleet's submit_batch takes no stamps: it has no clock
             ids = engine.submit_batch(run_x) if clock is None else engine.submit_batch(run_x, stamps=stamps)
             wait_rids.extend(ids)
             wait_idx.extend(chunk)
-            rows.clear()
             stamps.clear()
             chunk.clear()
             engine.poll()

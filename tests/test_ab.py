@@ -40,6 +40,16 @@ class TestPlatform:
         assert cohort.n == 500
         assert cohort.n_features == 12
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("dataset", ["criteo", "meituan", "alibaba"])
+    def test_every_cohort_size_from_three_draws(self, dataset, shifted):
+        """Regression: sizes 3-8 (3-4 shifted) asked the generator for a
+        pool below its minimum and raised its error, which named a pool
+        size the caller never asked for."""
+        p = Platform(dataset=dataset, shifted=shifted, random_state=0)
+        for n in range(3, 12):
+            assert p.daily_cohort(n, day=1).n == n
+
     def test_day_effect_modulates_effects(self):
         p = Platform(dataset="criteo", day_effect=0.3, random_state=0)
         day2 = p.daily_cohort(4000, day=2)  # sin(4pi/7) > 0 -> boosted

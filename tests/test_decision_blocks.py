@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.ab.platform import Platform
 from repro.core.roi_star import binary_search_roi_star, bisect_monotone
 from repro.data import criteo_uplift_v2
-from repro.obs import Histogram
+from repro.obs import Histogram, MetricsRegistry
 from repro.runtime import ManualClock
 from repro.serving import pacing
 from repro.serving.engine import ScoringEngine
@@ -126,6 +126,18 @@ def assert_same_state(block_pacer, scalar_pacer) -> None:
         a, b = getattr(block_pacer, name), getattr(scalar_pacer, name)
         # repr pins floats bit for bit and tells inf from nan
         assert repr(a) == repr(b), name
+    for name in ("_traffic", "_outcomes"):
+        a, b = (getattr(pacer, name).view().tolist() for pacer in (block_pacer, scalar_pacer))
+        assert repr(a) == repr(b), name
+    a, b = (pacer.metrics.snapshot().to_dict() for pacer in (block_pacer, scalar_pacer))
+    assert repr(a) == repr(b), "metrics"
+
+
+def if_treated_table(n, seed=0):
+    """The ``(y_r, y_c)`` each of ``n`` arrivals realises if treated:
+    Bernoulli draws from one fixed uniform table, as the replay makes."""
+    u = np.random.default_rng(seed).random((n, 2))
+    return (u < np.column_stack((np.linspace(0.1, 0.6, n), np.linspace(0.9, 0.3, n)))).astype(float)
 
 
 def run_twins(
@@ -139,43 +151,32 @@ def run_twins(
 ):
     """Feed one stream to ``offer_batch`` and to an ``offer()`` twin.
 
-    ``blocks`` partitions the stream.  Outcomes are realised per admit
-    from one fixed uniform table (as the replay does); the scalar twin
-    observes each right after its offer, the block pacer after each
-    returned prefix.  Returns the block pacer's admits and the block
-    pacer.
+    ``blocks`` partitions the stream, one ``offer_batch`` call per
+    block.  With ``outcomes``, the block pacer gets each block's
+    ``if_treated`` rows and feeds itself as it decides; the scalar twin
+    observes each arrival's realised outcome right after its offer.
+    State is compared after every block.  Returns the block pacer's
+    admits and the block pacer.
     """
     block_pacer, scalar_pacer = make_pacer(), make_pacer()
     n = len(scores)
     assert sum(blocks) == n
-    u = np.random.default_rng(seed).random((n, 2))
-    p_r = np.linspace(0.1, 0.6, n)
-    p_c = np.linspace(0.9, 0.3, n)
+    if_treated = if_treated_table(n, seed)
     admits = np.zeros(n, dtype=bool)
     start = 0
     for size in blocks:
-        pos = start
-        while pos < start + size:
-            got = block_pacer.offer_batch(scores[pos : start + size], costs[pos : start + size])
-            m = got.shape[0]
-            assert 1 <= m <= start + size - pos
-            for j in range(pos, pos + m):
-                admit = scalar_pacer.offer(scores[j], costs[j])
-                assert bool(got[j - pos]) == admit, f"arrival {j}"
-                if outcomes:
-                    scalar_pacer.observe_outcome(
-                        int(admit), float(admit and u[j, 0] < p_r[j]), float(admit and u[j, 1] < p_c[j])
-                    )
+        block = slice(start, start + size)
+        got = block_pacer.offer_batch(scores[block], costs[block], if_treated[block] if outcomes else None)
+        assert got.shape == (size,)
+        for j in range(start, start + size):
+            admit = scalar_pacer.offer(scores[j], costs[j])
+            assert bool(got[j - start]) == admit, f"arrival {j}"
             if outcomes:
-                sl = slice(pos, pos + m)
-                block_pacer.observe_outcome(
-                    got, (got & (u[sl, 0] < p_r[sl])).astype(float), (got & (u[sl, 1] < p_c[sl])).astype(float)
-                )
-            admits[pos : pos + m] = got
-            pos += m
-            assert_same_state(block_pacer, scalar_pacer)
+                y_r, y_c = if_treated[j] if admit else (0.0, 0.0)
+                scalar_pacer.observe_outcome(int(admit), y_r, y_c)
+        admits[block] = got
         start += size
-    assert_same_state(block_pacer, scalar_pacer)
+        assert_same_state(block_pacer, scalar_pacer)
     return admits, block_pacer
 
 
@@ -188,7 +189,57 @@ def pacer_factory(budget, horizon, **params):
     return lambda: BudgetPacer(budget, horizon, **params)
 
 
+class TestIfTreatedValidation:
+    """A bad ``if_treated`` is refused before any arrival of the block
+    is decided: the pacer stays its untouched twin's, windows included."""
+
+    @staticmethod
+    def fed_twins():
+        scores, costs = traffic(300, seed=12)
+        if_treated = if_treated_table(300, seed=12)
+        make = pacer_factory(0.3 * float(costs.sum()), 300, warmup=8, refresh_every=4, min_arm_outcomes=2)
+        pacers = make(), make()
+        for pacer in pacers:
+            pacer.offer_batch(scores[:100], costs[:100], if_treated[:100])
+        return pacers, scores, costs, if_treated
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["rows", "columns", "flat", "transposed", "nan", "inf", "-inf"],
+    )
+    def test_a_bad_if_treated_moves_nothing(self, bad):
+        (pacer, twin), scores, costs, if_treated = self.fed_twins()
+        block = if_treated[100:200].copy()
+        if bad in ("nan", "inf", "-inf"):
+            block[90, 1] = float(bad)  # past the block's first prefixes
+        else:
+            block = {"rows": block[:99], "columns": np.ones((100, 3)), "flat": block[:, 0], "transposed": block.T}[bad]
+        with pytest.raises(ValueError, match="if_treated must"):
+            pacer.offer_batch(scores[100:200], costs[100:200], block)
+        assert_same_state(pacer, twin)
+        # and the pacer decides on as its twin does
+        for p in (pacer, twin):
+            p.offer_batch(scores[100:], costs[100:], if_treated[100:])
+        assert_same_state(pacer, twin)
+
+
 class TestOfferBatchNamedCases:
+    def test_counters_and_gauges_after_each_block_match_the_offer_loop(self):
+        """Counters and gauges move once per block, to the values the
+        offer() loop leaves them at (``assert_same_state`` compares each
+        pacer's own registry)."""
+        scores, costs = traffic(600, seed=11)
+        _, pacer = run_twins(
+            lambda: BudgetPacer(
+                0.3 * float(costs.sum()), 600, warmup=20, refresh_every=16, min_arm_outcomes=5,
+                metrics=MetricsRegistry(),
+            ),
+            scores,
+            costs,
+            [1, 100, 37, 256, 206],
+        )
+        assert pacer.metrics.snapshot()["pacer.refreshes"].value > 30
+
     def test_default_pacer_day_in_engine_sized_blocks(self):
         n = 3000
         scores, costs = traffic(n, seed=1)
@@ -212,17 +263,34 @@ class TestOfferBatchNamedCases:
             blocks,
         )
 
-    def test_prefix_stops_before_the_next_refreshing_arrival(self):
-        pacer = BudgetPacer(100.0, 1000, warmup=10, refresh_every=4, use_roi_floor=False)
+    def test_prefix_stops_before_the_next_refreshing_arrival(self, monkeypatch):
+        """warmup=10 and refresh_every=4: one 30-arrival block refreshes
+        at arrivals 10, 14, ..., 30.  Each threshold prefix stops before
+        the next refreshing arrival, whose refresh reads the outcomes of
+        every arrival of the block before it.  The pacer had none before
+        the block, so its roi* floor comes from them."""
+        pacer = BudgetPacer(100.0, 1000, warmup=10, refresh_every=4, min_arm_outcomes=2)
         scores, costs = np.full(30, 0.5), np.full(30, 0.1)
-        sizes = []
-        pos = 0
-        while pos < 30:
-            sizes.append(pacer.offer_batch(scores[pos:], costs[pos:]).shape[0])
-            pos += sizes[-1]
-        # 9 warmup arrivals, then the refreshes at 10, 14, 18, ...
-        assert sizes == [9, 4, 4, 4, 4, 4, 1]
-        assert [entry[0] for entry in pacer.history] == [10, 14, 18, 22, 26, 30]
+        scores[1::2] = np.nan  # never admitted: the control arm
+        if_treated = np.column_stack((np.arange(30) % 3 == 0, np.ones(30))).astype(float)
+        refresh, seen = pacer._refresh, []
+
+        def spy():
+            seen.append((pacer.n_seen, pacer._outcomes.view().tolist()))
+            refresh()
+
+        monkeypatch.setattr(pacer, "_refresh", spy)
+        admits = pacer.offer_batch(scores, costs, if_treated)
+        assert admits.tolist() == [True, False] * 15
+        assert [n for n, _window in seen] == [10, 14, 18, 22, 26, 30]
+        outcomes = np.where(admits[:, None], if_treated, 0.0)
+        for n, window in seen:
+            assert window == [admits[: n - 1].tolist(), *outcomes[: n - 1].T.tolist()]
+        t, y_r, y_c = pacer._outcomes.view()
+        assert len(t) == 30
+        assert repr(pacer.roi_floor_) == repr(binary_search_roi_star(t, y_r, y_c))
+        first_floor = binary_search_roi_star(admits[:9], outcomes[:9, 0], outcomes[:9, 1])
+        assert repr(pacer.history[0]) == repr((10, 0.5, max(0.5, first_floor)))
 
     @pytest.mark.parametrize("window", [2, 3, 17, 64])
     def test_window_shorter_than_the_stream_wraps(self, window):
@@ -294,12 +362,9 @@ class TestOfferBatchNamedCases:
             return day2
 
         block, scalar = make(), make()
-        pos = 300
-        while pos < 900:
-            got = block.offer_batch(scores[pos:], costs[pos:])
-            for j, admit in enumerate(got.tolist()):
-                assert scalar.offer(scores[pos + j], costs[pos + j]) == admit
-            pos += got.shape[0]
+        got = block.offer_batch(scores[300:], costs[300:])
+        for j, admit in enumerate(got.tolist(), start=300):
+            assert scalar.offer(scores[j], costs[j]) == admit
         assert_same_state(block, scalar)
 
     def test_nan_scores_follow_offers_own_threshold_test(self):
@@ -808,6 +873,7 @@ def closed_loop(
     platform=Platform,
     engine_cls=ScoringEngine,
     challenger=0.8,
+    feedback=True,
 ):
     """A clocked replay with a promoter ramping a staged challenger
     (``challenger`` times the champion's weights), and a ``retrainer``
@@ -833,7 +899,7 @@ def closed_loop(
         interarrival_s=gap,
         promoter=promoter,
         retrainer=retrainer,
-        feedback=True,
+        feedback=feedback,
         paired_outcomes=True,
         random_state=11,
     )
@@ -860,11 +926,21 @@ class TestReplayMatchesPerArrivalReference:
     """The replay against the per-arrival loop: block days, and each
     place a closed loop's run must end, hit on purpose."""
 
-    @pytest.mark.parametrize("feedback", [False, True])
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_single_engine_day(self, weights, feedback, paired):
+    @pytest.mark.parametrize(
+        ("paired", "feedback", "batch_size", "refresh_every"),
+        [
+            pytest.param(paired, feedback, batch_size, refresh_every, id=f"{prefix}{paired}-{feedback}")
+            for prefix, batch_size, refresh_every in (("", 64, 32), ("batch256-", 256, 16))
+            for feedback in (False, True)
+            for paired in (False, True)
+        ],
+    )
+    def test_single_engine_day(self, weights, paired, feedback, batch_size, refresh_every):
+        """At batch 256 and refresh_every=16 each run holds ~16
+        refreshes, each reading the outcomes of the run's earlier rows."""
+
         def build(cls):
-            engine = ScoringEngine(LinearROI(weights), batch_size=64, cache_size=0)
+            engine = ScoringEngine(LinearROI(weights), batch_size=batch_size, cache_size=0)
             return cls(
                 Platform(dataset="criteo", random_state=0),
                 engine,
@@ -874,7 +950,7 @@ class TestReplayMatchesPerArrivalReference:
             )
 
         got, want, _ = both_replays(
-            build, lambda r: r.replay_day(2000, pacer_params=dict(min_arm_outcomes=10, refresh_every=32))
+            build, lambda r: r.replay_day(2000, pacer_params=dict(min_arm_outcomes=10, refresh_every=refresh_every))
         )
         assert_same_decisions(got, want)
         assert got.n_treated > 0
@@ -1049,6 +1125,17 @@ class TestReplayMatchesPerArrivalReference:
         assert got.days[0].engine_stats["flush_batch_full"] == 600 // 32
         ledgers = [v.ledger.n for v in replays[0].engine.registry.versions()]
         assert min(ledgers) >= 60  # both arms past min_decided: the gate ran
+
+    def test_a_loop_without_feedback_realises_outcomes_for_its_owners_only(self, weights):
+        """Feedback off with a promoter and a retrainer (as perfbench's
+        campaign runs): each run's outcomes are drawn for them, and the
+        pacer gets none, as in the per-arrival loop, which then calls no
+        ``observe_outcome``."""
+        got, want, replays = self.replay_loop(
+            weights=weights, feedback=False, retrainer=dict(window=300, min_outcomes=100, every_outcomes=150)
+        )
+        assert_same_loop(got, want, replays)
+        assert sum(v.ledger.n for v in replays[0].engine.registry.versions()) == 3 * 600
 
     def test_a_feature_the_retrainer_refuses_stops_both_loops_alike(self, weights):
         """The retrainer raises at a non-finite feature row; the promoter

@@ -242,3 +242,51 @@ def test_src_line_totals_are_printed_before_the_first_pair(tmp_path, monkeypatch
     printed = capsys.readouterr().out.splitlines()
     assert printed[1] == "src/**/*.py lines: parent 5, change 6, net +1 (informative, judges nothing)"
     assert printed[2].startswith("pair 1 ")
+
+
+RAW = "  raw (not normalised): decided_eps 312345 1/s, setup_s 0.04 s; median probe 4.2e+06/s vs reference 4e+06/s"
+
+
+@pytest.mark.parametrize("raw_line", [RAW, None], ids=["with-raw-line", "without-raw-line"])
+def test_run_once_reads_the_raw_rate_when_the_report_prints_it(tmp_path, raw_line):
+    """A made-up checkout whose ``perfbench/run.py`` prints a report and
+    the JSON line: the raw rate is kept beside the JSON result, and a
+    report without the line (a traced run) reads None."""
+    (tmp_path / "perfbench").mkdir()
+    report = ["perfbench w seed=3", "  decided_eps  300000 1/s", *([raw_line] if raw_line else [])]
+    script = "\n".join(f"print({line!r})" for line in report)
+    script += f"\nprint({json.dumps(json.dumps(result(300000.0, 0.04)))})\n"
+    (tmp_path / "perfbench" / "run.py").write_text(script)
+    out = perf_pairs.run_once(tmp_path, "w", 3, 20)
+    assert out["metrics"]["decided_eps"]["value"] == 300000.0
+    assert out["raw_decided_eps"] == (312345.0 if raw_line else None)
+    assert perf_pairs.raw_decided_eps("\n".join(report)) == out["raw_decided_eps"]
+
+
+def with_raw(sides, parent_raw, change_raw):
+    for side, values in (("parent", parent_raw), ("change", change_raw)):
+        for out, value in zip(sides[side], values):
+            out["raw_decided_eps"] = value
+    return sides
+
+
+def test_raw_rates_are_summarised_and_compared_not_judged(capsys):
+    r = runs(PARENT, [(300.0 + k, 1.0 + 0.01 * k) for k in range(10)])
+    # raw reads the change slower on pairs 0 and 1: they disagree
+    with_raw(r["w"], [200.0 + k for k in range(10)], [150.0, 150.0] + [400.0 + k for k in range(2, 10)])
+    assert perf_pairs.judge(r, METRICS, "decided_eps", {"w"}) == []
+    printed = capsys.readouterr().out
+    assert "raw decided_eps parent  median 204.5, q1 201.75, q3 207.25" in printed
+    assert "raw decided_eps change  median 404.5, q1 339, q3 407.25" in printed
+    assert ("raw decided_eps change/parent median 1.978x; raw and normalised agree on the faster side "
+            "in 8/10 pairs (informative, judges nothing)") in printed
+
+
+def test_runs_without_a_raw_rate_are_not_compared(capsys):
+    r = runs(PARENT, PARENT)
+    with_raw(r["w"], [100.0] * 10, [100.0] * 9 + [None])
+    assert perf_pairs.judge(r, METRICS, None, set()) == []
+    assert "raw decided_eps: missing from 1 of 20 runs, not compared" in capsys.readouterr().out
+    assert perf_pairs.raw_lines(runs(PARENT, PARENT)["w"]) == [
+        "  raw decided_eps: missing from 20 of 20 runs, not compared"
+    ]

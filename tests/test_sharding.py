@@ -222,6 +222,28 @@ class TestFleetSubmitBatch:
         assert fleet.take_block([]).shape == (0,)
         fleet.close()
 
+    def test_take_block_refuses_a_repeated_id_and_pops_nothing(self, rows):
+        """Regression: the first copy of a repeated id was popped before
+        the second raised, so the refused call lost that score."""
+        fleet, twin = (
+            ShardedScoringEngine(make_registry(), n_shards=2, batch_size=4, cache_size=0, backend=SerialBackend())
+            for _ in range(2)
+        )
+        ids = fleet.submit_batch(rows[:4])
+        assert twin.submit_batch(rows[:4]) == ids
+        for engine in (fleet, twin):
+            engine.flush()
+        with pytest.raises(KeyError):
+            fleet.take_block([ids[3], ids[3]])
+        with pytest.raises(KeyError):
+            fleet.take_block([ids[0], ids[1], ids[0]])
+        # still ready and attributed: the refused calls popped nothing
+        assert [fleet.version_of(rid) for rid in ids] == [twin.version_of(rid) for rid in ids]
+        assert fleet.take(ids[3]) == twin.take(ids[3])
+        assert fleet.take_block(ids[:3]).tolist() == twin.take_block(ids[:3]).tolist()
+        for engine in (fleet, twin):
+            engine.close()
+
     def test_keyless_round_robin_matches(self, rows):
         expected, ref_stats = self._per_row_reference(
             rows[:150], [None] * 150, n_shards=3, batch_size=16
