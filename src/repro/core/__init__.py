@@ -2,7 +2,8 @@
 
 * :class:`DRPModel` — Direct ROI Prediction (Zhou et al., AAAI 2023),
   the convex-loss neural model rDRP builds on (Eq. 2);
-* :class:`DirectRank` — the DR ranking baseline (Du et al., 2019);
+* :class:`DirectRank` — the DR ranking baseline (Du et al., 2019):
+  :class:`DRPModel` trained on DR's ratio loss;
 * :class:`RoiStarEstimator` / :func:`binary_search_roi_star` —
   Algorithm 2, locating the loss convergence point ``roi*``;
 * :class:`ConformalCalibrator` — Eq. 3 scores + Algorithm 3 intervals;

@@ -19,19 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.causal.base import TrainableModel
-
+from repro.core.drp import DRPModel
 from repro.nn.activations import sigmoid, sigmoid_grad
-from repro.nn.mc_dropout import mc_dropout_moments
-from repro.nn.network import Network, mlp, stochastic_passes
-from repro.nn.optimizers import Adam
-from repro.utils.rng import as_generator
-from repro.utils.validation import (
-    check_1d,
-    check_2d,
-    check_binary,
-    check_consistent_length,
-)
 
 __all__ = ["DirectRank", "dr_loss"]
 
@@ -71,13 +60,16 @@ def dr_loss(
     return value, grad
 
 
-class DirectRank(TrainableModel):
-    """DR model: MLP scorer trained with the soft-selection ratio loss.
+class DirectRank(DRPModel):
+    """DR model: DRP's MLP scorer trained with the soft-selection ratio loss.
 
-    The public surface mirrors :class:`~repro.core.drp.DRPModel` so the
-    benchmark harness can treat both uniformly; ``predict_roi`` returns
-    ``σ(ŝ)`` — DR scores have no ROI semantics, but their sigmoid is
-    the ranking the method deploys.
+    Everything but the loss is :class:`~repro.core.drp.DRPModel`'s: the
+    network (one ELU hidden layer, dropout after it), input checks,
+    ``fit``, ``predict_score``, ``predict_roi`` (``σ(ŝ)``: DR scores have
+    no ROI semantics, but their sigmoid is the ranking the method
+    deploys) and ``predict_roi_mc`` (the 'DR w/ MC' ablation arm).  DR
+    fixes the training regime: one network (``n_restarts=1``) on every
+    row (``val_fraction=0``) for all ``epochs`` (``patience=None``).
 
     Parameters
     ----------
@@ -100,76 +92,20 @@ class DirectRank(TrainableModel):
     ) -> None:
         if kappa <= 0:
             raise ValueError(f"kappa must be > 0, got {kappa}")
-        self.hidden = int(hidden)
-        self.dropout = float(dropout)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.learning_rate = float(learning_rate)
-        self.weight_decay = float(weight_decay)
+        super().__init__(
+            hidden=hidden,
+            dropout=dropout,
+            epochs=epochs,
+            batch_size=batch_size,
+            learning_rate=learning_rate,
+            weight_decay=weight_decay,
+            patience=None,
+            val_fraction=0.0,
+            n_restarts=1,
+            random_state=random_state,
+        )
         self.kappa = float(kappa)
-        self.random_state = random_state
-        self.network_: Network | None = None
-        self._n_features: int | None = None
 
-    def fit(self, x, t, y_r, y_c) -> "DirectRank":
-        x = check_2d(x)
-        t = check_binary(t)
-        y_r = check_1d(y_r, "y_r")
-        y_c = check_1d(y_c, "y_c")
-        check_consistent_length(x, t, y_r, y_c, names=("X", "t", "y_r", "y_c"))
-        if np.all(t == 1) or np.all(t == 0):
-            raise ValueError("Both treated and control samples are required to fit DR")
-        self._n_features = x.shape[1]
-        rng = as_generator(self.random_state)
-        self.network_ = mlp(
-            x.shape[1],
-            [self.hidden],
-            output_dim=1,
-            activation="elu",
-            dropout=self.dropout,
-            rng=rng,
-        )
-
-        def batch_loss(pred: np.ndarray, batch: dict) -> tuple[float, np.ndarray]:
-            value, grad = dr_loss(
-                pred[:, 0], batch["t"], batch["y_r"], batch["y_c"], kappa=self.kappa
-            )
-            return value, grad.reshape(-1, 1)
-
-        self.network_.fit(
-            x,
-            {"t": t, "y_r": y_r, "y_c": y_c},
-            loss=batch_loss,
-            optimizer=Adam(self.learning_rate, weight_decay=self.weight_decay),
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            rng=rng,
-        )
-        return self
-
-    def _checked(self, x) -> np.ndarray:
-        if self.network_ is None:
-            raise RuntimeError("DirectRank is not fitted; call fit() first")
-        x = check_2d(x)
-        if x.shape[1] != self._n_features:
-            raise ValueError(
-                f"X has {x.shape[1]} features but the model was fitted with {self._n_features}"
-            )
-        return x
-
-    def predict_score(self, x) -> np.ndarray:
-        x = self._checked(x)
-        return self.network_.predict(x)[:, 0]
-
-    def predict_roi(self, x) -> np.ndarray:
-        """Ranking surrogate ``σ(ŝ)`` (no calibrated ROI semantics)."""
-        return sigmoid(self.predict_score(x))
-
-    def predict_roi_mc(
-        self, x, n_samples: int = 30, std_floor: float = 1e-4
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """MC-dropout mean/std of ``σ(ŝ)`` — the 'DR w/ MC' ablation arm."""
-        x = self._checked(x)
-        return mc_dropout_moments(
-            lambda: sigmoid(stochastic_passes([self.network_], x, n_samples)), n_samples, std_floor
-        )
+    def _batch_loss(self, pred: np.ndarray, batch: dict) -> tuple[float, np.ndarray]:
+        value, grad = dr_loss(pred[:, 0], batch["t"], batch["y_r"], batch["y_c"], kappa=self.kappa)
+        return value, grad.reshape(-1, 1)

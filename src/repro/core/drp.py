@@ -124,6 +124,11 @@ class DRPModel(TrainableModel):
     hidden activation; it is inactive for point prediction and only
     sampled by :meth:`predict_roi_mc` (MC dropout, §IV-C2).
 
+    :class:`~repro.core.direct_rank.DirectRank` (the DR baseline) is
+    this model with its ratio loss in place of Eq. 2 (``_batch_loss``)
+    and a fixed regime: one network trained on every row for every
+    epoch (``n_restarts=1``, ``val_fraction=0``, ``patience=None``).
+
     Parameters
     ----------
     hidden:
@@ -198,7 +203,7 @@ class DRPModel(TrainableModel):
         y_c = check_1d(y_c, "y_c")
         check_consistent_length(x, t, y_r, y_c, names=("X", "t", "y_r", "y_c"))
         if np.all(t == 1) or np.all(t == 0):
-            raise ValueError("Both treated and control samples are required to fit DRP")
+            raise ValueError(f"Both treated and control samples are required to fit {type(self).__name__}")
         self._n_features = x.shape[1]
         rng = as_generator(self.random_state)
 
@@ -229,7 +234,7 @@ class DRPModel(TrainableModel):
             history = network.fit(
                 x,
                 {"t": t, "y_r": y_r, "y_c": y_c},
-                loss=_drp_batch_loss,
+                loss=self._batch_loss,
                 optimizer=Adam(self.learning_rate, weight_decay=self.weight_decay),
                 epochs=self.epochs,
                 batch_size=self.batch_size,
@@ -243,9 +248,13 @@ class DRPModel(TrainableModel):
         self.history_ = self.histories_[0]
         return self
 
+    def _batch_loss(self, pred: np.ndarray, batch: dict) -> tuple[float, np.ndarray]:
+        """The loss :meth:`fit` trains on: Eq. 2 (subclasses swap it)."""
+        return _drp_batch_loss(pred, batch)
+
     def _checked(self, x) -> np.ndarray:
         if not self.networks_:
-            raise RuntimeError("DRPModel is not fitted; call fit() first")
+            raise RuntimeError(f"{type(self).__name__} is not fitted; call fit() first")
         x = check_2d(x)
         if x.shape[1] != self._n_features:
             raise ValueError(

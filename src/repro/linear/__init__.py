@@ -1,10 +1,10 @@
-"""Linear-model substrate: ridge and logistic regression.
+"""Linear-model substrate: closed-form ridge regression.
 
-These serve as base learners for the meta-learner uplift baselines
-(S-/T-/X-learner) and as propensity models.
+A base learner for the meta-learner uplift baselines (S-/T-/X-learner,
+through their ``base_factory``); ``partial_fit`` folds a new batch
+into its sufficient statistics, so batched fits equal one-shot ones.
 """
 
-from repro.linear.logistic import LogisticRegression
 from repro.linear.ridge import RidgeRegression
 
-__all__ = ["LogisticRegression", "RidgeRegression"]
+__all__ = ["RidgeRegression"]

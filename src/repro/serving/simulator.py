@@ -53,6 +53,7 @@ Two runtime-layer features thread through the replay:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -68,6 +69,7 @@ from repro.serving.engine import ScoringEngine
 from repro.serving.pacing import BudgetPacer, MultiDayPacer
 from repro.serving.promotion import AutoPromoter
 from repro.serving.retraining import Retrainer
+from repro.serving.sharding import ShardedScoringEngine
 from repro.utils.rng import as_generator
 
 __all__ = ["MultiDayReplayResult", "TrafficReplay", "ReplayResult"]
@@ -226,7 +228,9 @@ class TrafficReplay:
         A configured :class:`ScoringEngine` (its registry's champion —
         and challenger, if staged — serve the scores).  Give it a
         :class:`~repro.runtime.ManualClock` and ``max_latency_ms`` to
-        exercise deadline flushing under simulated time.
+        exercise deadline flushing under simulated time.  A
+        :class:`~repro.serving.sharding.ShardedScoringEngine` serves a
+        fixed registry, so it takes no ``promoter`` or ``retrainer``.
     feedback:
         When True, realised outcomes of decided users are fed back to
         the pacer (``offer_batch``'s ``if_treated``), enabling its
@@ -287,6 +291,12 @@ class TrafficReplay:
                     "interarrival_s needs an engine with a ManualClock "
                     "(simulated time cannot advance a system clock)"
                 )
+        if isinstance(engine, ShardedScoringEngine) and (promoter is not None or retrainer is not None):
+            raise ValueError(
+                "a ShardedScoringEngine serves the registry it was built with — "
+                "a promoter or retrainer moving it would stop the fleet at its "
+                "first lifecycle change"
+            )
         if promoter is not None and promoter.registry is not engine.registry:
             raise ValueError(
                 "promoter must operate the engine's registry — attributing "
@@ -563,24 +573,29 @@ class TrafficReplay:
                 arrival = next(events, None)
                 continue
             room = engine.batch_size - len(wait_rids) if acting else engine.batch_size
-            horizon = math.inf  # the earliest deadline on the clock
-            if clock is not None:
-                deadlines = [owner.next_deadline() for owner in owners]
-                horizon = min((d for d in deadlines if d is not None), default=math.inf)
             revision = registry.revision
             fired = False
-            if acting and clock is None:
-                fired = poll_lifecycle()  # on wall time, once per run
-            now = clock.now() if clock is not None else None
-            while arrival is not None and len(chunk) < room:
-                if clock is not None:
+            if clock is None:
+                if acting:
+                    fired = poll_lifecycle()  # on wall time, once per run
+                # no event falls inside a clockless run, so it takes its room
+                # at once (none when cache hits queue behind a pending head)
+                if room > 0:
+                    chunk.append(arrival[0])
+                    chunk.extend(i for i, _row in itertools.islice(events, room - 1))
+                    arrival = next(events, None)
+            else:
+                deadlines = [owner.next_deadline() for owner in owners]
+                horizon = min((d for d in deadlines if d is not None), default=math.inf)
+                now = clock.now()
+                while arrival is not None and len(chunk) < room:
                     step_s = max(0.0, (now + gap) - now)  # the step's clock arithmetic
                     if horizon <= now + step_s + DUE_SLACK:
                         break
                     now = clock.advance(step_s)
                     stamps.append(now)
-                chunk.append(arrival[0])
-                arrival = next(events, None)
+                    chunk.append(arrival[0])
+                    arrival = next(events, None)
             if not chunk:
                 need_step = True  # the next arrival is at an event
                 continue

@@ -21,14 +21,8 @@ from repro.causal.neural import DragonNet, OffsetNet, SNet, TARNet
 from repro.core.direct_rank import DirectRank
 from repro.core.drp import DRPModel
 from repro.core.rdrp import RobustDRP
-from repro.linear import LogisticRegression, RidgeRegression
-from repro.trees import (
-    CausalForest,
-    CausalTree,
-    DecisionTreeRegressor,
-    GradientBoostingRegressor,
-    RandomForestRegressor,
-)
+from repro.linear import RidgeRegression
+from repro.trees import CausalForest, CausalTree, DecisionTreeRegressor, RandomForestRegressor
 
 
 def _rct(n: int = 220, d: int = 5, seed: int = 11):
@@ -63,12 +57,6 @@ CASES = [
         lambda m, x: m.predict(x),
     ),
     Case(
-        "logistic",
-        lambda: LogisticRegression(max_iter=50),
-        lambda m: m.fit(X, (Y > 0).astype(int)),
-        lambda m, x: m.predict_proba(x),
-    ),
-    Case(
         "tree",
         lambda: DecisionTreeRegressor(max_depth=4),
         lambda m: m.fit(X, Y),
@@ -77,12 +65,6 @@ CASES = [
     Case(
         "forest",
         lambda: RandomForestRegressor(n_estimators=8, max_depth=4, random_state=0),
-        lambda m: m.fit(X, Y),
-        lambda m, x: m.predict(x),
-    ),
-    Case(
-        "boosting",
-        lambda: GradientBoostingRegressor(n_estimators=8, max_depth=2),
         lambda m: m.fit(X, Y),
         lambda m, x: m.predict(x),
     ),

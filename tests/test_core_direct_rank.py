@@ -4,6 +4,30 @@ import numpy as np
 import pytest
 
 from repro.core.direct_rank import DirectRank, dr_loss
+from repro.nn import Adam, mlp
+from repro.utils.rng import as_generator
+
+
+def standalone_fit(model: DirectRank, x, t, y_r, y_c):
+    """DR as its own trainer: one network fitted on every row for every
+    epoch on the ratio loss, drawing from one generator."""
+    rng = as_generator(model.random_state)
+    network = mlp(x.shape[1], [model.hidden], output_dim=1, activation="elu", dropout=model.dropout, rng=rng)
+
+    def batch_loss(pred, batch):
+        value, grad = dr_loss(pred[:, 0], batch["t"], batch["y_r"], batch["y_c"], kappa=model.kappa)
+        return value, grad.reshape(-1, 1)
+
+    network.fit(
+        x,
+        {"t": t, "y_r": y_r, "y_c": y_c},
+        loss=batch_loss,
+        optimizer=Adam(model.learning_rate, weight_decay=model.weight_decay),
+        epochs=model.epochs,
+        batch_size=model.batch_size,
+        rng=rng,
+    )
+    return network
 
 
 class TestDrLoss:
@@ -62,8 +86,20 @@ class TestDirectRank:
         assert mean.shape == std.shape == (20,)
         assert np.all(std > 0)
 
+    def test_fit_is_the_standalone_ratio_loss_fit(self, easy_rct):
+        """DR trains on DRPModel's trainer with only its loss and regime
+        swapped in: the weights are a standalone fit's, to the bit."""
+        data = easy_rct
+        model = DirectRank(hidden=16, epochs=4, batch_size=128, kappa=0.2, random_state=3)
+        model.fit(data.x, data.t, data.y_r, data.y_c)
+        network = standalone_fit(model, data.x, data.t, data.y_r, data.y_c)
+        assert len(model.networks_) == 1
+        assert repr([p.tolist() for p in model.network_.parameters()]) == repr(
+            [p.tolist() for p in network.parameters()]
+        )
+
     def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
+        with pytest.raises(RuntimeError, match="DirectRank is not fitted"):
             DirectRank().predict_roi(np.ones((1, 3)))
 
     def test_invalid_kappa(self):
@@ -72,5 +108,5 @@ class TestDirectRank:
 
     def test_single_arm_rejected(self):
         x = np.random.default_rng(0).normal(size=(40, 3))
-        with pytest.raises(ValueError, match="treated and control"):
+        with pytest.raises(ValueError, match="treated and control samples are required to fit DirectRank"):
             DirectRank(epochs=2).fit(x, np.zeros(40, dtype=int), np.ones(40), np.ones(40))

@@ -105,12 +105,12 @@ class TestDRPModel:
         assert len(model.histories_) == 3
 
     def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
+        with pytest.raises(RuntimeError, match="DRPModel is not fitted"):
             DRPModel().predict_roi(np.ones((1, 4)))
 
     def test_single_arm_rejected(self):
         x = np.random.default_rng(0).normal(size=(60, 3))
-        with pytest.raises(ValueError, match="treated and control"):
+        with pytest.raises(ValueError, match="treated and control samples are required to fit DRPModel"):
             DRPModel(epochs=2).fit(x, np.ones(60, dtype=int), np.ones(60), np.ones(60))
 
     def test_feature_mismatch(self, tiny_rct):

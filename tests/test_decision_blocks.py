@@ -964,6 +964,35 @@ class TestReplayMatchesPerArrivalReference:
         assert_same_decisions(got, want)
         assert got.engine_stats["cache_hits"] > 300
 
+    def test_wall_time_promoter_with_cache_hits_queued_past_the_batch(self, weights):
+        """No clock, so a run takes its room in one slice; cache hits
+        queued behind a pending head leave it no room (the waiting
+        arrivals reach ``batch_size``), and the next arrival takes the
+        per-arrival step.  A one-step ramp sets no wall-clock deadline,
+        so polling once per run acts as polling every arrival."""
+
+        def build(cls):
+            registry = ModelRegistry(random_state=0)
+            registry.register(LinearROI(weights), name="champion")
+            registry.register(LinearROI(-weights), name="challenger")  # the gate kills it
+            engine = ScoringEngine(registry, batch_size=16, cache_size=64)
+            promoter = AutoPromoter(registry, ramp=(0.5,), min_decided=60, check_every=10, hold_decided=300)
+            return cls(
+                RepeatingPlatform(dataset="criteo", random_state=1),
+                engine,
+                promoter=promoter,
+                feedback=True,
+                random_state=3,
+            )
+
+        got, want, replays = both_replays(build, lambda r: r.replay_day(1500))
+        assert_same_decisions(got, want)
+        assert got.engine_stats["cache_hits"] > 300
+        events = [[(e.kind, e.traffic_split) for e in r.promoter.events] for r in replays]
+        assert events[0] == events[1] == [("start", 0.5), ("kill", 0.0)]
+        versions = [[(v.version, v.ledger.n) for v in r.engine.registry.versions()] for r in replays]
+        assert versions[0] == versions[1]
+
     def test_sharded_engine_fleet(self, weights):
         def build(cls):
             engine = ShardedScoringEngine(LinearROI(weights), n_shards=2, batch_size=16, cache_size=0)

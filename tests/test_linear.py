@@ -1,9 +1,9 @@
-"""Tests for repro.linear (ridge + logistic regression)."""
+"""Tests for repro.linear (ridge regression)."""
 
 import numpy as np
 import pytest
 
-from repro.linear import LogisticRegression, RidgeRegression
+from repro.linear import RidgeRegression
 
 
 class TestRidge:
@@ -65,58 +65,6 @@ class TestRidge:
             RidgeRegression(alpha=-1.0)
 
 
-class TestLogistic:
-    def test_learns_separating_direction(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(800, 2))
-        logits = 2.0 * x[:, 0] - 1.0 * x[:, 1]
-        y = (rng.random(800) < 1 / (1 + np.exp(-logits))).astype(int)
-        model = LogisticRegression(alpha=1e-4).fit(x, y)
-        assert model.coef_[0] > 0.5
-        assert model.coef_[1] < -0.2
-        # coefficient ratio approximately recovered
-        assert model.coef_[0] / -model.coef_[1] == pytest.approx(2.0, rel=0.5)
-
-    def test_probabilities_calibrated_on_constant(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2000, 2)) * 0.01  # nearly uninformative
-        y = (rng.random(2000) < 0.3).astype(int)
-        model = LogisticRegression().fit(x, y)
-        p = model.predict_proba(x)
-        assert p.mean() == pytest.approx(0.3, abs=0.03)
-
-    def test_predict_threshold(self):
-        x = np.array([[-5.0], [5.0]])
-        y = np.array([0, 1])
-        model = LogisticRegression(alpha=1e-6).fit(
-            np.vstack([x] * 20), np.tile(y, 20)
-        )
-        np.testing.assert_array_equal(model.predict(x), [0, 1])
-
-    def test_separable_data_converges_with_penalty(self):
-        x = np.vstack([np.full((20, 1), -1.0), np.full((20, 1), 1.0)])
-        y = np.array([0] * 20 + [1] * 20)
-        model = LogisticRegression(alpha=1.0, max_iter=200).fit(x, y)
-        assert np.isfinite(model.coef_).all()
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            LogisticRegression().predict_proba([[1.0]])
-
-    def test_nonbinary_target_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            LogisticRegression().fit([[1.0], [2.0]], [1, 2])
-
-    def test_feature_mismatch(self):
-        model = LogisticRegression().fit(np.ones((20, 2)), [0, 1] * 10)
-        with pytest.raises(ValueError, match="features"):
-            model.predict_proba(np.ones((2, 3)))
-
-    def test_n_iter_recorded(self):
-        model = LogisticRegression().fit(np.random.default_rng(0).normal(size=(50, 2)), [0, 1] * 25)
-        assert model.n_iter_ >= 1
-
-
 class TestRidgePartialFit:
     """Warm-start sufficient statistics: batched == one-shot exactly."""
 
@@ -167,50 +115,3 @@ class TestRidgePartialFit:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="sample_weight"):
             RidgeRegression().partial_fit([[1.0]], [1.0], sample_weight=[-1.0])
-
-
-class TestLogisticSampleWeight:
-    """sample_weight matches RidgeRegression.fit: weight w == w replicas."""
-
-    def test_weighted_equals_replicated_rows(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(60, 3))
-        y = (x[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
-        counts = rng.integers(1, 4, size=60)
-        x_rep = np.repeat(x, counts, axis=0)
-        y_rep = np.repeat(y, counts)
-        replicated = LogisticRegression(alpha=0.1).fit(x_rep, y_rep)
-        weighted = LogisticRegression(alpha=0.1).fit(
-            x, y, sample_weight=counts.astype(float)
-        )
-        np.testing.assert_allclose(weighted.coef_, replicated.coef_, atol=1e-6)
-        assert weighted.intercept_ == pytest.approx(replicated.intercept_, abs=1e-6)
-
-    def test_zero_weight_rows_ignored(self):
-        x = np.array([[0.0], [0.0], [5.0], [5.0], [9.0]])
-        y = np.array([0, 0, 1, 1, 0])  # the y=0 outlier at x=9 ...
-        w = np.array([1.0, 1.0, 1.0, 1.0, 0.0])  # ... carries no weight
-        clean = LogisticRegression(alpha=0.1).fit(x[:4], y[:4])
-        weighted = LogisticRegression(alpha=0.1).fit(x, y, sample_weight=w)
-        np.testing.assert_allclose(weighted.coef_, clean.coef_, atol=1e-8)
-
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError, match="sample_weight"):
-            LogisticRegression().fit([[1.0], [2.0]], [0, 1], sample_weight=[-1.0, 1.0])
-        with pytest.raises(ValueError, match="sample_weight"):
-            LogisticRegression().fit([[1.0], [2.0]], [0, 1], sample_weight=[0.0, 0.0])
-
-    def test_warm_start_converges_faster_same_solution(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(400, 4))
-        beta = np.array([1.0, -0.5, 0.25, 0.0])
-        y = (rng.random(400) < 1.0 / (1.0 + np.exp(-(x @ beta)))).astype(int)
-        cold = LogisticRegression(alpha=0.01).fit(x, y)
-        warm = LogisticRegression(alpha=0.01, warm_start=True).fit(x, y)
-        cold_iters = cold.n_iter_
-        # refit on a small perturbation of the same problem
-        x2, y2 = x[: 380], y[: 380]
-        warm.fit(x2, y2)
-        cold2 = LogisticRegression(alpha=0.01).fit(x2, y2)
-        assert warm.n_iter_ < cold_iters
-        np.testing.assert_allclose(warm.coef_, cold2.coef_, atol=1e-6)

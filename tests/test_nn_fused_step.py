@@ -20,7 +20,6 @@ import pickle
 import numpy as np
 import pytest
 
-import repro.core.direct_rank as direct_rank_module
 import repro.core.drp as drp_module
 from repro.core.direct_rank import DirectRank
 from repro.core.drp import DRPModel, drp_loss, drp_loss_gradient
@@ -167,7 +166,6 @@ def reference_training(monkeypatch) -> None:
     monkeypatch.setattr(Network, "fit", reference_fit)
     monkeypatch.setattr(drp_module, "_drp_batch_loss", reference_drp_batch_loss)
     monkeypatch.setattr(drp_module, "Adam", ReferenceAdam)
-    monkeypatch.setattr(direct_rank_module, "Adam", ReferenceAdam)
 
 
 @pytest.fixture(scope="module")
@@ -186,11 +184,9 @@ def _weights(networks) -> str:
 
 
 def _fingerprint(model, x) -> tuple[str, str, str]:
-    networks = getattr(model, "networks_", None) or [model.network_]
-    histories = getattr(model, "histories_", [])
     return (
-        _weights(networks),
-        repr([vars(h) for h in histories]),
+        _weights(model.networks_),
+        repr([vars(h) for h in model.histories_]),
         repr(model.predict_roi(x[:64]).tolist()),
     )
 

@@ -10,7 +10,8 @@ The load-bearing guarantees of :mod:`repro.serving.sharding`:
   per-shard snapshots because it is computed from them, and the pinned
   equality proves no second accounting path exists;
 * a fleet serves the registry it was built with: once the parent
-  registry's revision moves, traffic is refused before anything moves.
+  registry's revision moves, traffic is refused before anything moves,
+  and a replay refuses a fleet paired with a promoter or a retrainer.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import signal
 import numpy as np
 import pytest
 
+from repro.ab.platform import Platform
 from repro.obs import MetricsRegistry
 from repro.runtime import ManualClock, ProcessBackend, SerialBackend
-from repro.serving import ModelRegistry, ScoringEngine, ShardedScoringEngine
+from repro.serving import AutoPromoter, ModelRegistry, Retrainer, ScoringEngine, ShardedScoringEngine, TrafficReplay
 from repro.serving.sharding import _SHARD_ENGINES, _SHARD_RIDS
 
 
@@ -638,6 +640,23 @@ class TestFixedRegistry:
             assert state() == before, name
         assert fleet.take_block(range(16)).shape == (16,)  # scored before the change
         fleet.close()
+
+    @pytest.mark.parametrize("owner", ["promoter", "retrainer"])
+    def test_a_replay_refuses_a_fleet_with_a_lifecycle_owner(self, owner):
+        """A promoter or a retrainer moves the registry a fleet refuses
+        to serve past, so the replay refuses the pair at construction,
+        not at the day's first lifecycle change."""
+        registry = make_registry()
+        revision = registry.revision
+        owners = {
+            "promoter": lambda: AutoPromoter(registry, ramp=(0.1, 0.5), min_decided=200, check_every=50),
+            "retrainer": lambda: Retrainer(registry, every_outcomes=100),
+        }
+        with ShardedScoringEngine(registry, n_shards=2, batch_size=32, cache_size=0) as fleet:
+            with pytest.raises(ValueError, match="ShardedScoringEngine"):
+                TrafficReplay(Platform(dataset="criteo", random_state=0), fleet, **{owner: owners[owner]()})
+            assert registry.revision == revision
+            assert fleet.stats["requests"] == 0
 
     def test_revision_bumps_on_lifecycle_not_on_traffic(self):
         registry = make_registry()

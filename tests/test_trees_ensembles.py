@@ -1,9 +1,8 @@
-"""Tests for repro.trees.forest and repro.trees.boosting."""
+"""Tests for repro.trees.forest."""
 
 import numpy as np
 import pytest
 
-from repro.trees.boosting import GradientBoostingRegressor
 from repro.trees.forest import RandomForestRegressor
 
 # every test here fits an ensemble; PR CI skips them (-m "not slow")
@@ -59,43 +58,3 @@ class TestRandomForest:
     def test_invalid_n_estimators(self):
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=0)
-
-
-class TestGradientBoosting:
-    def test_train_score_decreases(self):
-        x, y = smooth_problem(n=300)
-        gbm = GradientBoostingRegressor(n_estimators=30, random_state=0).fit(x, y)
-        assert gbm.train_score_[-1] < gbm.train_score_[0]
-
-    def test_fits_nonlinear_function(self):
-        x, y = smooth_problem()
-        gbm = GradientBoostingRegressor(n_estimators=80, learning_rate=0.2, random_state=0)
-        gbm.fit(x, y)
-        mse = float(np.mean((gbm.predict(x) - y) ** 2))
-        assert mse < 0.15 * float(np.var(y))
-
-    def test_learning_rate_zero_stages_equals_mean(self):
-        x, y = smooth_problem(n=100)
-        gbm = GradientBoostingRegressor(n_estimators=1, learning_rate=1e-9, random_state=0)
-        gbm.fit(x, y)
-        np.testing.assert_allclose(gbm.predict(x), np.full(100, y.mean()), atol=1e-6)
-
-    def test_subsample_mode(self):
-        x, y = smooth_problem(n=300)
-        gbm = GradientBoostingRegressor(n_estimators=20, subsample=0.5, random_state=0)
-        gbm.fit(x, y)
-        assert gbm.predict(x).shape == (300,)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(RuntimeError, match="not fitted"):
-            GradientBoostingRegressor().predict(np.ones((1, 2)))
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(n_estimators=0)
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(subsample=0.0)
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(subsample=1.5)
